@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,21 +20,22 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, SungeoError, UnsupportedOrderError
 from .geometry import (
+    _distance,
+    _relative,
     diameter,
     diametral_points,
     distance,
     geodesic_eval,
     geodesic_family,
-    log_map,
 )
-from .logmin import brute_force_m, grassmann_label, m_value, plog_status, theta_descriptor, theta_sample
+from .logmin import (LatticeProblem, _sample, _signed, brute_force_m, canonical_log,
+                     grassmann_label, m_value, plog_status, theta_descriptor)
 from .matrixcore import (
     SpecialUnitary,
     expm_skew,
     frobenius_norm,
     random_special_unitary,
     random_unitary,
-    unitary_product,
     validate_special_unitary,
 )
 from .spectral import spectral_summary
@@ -42,8 +44,6 @@ from .tolerances import Tolerances
 ENV_TOL = "SUNGEO_TOL"
 
 EXIT_OK = 0
-EXIT_INVALID_INPUT = 2
-EXIT_NUMERICAL = 3
 EXIT_USAGE = 4
 
 
@@ -124,16 +124,20 @@ class MatrixFile:
             raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_special_unitary(path: str, tols: Tolerances) -> SpecialUnitary:
-    return validate_special_unitary(MatrixFile.load(path).matrix, tol=tols.group)
+def _load(tol: float | None, *paths: str) -> tuple:
+    """Read and validate matrix files; returns the tolerances, scaled from
+    the first file's order unless ``tol`` is given, and the matrices."""
+    tols, mats = None, []
+    for path in paths:
+        matrix = MatrixFile.load(path).matrix
+        if tols is None:
+            tols = Tolerances.default(len(matrix)) if tol is None else Tolerances(tol)
+        mats.append(validate_special_unitary(matrix, tol=tols.group))
+    return (tols, *mats)
 
 
 def _matrix_payload(entries: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(entries)]
-
-
-def _tolerances(n: int, tol: float | None) -> Tolerances:
-    return Tolerances.default(n) if tol is None else Tolerances.from_group(tol)
 
 
 def _unitary_residuals(tag: str, u: SpecialUnitary) -> dict:
@@ -146,18 +150,13 @@ def _unitary_residuals(tag: str, u: SpecialUnitary) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
-    probe = MatrixFile.load(path_p)
-    tols = _tolerances(probe.n, tol)
-    p = validate_special_unitary(probe.matrix, tol=tols.group)
-    q = _load_special_unitary(path_q, tols)
-    rel = unitary_product(p.adjoint(), q, tol=10.0 * tols.group)
-    sd = spectral_summary(rel, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
-                          eig_tol=tols.eig)
+    tols, p, q = _load(tol, path_p, path_q)
+    sd, oriented, _ = _relative(p, q, tols)
     return {
         "command": "dist",
         "inputs": {"P": path_p, "Q": path_q, "tol": tols.group},
         "outputs": {
-            "distance": distance(p, q, tols=tols),
+            "distance": _distance(oriented),
             "zeta": sd.zeta,
             "s": sd.s,
             "args": [float(a) for a in sd.args],
@@ -169,15 +168,13 @@ def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
 
 def cmd_log(path_p: str, path_q: str, tol: float | None,
             out: str | None = None) -> dict:
-    probe = MatrixFile.load(path_p)
-    tols = _tolerances(probe.n, tol)
-    p = validate_special_unitary(probe.matrix, tol=tols.group)
-    q = _load_special_unitary(path_q, tols)
-    x = log_map(p, q, tols=tols)
+    tols, p, q = _load(tol, path_p, path_q)
+    _, oriented, sign = _relative(p, q, tols)
+    x = _signed(canonical_log(oriented, alg_tolerance=tols.alg), sign)
     e = expm_skew(x, tol=tols.group)
     roundtrip = float(np.linalg.norm(p.entries @ e.entries - q.entries))
     norm = frobenius_norm(x.entries)
-    d = distance(p, q, tols=tols)
+    d = _distance(oriented)
     if out is not None:
         MatrixFile.from_entries(x.entries).dump(out)
     return {
@@ -200,18 +197,19 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
             tol: float | None) -> dict:
     if not t_list:
         raise ShapeError("the list of curve parameters must be nonempty")
-    probe = MatrixFile.load(path_p)
-    tols = _tolerances(probe.n, tol)
-    p = validate_special_unitary(probe.matrix, tol=tols.group)
-    q = _load_special_unitary(path_q, tols)
+    tols, p, q = _load(tol, path_p, path_q)
     fam = geodesic_family(p, q, tols=tols)
     points = []
     residuals = {**_unitary_residuals("P", p), **_unitary_residuals("Q", q)}
+    end = None
     for t in t_list:
         g = geodesic_eval(fam.canonical, t, tols=tols)
         points.append({"t": t, "matrix": _matrix_payload(g.entries)})
         residuals[f"gamma({_fmt(t)})_unitarity"] = g.unitarity_residual
-    end = geodesic_eval(fam.canonical, 1.0, tols=tols)
+        if t == 1.0:
+            end = g
+    if end is None:
+        end = geodesic_eval(fam.canonical, 1.0, tols=tols)
     residuals["endpoint"] = float(np.linalg.norm(end.entries - q.entries))
     outputs = {
         "unique": fam.unique,
@@ -229,9 +227,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
 
 
 def cmd_plog(path_q: str, tol: float | None) -> dict:
-    probe = MatrixFile.load(path_q)
-    tols = _tolerances(probe.n, tol)
-    q = validate_special_unitary(probe.matrix, tol=tols.group)
+    tols, q = _load(tol, path_q)
     sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
                           eig_tol=tols.eig)
     status = plog_status(sd)
@@ -250,8 +246,6 @@ def cmd_plog(path_q: str, tol: float | None) -> dict:
 
 
 def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
-    if n < 2:
-        raise UnsupportedOrderError("diameter requires order at least 2")
     report = {
         "command": "diam",
         "inputs": {"n": n, "point": point_path},
@@ -259,8 +253,7 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
         "residuals": {},
     }
     if point_path is not None:
-        tols = _tolerances(n, tol)
-        p = _load_special_unitary(point_path, tols)
+        tols, p = _load(tol, point_path)
         if p.n != n:
             raise ShapeError(f"point has order {p.n}, expected {n}")
         rep = diametral_points(p, tols=tols)
@@ -292,9 +285,7 @@ def cmd_random(n: int, seed: int, out: str | None, tol: float | None) -> dict:
 
 
 def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
-    probe = MatrixFile.load(path_q)
-    tols = _tolerances(probe.n, tol)
-    q = validate_special_unitary(probe.matrix, tol=tols.group)
+    tols, q = _load(tol, path_q)
     td = theta_descriptor(q, tols=tols)
     m = frobenius_norm(td.base_log.entries) ** 2
     outputs = {
@@ -322,11 +313,9 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             block = td.nu1 + td.nu2
             sampled = []
             for i in range(samples):
-                x = theta_sample(td, q, random_unitary(block, rng), tols=tols)
-                e = expm_skew(x, tol=tols.group)
+                x, roundtrip = _sample(td, q, random_unitary(block, rng), tols=tols)
                 sampled.append(_matrix_payload(x.entries))
-                residuals[f"sample{i}_exp_roundtrip"] = \
-                    float(np.linalg.norm(e.entries - q.entries))
+                residuals[f"sample{i}_exp_roundtrip"] = roundtrip
                 residuals[f"sample{i}_norm_vs_m"] = \
                     abs(frobenius_norm(x.entries) ** 2 - m)
             outputs["samples"] = sampled
@@ -339,16 +328,13 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
 
 
 def cmd_oracle(path_q: str, tol: float | None) -> dict:
-    probe = MatrixFile.load(path_q)
-    tols = _tolerances(probe.n, tol)
-    q = validate_special_unitary(probe.matrix, tol=tols.group)
+    tols, q = _load(tol, path_q)
     sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
                           eig_tol=tols.eig)
     closed = m_value(sd)
     brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3)
     gap = abs(closed - brute)
-    spreads = [max(k) - min(k) for k in minimizers]
-    structure_ok = all(sp <= 1 for sp in spreads)
+    structure_ok = all(LatticeProblem.spread(k) <= 1 for k in minimizers)
     if sd.zeta >= 0:
         structure_ok = structure_ok and all(
             sorted(set(k)) in ([0], [-1, 0], [-1]) and k.count(-1) == sd.zeta
@@ -379,11 +365,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: usage error: {message}\n")
 
 
-def _t_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad parameter list {text!r}") from exc
+# Flag value types. A ValueError makes argparse report a usage error.
+
+def finite_positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def finite_list(text: str) -> list[float]:
+    values = [float(part) for part in text.split(",") if part.strip() != ""]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,44 +393,53 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Geometry of SU(n) with the Frobenius metric")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=finite_positive, default=None,
                        help="group-membership tolerance (default 1e-8 * n; "
                             f"env {ENV_TOL} overrides)")
 
-    p = sub.add_parser("dist", help="distance between two matrices")
-    p.add_argument("P"); p.add_argument("Q"); add_tol(p)
-
-    p = sub.add_parser("log", help="canonical minimizing logarithm of P^*Q")
-    p.add_argument("P"); p.add_argument("Q"); add_tol(p)
-    p.add_argument("--out", default=None, help="write the logarithm as a matrix file")
-
-    p = sub.add_parser("geo", help="evaluate the canonical geodesic at parameters t")
-    p.add_argument("P"); p.add_argument("Q"); add_tol(p)
-    p.add_argument("--t", type=_t_list, default=[0.0, 1.0],
-                   help="comma-separated curve parameters (default 0,1)")
-
-    p = sub.add_parser("plog", help="classify generalized principal logarithms")
-    p.add_argument("Q"); add_tol(p)
-
-    p = sub.add_parser("diam", help="diameter of SU(n) and diametral points")
-    p.add_argument("n", type=int)
-    p.add_argument("--point", default=None, help="matrix file to report diametral partners of")
+    p = command("dist", cmd_dist, "distance between two matrices")
+    p.add_argument("path_p", metavar="P"); p.add_argument("path_q", metavar="Q")
     add_tol(p)
 
-    p = sub.add_parser("random", help="Haar-random special unitary matrix")
+    p = command("log", cmd_log, "canonical minimizing logarithm of P^*Q")
+    p.add_argument("path_p", metavar="P"); p.add_argument("path_q", metavar="Q")
+    add_tol(p)
+    p.add_argument("--out", default=None, help="write the logarithm as a matrix file")
+
+    p = command("geo", cmd_geo, "evaluate the canonical geodesic at parameters t")
+    p.add_argument("path_p", metavar="P"); p.add_argument("path_q", metavar="Q")
+    add_tol(p)
+    p.add_argument("--t", dest="t_list", metavar="T", type=finite_list, default=[0.0, 1.0],
+                   help="comma-separated curve parameters (default 0,1)")
+
+    p = command("plog", cmd_plog, "classify generalized principal logarithms")
+    p.add_argument("path_q", metavar="Q"); add_tol(p)
+
+    p = command("diam", cmd_diam, "diameter of SU(n) and diametral points")
+    p.add_argument("n", type=int)
+    p.add_argument("--point", dest="point_path", metavar="POINT", default=None,
+                   help="matrix file to report diametral partners of")
+    add_tol(p)
+
+    p = command("random", cmd_random, "Haar-random special unitary matrix")
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the matrix file here")
     add_tol(p)
 
-    p = sub.add_parser("theta", help="describe and sample the set of minimal logarithms")
-    p.add_argument("Q"); add_tol(p)
-    p.add_argument("--samples", type=int, default=0)
+    p = command("theta", cmd_theta, "describe and sample the set of minimal logarithms")
+    p.add_argument("path_q", metavar="Q"); add_tol(p)
+    p.add_argument("--samples", type=nonnegative_int, default=0)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("oracle", help="cross-check the closed form against brute force")
-    p.add_argument("Q"); add_tol(p)
+    p = command("oracle", cmd_oracle, "cross-check the closed form against brute force")
+    p.add_argument("path_q", metavar="Q"); add_tol(p)
 
     return parser
 
@@ -438,34 +449,19 @@ def _env_tol() -> float | None:
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"{ENV_TOL} is not a number: {raw!r}")
+        return finite_positive(raw)
+    except ValueError as exc:
+        raise ParseError(f"{ENV_TOL} is not a finite positive number: {raw!r}") from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    run = args.pop("run")
+    del args["command"]
     try:
-        tol = ns.tol if getattr(ns, "tol", None) is not None else _env_tol()
-        if ns.command == "dist":
-            report = cmd_dist(ns.P, ns.Q, tol)
-        elif ns.command == "log":
-            report = cmd_log(ns.P, ns.Q, tol, ns.out)
-        elif ns.command == "geo":
-            report = cmd_geo(ns.P, ns.Q, ns.t, tol)
-        elif ns.command == "plog":
-            report = cmd_plog(ns.Q, tol)
-        elif ns.command == "diam":
-            report = cmd_diam(ns.n, ns.point, tol)
-        elif ns.command == "random":
-            report = cmd_random(ns.n, ns.seed, ns.out, tol)
-        elif ns.command == "theta":
-            report = cmd_theta(ns.Q, ns.samples, ns.seed, tol)
-        elif ns.command == "oracle":
-            report = cmd_oracle(ns.Q, tol)
-        else:  # unreachable: argparse enforces the choice
-            parser.error(f"unknown command {ns.command}")
+        if args["tol"] is None:
+            args["tol"] = _env_tol()
+        report = run(**args)
     except SungeoError as exc:
         payload = {"error": exc.code, "message": str(exc)}
         if exc.residual is not None:

@@ -28,6 +28,13 @@ class SungeoError(Exception):
             message += ")"
         super().__init__(message)
 
+    @classmethod
+    def check(cls, residual: float, tolerance: float, message: str) -> float:
+        """Return ``residual`` when it is within ``tolerance``, else raise."""
+        if residual > tolerance:
+            raise cls(message, residual=residual, tolerance=tolerance)
+        return residual
+
 
 class ShapeError(SungeoError):
     code = "shape"

@@ -2,11 +2,14 @@
 
 Distances come from spectra of the relative matrix P^*Q: the squared
 distance is the minimal squared norm of an su(n)-logarithm of P^*Q, and
-geodesics are the one-parameter curves t -> P exp(tX). The winding of the
-relative spectrum is oriented deterministically at the API boundary: both
-endpoints of a pair induce the same oriented spectrum, which makes the
-distance numerically symmetric and the uniqueness classification well
-defined.
+geodesics are the one-parameter curves t -> P exp(tX).
+
+Orientation: the pair policy in ``_relative`` keeps whichever of P^*Q and
+Q^*P has the larger winding (flip when zeta < s - zeta), so both endpoints
+induce the same oriented spectrum, which makes the distance numerically
+symmetric and the uniqueness classification well defined. Like the
+single-matrix policy of ``logmin`` (flip when zeta < 0), it calls
+``spectral.orient``, the one helper that flips a spectrum.
 """
 
 from __future__ import annotations
@@ -16,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
+    _readonly,
     expm_skew,
     frobenius_norm,
-    unitary_product,
     validate_special_unitary,
 )
-from .logmin import ThetaDescriptor, _descriptor_from_spectral, canonical_log, m_value, theta_sample
-from .spectral import SpectralData, adjoint_spectrum, spectral_summary
+from .logmin import (ThetaDescriptor, _descriptor_from_spectral, _signed, canonical_log,
+                     m_value, theta_sample)
+from .spectral import SpectralData, orient, spectral_summary
 from .tolerances import Tolerances
 
 __all__ = [
@@ -45,24 +49,24 @@ __all__ = [
 
 def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary,
                       tols: Tolerances | None = None) -> SpectralData:
-    """Spectral data of the relative matrix P^*Q."""
-    if p.n != q.n:
-        raise ShapeError(f"order mismatch: {p.n} vs {q.n}")
+    """Spectral data of the relative matrix P^*Q, which is built from the
+    validated factors without a re-check (``SpecialUnitary.times``)."""
     tols = Tolerances.default(p.n) if tols is None else tols
-    rel = unitary_product(p.adjoint(), q, tol=10.0 * tols.group)
-    return spectral_summary(rel, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
-                            eig_tol=tols.eig)
+    return spectral_summary(p.adjoint().times(q), cluster_tol=tols.cluster,
+                            zeta_tol=tols.zeta, eig_tol=tols.eig)
 
 
-def _oriented(sd: SpectralData) -> tuple[SpectralData, bool]:
-    """Pick whichever of P^*Q, Q^*P has the larger winding (ties keep P^*Q).
+def _relative(p: SpecialUnitary, q: SpecialUnitary,
+              tols: Tolerances | None) -> tuple[SpectralData, SpectralData, int]:
+    """Spectrum of P^*Q, and that spectrum oriented by the pair policy with
+    its sign. The larger of zeta and s - zeta is never negative, so the
+    closed forms apply directly to the oriented spectrum."""
+    sd = relative_spectrum(p, q, tols=tols)
+    return (sd, *orient(sd, sd.zeta < sd.s - sd.zeta))
 
-    The larger of zeta and s - zeta is never negative, so the closed forms
-    apply directly to the oriented spectrum.
-    """
-    if sd.zeta < sd.s - sd.zeta:
-        return adjoint_spectrum(sd), True
-    return sd, False
+
+def _distance(oriented: SpectralData) -> float:
+    return math.sqrt(max(m_value(oriented), 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +100,7 @@ class GeodesicFamily:
     def sample(self, r) -> GeodesicSegment:
         """Minimizing segment with velocity drawn from the family; ``r`` is
         a unitary of order nu1 + nu2."""
-        rel = unitary_product(self.P.adjoint(), self.Q)
-        x = theta_sample(self.theta, rel, r)
+        x = theta_sample(self.theta, self.P.adjoint().times(self.Q), r)
         return GeodesicSegment(self.P, x, frobenius_norm(x.entries))
 
 
@@ -113,17 +116,15 @@ class DiametralReport:
 def distance(p: SpecialUnitary, q: SpecialUnitary,
              tols: Tolerances | None = None) -> float:
     """Geodesic distance induced by the Frobenius metric."""
-    sd, _ = _oriented(relative_spectrum(p, q, tols=tols))
-    return math.sqrt(max(m_value(sd), 0.0))
+    return _distance(_relative(p, q, tols)[1])
 
 
 def log_map(p: SpecialUnitary, q: SpecialUnitary,
             tols: Tolerances | None = None) -> SkewHermitianTraceless:
     """Canonical velocity X with P exp(X) = Q and ||X|| = d(P, Q)."""
     tols = Tolerances.default(p.n) if tols is None else tols
-    sd, swapped = _oriented(relative_spectrum(p, q, tols=tols))
-    x = canonical_log(sd, alg_tolerance=tols.alg)
-    return -x if swapped else x
+    _, sd, sign = _relative(p, q, tols)
+    return _signed(canonical_log(sd, alg_tolerance=tols.alg), sign)
 
 
 def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
@@ -136,8 +137,8 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
     recorded in the descriptor.
     """
     tols = Tolerances.default(p.n) if tols is None else tols
-    sd, swapped = _oriented(relative_spectrum(p, q, tols=tols))
-    td = _descriptor_from_spectral(sd, oriented=swapped, alg_tolerance=tols.alg)
+    _, sd, sign = _relative(p, q, tols)
+    td = _descriptor_from_spectral(sd, sign, alg_tolerance=tols.alg)
     x = td.base_log
     length = frobenius_norm(x.entries)
     seg = GeodesicSegment(p, x, length)
@@ -170,18 +171,18 @@ def diametral_points(p: SpecialUnitary,
     """Points at maximal distance from P.
 
     For even n the unique diametral partner is -P; for odd n there are
-    exactly two, e^{+-(n-1) pi i / n} P.
+    exactly two, e^{+-(n-1) pi i / n} P. Each partner c P has |c| = 1 and
+    c^n = 1, so it keeps P's residuals, as ``SpecialUnitary.adjoint`` does;
+    ``tols`` is accepted for compatibility and no check needs it.
     """
     n = p.n
     if n < 2:
         raise UnsupportedOrderError("diametral points require order at least 2")
-    tols = Tolerances.default(n) if tols is None else tols
     if n % 2 == 0:
-        points = (validate_special_unitary(-p.entries, tol=tols.group),)
+        entries = (-p.entries,)
     else:
         phase = (n - 1) * math.pi / n
-        points = (
-            validate_special_unitary(np.exp(1j * phase) * p.entries, tol=tols.group),
-            validate_special_unitary(np.exp(-1j * phase) * p.entries, tol=tols.group),
-        )
+        entries = (np.exp(1j * phase) * p.entries, np.exp(-1j * phase) * p.entries)
+    points = tuple(SpecialUnitary(_readonly(e), p.unitarity_residual, p.det_residual)
+                   for e in entries)
     return DiametralReport(n=n, diameter=diameter(n), points=points)

@@ -6,12 +6,16 @@ squared norm of a minimal logarithm is
 
     m(Q) = min { sum_j (arg(mu_j) + 2 pi k_j)^2 : sum_j k_j = -zeta(Q) }.
 
-This module provides the closed form for m(Q) (assuming zeta >= 0, with
-negative windings handled through the adjoint), the canonical minimizing
-logarithm, the descriptor of the full solution set Theta(Q) together with a
-sampler of its Grassmannian family, the classifier for generalized principal
-logarithms, and an independent brute-force lattice oracle that enumerates
-the integer tuples directly.
+This module provides the closed form for m(Q) (assuming zeta >= 0), the
+canonical minimizing logarithm, the descriptor of the full solution set
+Theta(Q) together with a sampler of its Grassmannian family, the classifier
+for generalized principal logarithms, and an independent brute-force
+lattice oracle that enumerates the integer tuples directly.
+
+Orientation: a single matrix with a negative winding is handled through its
+adjoint (policy: flip when zeta < 0, in ``_nonnegative``). The pair policy
+of ``geometry`` (flip when zeta < s - zeta) and this one both call
+``spectral.orient``, the one helper that flips a spectrum.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     ResidualExceededError,
     ShapeError,
     SingletonThetaError,
+    UnsupportedOrderError,
 )
 from .matrixcore import (
     SkewHermitianTraceless,
@@ -35,8 +40,8 @@ from .matrixcore import (
     expm_skew,
     validate_skew_traceless,
 )
-from .spectral import SpectralData, adjoint_spectrum, spectral_summary
-from .tolerances import ZETA_TOL, Tolerances, alg_tol
+from .spectral import SpectralData, orient, spectral_summary
+from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
     "LatticeProblem",
@@ -60,6 +65,17 @@ def grassmann_label(k: int, m: int) -> str:
     return f"Gr({k};C^{m})"
 
 
+def _nonnegative(sd: SpectralData) -> tuple[SpectralData, int]:
+    """Single-matrix orientation: Q^* when Q has a negative winding."""
+    return orient(sd, sd.zeta < 0)
+
+
+def _signed(x: SkewHermitianTraceless, sign: int) -> SkewHermitianTraceless:
+    """Map a logarithm of an oriented spectrum back through its sign. By
+    negation: a complex product by -1 changes the signs of zero entries."""
+    return -x if sign < 0 else x
+
+
 # ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
@@ -73,8 +89,7 @@ def m_value(sd: SpectralData) -> float:
     Negative windings are evaluated on the adjoint spectrum; the minimum is
     invariant under conjugation of Q.
     """
-    if sd.zeta < 0:
-        sd = adjoint_spectrum(sd)
+    sd, _ = _nonnegative(sd)
     args = sd.args
     if sd.zeta == 0:
         return float(args @ args)
@@ -170,7 +185,7 @@ def brute_force_m(args, zeta: int, K: int = 3,
     if resid > ZETA_TOL:
         raise ValueError(f"arguments do not sum to 2*pi*{zeta} (residual {resid:.3e})")
     if (2 * K + 1) ** n > 100_000_000:
-        raise ValueError("search box too large to enumerate")
+        raise UnsupportedOrderError("search box too large to enumerate")
     if K * n < abs(zeta):
         raise InfeasibleError("no tuple in the box satisfies the sum constraint")
     table = _feasible_tuples(n, int(K), -int(zeta))
@@ -220,12 +235,7 @@ def min_log(q: SpecialUnitary,
     are handled by taking the canonical logarithm of Q^* and negating,
     which maps minimal logarithms of Q^* onto those of Q.
     """
-    tols = Tolerances.default(q.n) if tols is None else tols
-    sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
-                          eig_tol=tols.eig)
-    if sd.zeta < 0:
-        return -canonical_log(adjoint_spectrum(sd), alg_tolerance=tols.alg)
-    return canonical_log(sd, alg_tolerance=tols.alg)
+    return theta_descriptor(q, tols=tols).base_log
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +273,26 @@ class ThetaDescriptor:
             return None
         return (self.nu2, self.nu1 + self.nu2)
 
+    @property
+    def sign(self) -> int:
+        """Sign mapping logarithms of ``spectral`` back to those of Q."""
+        return -1 if self.oriented else 1
 
-def _descriptor_from_spectral(sd: SpectralData, oriented: bool,
+
+def _descriptor_from_spectral(sd: SpectralData, sign: int,
                               alg_tolerance: float | None = None) -> ThetaDescriptor:
-    if sd.zeta < 0:
-        raise ValueError("descriptor requires a nonnegative winding")
-    base = canonical_log(sd, alg_tolerance=alg_tolerance)
-    if oriented:
-        base = -base
-    n, zeta = sd.n, sd.zeta
-    if zeta == 0:
-        return ThetaDescriptor(n=n, zeta=zeta, is_singleton=True, base_log=base,
-                               beta_arg=None, nu1=None, nu2=None,
-                               oriented=oriented, spectral=sd)
-    args = sd.args
-    beta = float(args[n - zeta - 1])
-    if args[n - zeta - 1] != args[n - zeta]:
-        return ThetaDescriptor(n=n, zeta=zeta, is_singleton=True, base_log=base,
-                               beta_arg=beta, nu1=None, nu2=None,
-                               oriented=oriented, spectral=sd)
-    nu1 = 0
-    while nu1 < n - zeta and args[n - zeta - 1 - nu1] == beta:
-        nu1 += 1
-    nu2 = 0
-    while nu2 < zeta and args[n - zeta + nu2] == beta:
-        nu2 += 1
-    return ThetaDescriptor(n=n, zeta=zeta, is_singleton=False, base_log=base,
-                           beta_arg=beta, nu1=nu1, nu2=nu2,
-                           oriented=oriented, spectral=sd)
+    """Descriptor from an oriented spectrum (zeta >= 0) and its sign."""
+    base = _signed(canonical_log(sd, alg_tolerance=alg_tolerance), sign)
+    n, zeta, args = sd.n, sd.zeta, sd.args
+    # The set is a family when the boundary between kept and shifted
+    # arguments splits a cluster; sorted, so each side's part is contiguous.
+    beta = float(args[n - zeta - 1]) if zeta > 0 else None
+    family = zeta > 0 and args[n - zeta] == beta
+    return ThetaDescriptor(n=n, zeta=zeta, is_singleton=not family, base_log=base,
+                           beta_arg=beta,
+                           nu1=int(np.sum(args[:n - zeta] == beta)) if family else None,
+                           nu2=int(np.sum(args[n - zeta:] == beta)) if family else None,
+                           oriented=sign < 0, spectral=sd)
 
 
 def theta_descriptor(q: SpecialUnitary,
@@ -304,10 +306,7 @@ def theta_descriptor(q: SpecialUnitary,
     tols = Tolerances.default(q.n) if tols is None else tols
     sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
                           eig_tol=tols.eig)
-    if sd.zeta < 0:
-        return _descriptor_from_spectral(adjoint_spectrum(sd), oriented=True,
-                                         alg_tolerance=tols.alg)
-    return _descriptor_from_spectral(sd, oriented=False, alg_tolerance=tols.alg)
+    return _descriptor_from_spectral(*_nonnegative(sd), alg_tolerance=tols.alg)
 
 
 def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
@@ -321,6 +320,12 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
     and has squared norm m(Q); distinct cosets of r give distinct
     logarithms, though the orbit map is not injective.
     """
+    return _sample(td, q, r, tols)[0]
+
+
+def _sample(td: ThetaDescriptor, q: SpecialUnitary, r,
+            tols: Tolerances | None = None) -> tuple[SkewHermitianTraceless, float]:
+    """``theta_sample`` and its checked round-trip residual ||exp(X) - Q||_F."""
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
     tols = Tolerances.default(td.n) if tols is None else tols
@@ -328,10 +333,8 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
     rm = np.asarray(r, dtype=np.complex128)
     if rm.shape != (block, block):
         raise ShapeError(f"expected a unitary of order {block}, got shape {rm.shape}")
-    defect = float(np.linalg.norm(rm @ rm.conj().T - np.eye(block)))
-    if defect > alg_tol(block):
-        raise NotUnitaryError("sampling matrix is not unitary",
-                              residual=defect, tolerance=alg_tol(block))
+    NotUnitaryError.check(float(np.linalg.norm(rm @ rm.conj().T - np.eye(block))),
+                          Tolerances.default(block).alg, "sampling matrix is not unitary")
     if q.n != td.n:
         raise ShapeError(f"order mismatch: descriptor {td.n}, matrix {q.n}")
 
@@ -344,16 +347,12 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
     u = sd.basis
     x = u @ core @ u.conj().T
     x = (x - x.conj().T) / 2.0
-    if td.oriented:
-        x = -x
-    out = validate_skew_traceless(x, tol=tols.alg)
-    check = expm_skew(out)
-    resid = float(np.linalg.norm(check.entries - q.entries))
-    if resid > tols.eig:
-        raise ResidualExceededError("sampled logarithm does not exponentiate "
-                                    "to the given matrix",
-                                    residual=resid, tolerance=tols.eig)
-    return out
+    out = _signed(validate_skew_traceless(x, tol=tols.alg), td.sign)
+    check = expm_skew(out, tol=tols.group)
+    resid = ResidualExceededError.check(
+        float(np.linalg.norm(check.entries - q.entries)), tols.eig,
+        "sampled logarithm does not exponentiate to the given matrix")
+    return out, resid
 
 
 # ---------------------------------------------------------------------------

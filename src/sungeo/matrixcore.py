@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     TraceNotZeroError,
 )
-from .tolerances import alg_tol, eig_tol, group_tol
+from .tolerances import Tolerances
 
 __all__ = [
     "SpecialUnitary",
@@ -111,6 +111,17 @@ class SpecialUnitary:
         return SpecialUnitary(_readonly(self.entries.conj().T),
                               self.unitarity_residual, self.det_residual)
 
+    def times(self, other: "SpecialUnitary") -> "SpecialUnitary":
+        """Product with another validated element, without a re-check: each
+        residual r of AB is at most r(A) + r(B) + r(A) r(B) up to rounding, and
+        the product carries that bound as Q^* carries Q's residuals."""
+        if self.n != other.n:
+            raise ShapeError(f"order mismatch: {self.n} vs {other.n}")
+        u, d = self.unitarity_residual, self.det_residual
+        return SpecialUnitary(_readonly(self.entries @ other.entries),
+                              u + other.unitarity_residual * (1.0 + u),
+                              d + other.det_residual * (1.0 + d))
+
 
 @dataclass(frozen=True, eq=False)
 class SkewHermitianTraceless:
@@ -155,16 +166,12 @@ def validate_special_unitary(a, tol: float | None = None) -> SpecialUnitary:
     """
     arr = as_complex_matrix(a)
     n = arr.shape[0]
-    tol = group_tol(n) if tol is None else float(tol)
+    tol = Tolerances.default(n).group if tol is None else float(tol)
     gram = arr @ arr.conj().T
-    u_res = float(np.linalg.norm(gram - np.eye(n)))
-    if u_res > tol:
-        raise NotUnitaryError("matrix is not unitary",
-                              residual=u_res, tolerance=tol)
-    d_res = float(abs(np.linalg.det(arr) - 1.0))
-    if d_res > tol:
-        raise DeterminantError("determinant is not one",
-                               residual=d_res, tolerance=tol)
+    u_res = NotUnitaryError.check(float(np.linalg.norm(gram - np.eye(n))), tol,
+                                  "matrix is not unitary")
+    d_res = DeterminantError.check(float(abs(np.linalg.det(arr) - 1.0)), tol,
+                                   "determinant is not one")
     return SpecialUnitary(_readonly(arr), u_res, d_res)
 
 
@@ -176,15 +183,10 @@ def validate_skew_traceless(x, tol: float | None = None) -> SkewHermitianTracele
     """
     arr = as_complex_matrix(x)
     n = arr.shape[0]
-    tol = alg_tol(n) if tol is None else float(tol)
-    skew_res = float(np.linalg.norm(arr + arr.conj().T))
-    if skew_res > tol:
-        raise NotSkewHermitianError("matrix is not skew-Hermitian",
-                                    residual=skew_res, tolerance=tol)
-    tr_res = float(abs(np.trace(arr)))
-    if tr_res > tol:
-        raise TraceNotZeroError("trace is not zero",
-                                residual=tr_res, tolerance=tol)
+    tol = Tolerances.default(n).alg if tol is None else float(tol)
+    NotSkewHermitianError.check(float(np.linalg.norm(arr + arr.conj().T)), tol,
+                                "matrix is not skew-Hermitian")
+    TraceNotZeroError.check(float(abs(np.trace(arr))), tol, "trace is not zero")
     return SkewHermitianTraceless(_readonly(arr))
 
 
@@ -199,7 +201,7 @@ def unitary_eig(q: SpecialUnitary, tol: float | None = None) -> UnitaryEigenDeco
     """
     a = q.entries
     n = q.n
-    tol = eig_tol(n) if tol is None else float(tol)
+    tol = Tolerances.default(n).eig if tol is None else float(tol)
     try:
         w, basis = np.linalg.eigh(a + a.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -224,10 +226,8 @@ def unitary_eig(q: SpecialUnitary, tol: float | None = None) -> UnitaryEigenDeco
         raise EigenFailedError("eigenvalue collapsed away from the unit circle")
     evals = raw / mags
     recon = (basis * evals) @ basis.conj().T
-    residual = float(np.linalg.norm(recon - a))
-    if residual > tol:
-        raise ResidualExceededError("eigendecomposition reconstruction failed",
-                                    residual=residual, tolerance=tol)
+    residual = ResidualExceededError.check(float(np.linalg.norm(recon - a)), tol,
+                                           "eigendecomposition reconstruction failed")
     return UnitaryEigenDecomposition(_readonly(evals), _readonly(basis), residual)
 
 
@@ -248,7 +248,10 @@ def expm_skew(x: SkewHermitianTraceless, tol: float | None = None) -> SpecialUni
     return validate_special_unitary(e, tol=tol)
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_unitary(n: int, seed) -> np.ndarray:
+    if n < 1:
+        raise ShapeError("order must be at least 1")
+    rng = _as_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     z /= np.sqrt(2.0)
     qmat, r = np.linalg.qr(z)
@@ -268,9 +271,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed U(n) matrix, deterministic per seed."""
-    if n < 1:
-        raise ShapeError("order must be at least 1")
-    return _haar_unitary(n, _as_rng(seed))
+    return _haar_unitary(n, seed)
 
 
 def random_special_unitary(n: int, seed) -> SpecialUnitary:
@@ -279,9 +280,7 @@ def random_special_unitary(n: int, seed) -> SpecialUnitary:
     Samples Haar on U(n) by phase-fixed QR of a complex Gaussian matrix,
     then divides the first column by the determinant to land in SU(n).
     """
-    if n < 1:
-        raise ShapeError("order must be at least 1")
-    qmat = _haar_unitary(n, _as_rng(seed)).copy()
+    qmat = _haar_unitary(n, seed).copy()
     qmat[:, 0] /= np.linalg.det(qmat)
     return validate_special_unitary(qmat)
 
@@ -294,7 +293,5 @@ def unitary_product(p: SpecialUnitary, q: SpecialUnitary,
     accumulate, so an exact-group-tolerance check could spuriously reject
     products of matrices that each barely pass validation.
     """
-    if p.n != q.n:
-        raise ShapeError(f"order mismatch: {p.n} vs {q.n}")
-    tol = 10.0 * group_tol(p.n) if tol is None else float(tol)
-    return validate_special_unitary(p.entries @ q.entries, tol=tol)
+    tol = 10.0 * Tolerances.default(p.n).group if tol is None else float(tol)
+    return validate_special_unitary(p.times(q).entries, tol=tol)

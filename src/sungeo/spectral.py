@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError, ZeroInputError, ZetaNotIntegerError
 from .matrixcore import SpecialUnitary, _readonly, unitary_eig, validate_special_unitary
-from .tolerances import ZETA_TOL, cluster_tol as default_cluster_tol
+from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
     "SpectralData",
@@ -25,6 +25,7 @@ __all__ = [
     "principal_arg",
     "spectral_summary",
     "adjoint_spectrum",
+    "orient",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -105,7 +106,7 @@ def spectral_summary(q: SpecialUnitary, cluster_tol: float | None = None,
     eigendecomposition reconstruction residual.
     """
     n = q.n
-    ctol = default_cluster_tol(n) if cluster_tol is None else float(cluster_tol)
+    ctol = Tolerances.default(n).cluster if cluster_tol is None else float(cluster_tol)
     ztol = ZETA_TOL if zeta_tol is None else float(zeta_tol)
 
     dec = unitary_eig(q, tol=eig_tol)
@@ -144,10 +145,8 @@ def spectral_summary(q: SpecialUnitary, cluster_tol: float | None = None,
 
     total = float(args.sum())
     zeta = int(round(total / _TWO_PI))
-    resid = abs(total - _TWO_PI * zeta)
-    if resid > ztol:
-        raise ZetaNotIntegerError("argument sum is not a multiple of 2pi",
-                                  residual=resid, tolerance=ztol)
+    ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), ztol,
+                              "argument sum is not a multiple of 2pi")
     return SpectralData(args=_readonly(args), zeta=zeta, s=s,
                         clusters=clusters, basis=_readonly(basis))
 
@@ -171,6 +170,15 @@ def adjoint_spectrum(sd: SpectralData) -> SpectralData:
                         s=sd.s,
                         clusters=_runs_of_equal(new_args),
                         basis=_readonly(sd.basis[:, perm]))
+
+
+def orient(sd: SpectralData, flip: bool) -> tuple[SpectralData, int]:
+    """The spectrum of Q^* and sign -1 when ``flip``, else ``sd`` and +1.
+
+    The sign maps logarithms of the returned spectrum back to those of Q.
+    The policies deciding ``flip`` live in ``logmin`` and ``geometry``.
+    """
+    return (adjoint_spectrum(sd), -1) if flip else (sd, 1)
 
 
 @dataclass(frozen=True)

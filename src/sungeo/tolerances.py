@@ -1,50 +1,40 @@
-"""Default numerical tolerances, scaled by matrix order."""
+"""Numerical tolerances, all scaled from one base value.
+
+The base ``1e-8 * n`` bounds group membership (unitarity and determinant)
+and algebra membership (skew-hermitian and traceless). The
+eigendecomposition reconstruction and the eigenvalue clustering get 10x
+headroom over it. The rounding residual of the winding integer has its own
+fixed bound.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-GROUP_TOL_COEFF = 1e-8    # group membership: unitarity and determinant
-ALG_TOL_COEFF = 1e-8      # algebra membership: skew-hermitian and traceless
-EIG_TOL_COEFF = 1e-7      # eigendecomposition reconstruction
-CLUSTER_TOL_COEFF = 1e-7  # eigenvalue clustering on the unit circle
-ZETA_TOL = 1e-6           # rounding residual of the winding integer
-
-
-def group_tol(n: int) -> float:
-    return GROUP_TOL_COEFF * n
-
-
-def alg_tol(n: int) -> float:
-    return ALG_TOL_COEFF * n
-
-
-def eig_tol(n: int) -> float:
-    return EIG_TOL_COEFF * n
-
-
-def cluster_tol(n: int) -> float:
-    return CLUSTER_TOL_COEFF * n
+BASE_TOL_COEFF = 1e-8  # base tolerance per unit of matrix order
+ZETA_TOL = 1e-6        # rounding residual of the winding integer
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of tolerances used by the CLI and batch drivers."""
+    """The base (group) tolerance and the winding tolerance; everything
+    else is derived from the base."""
 
     group: float
-    alg: float
-    eig: float
-    cluster: float
     zeta: float = ZETA_TOL
 
     @classmethod
     def default(cls, n: int) -> "Tolerances":
-        return cls(group=group_tol(n), alg=alg_tol(n), eig=eig_tol(n),
-                   cluster=cluster_tol(n))
+        return cls(group=BASE_TOL_COEFF * n)
 
-    @classmethod
-    def from_group(cls, group: float) -> "Tolerances":
-        """Scale everything from one base tolerance, keeping the default
-        ratios (eigendecomposition and clustering get 10x headroom)."""
-        return cls(group=group, alg=group, eig=10.0 * group,
-                   cluster=10.0 * group)
+    @property
+    def alg(self) -> float:
+        return self.group
+
+    @property
+    def eig(self) -> float:
+        return 10.0 * self.group
+
+    @property
+    def cluster(self) -> float:
+        return 10.0 * self.group

@@ -273,3 +273,42 @@ class TestContract:
         code, report, _ = run_cli(capsys, "dist", files["I2"], files["I2"],
                                   "--tol", "1e-8")
         assert code == 0
+
+
+class TestFlagValues:
+    """Flag values outside their domain are usage errors (exit 4)."""
+
+    @pytest.fixture
+    def det14(self, files):
+        return write_matrix(files["tmp"], "det14.json", np.diag([14.0, 1.0]))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_tol_must_be_finite_and_positive(self, det14, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["plog", det14, f"--tol={value}"])
+        assert exc.value.code == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_env_tol_must_be_finite_and_positive(self, capsys, det14, monkeypatch, value):
+        monkeypatch.setenv("SUNGEO_TOL", value)
+        assert main(["plog", det14]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+    @pytest.mark.parametrize("t", ["nan", "0,inf", "-inf,1"])
+    def test_curve_parameters_must_be_finite(self, files, t):
+        with pytest.raises(SystemExit) as exc:
+            main(["geo", files["I2"], files["mI2"], f"--t={t}"])
+        assert exc.value.code == 4
+
+    def test_sample_count_must_be_nonnegative(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", files["mI2"], "--samples", "-3"])
+        assert exc.value.code == 4
+
+
+def test_oracle_rejects_orders_too_large_to_enumerate(capsys, files):
+    path = write_matrix(files["tmp"], "r10.json", random_special_unitary(10, seed=3).entries)
+    assert main(["oracle", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "unsupported_n"

@@ -428,3 +428,10 @@ class TestPlogStatus:
                 assert status.nonempty == (abs(m_value(sd) - plain) <= 1e-9)
                 branches.add(status.nonempty)
         assert branches == {True, False}
+
+
+def test_brute_force_box_too_large_is_unsupported_order():
+    from sungeo import UnsupportedOrderError
+
+    with pytest.raises(UnsupportedOrderError):
+        brute_force_m((0.0,) * 10, 0, K=3)

@@ -205,3 +205,63 @@ def test_unitary_product_and_adjoint():
     assert np.allclose(prod.entries, p.entries @ q.entries)
     back = unitary_product(p.adjoint(), prod)
     assert np.linalg.norm(back.entries - q.entries) < 1e-13
+
+
+def _near_the_gate(u, tol, rng):
+    """u plus complex noise scaled so its larger validation residual is
+    0.95 tol: accepted, but only just."""
+    n = u.shape[0]
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def worst(step):
+        a = u + step * e
+        return max(np.linalg.norm(a @ a.conj().T - np.eye(n)),
+                   abs(np.linalg.det(a) - 1.0))
+
+    return u + (0.95 * tol * tol / worst(tol)) * e
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unchecked_products_stay_within_the_gate(n):
+    # P^*Q (relative spectra, family samples) and the diametral partners
+    # c P are built from accepted matrices without a re-check. Their true
+    # residuals stay below the 10x group tolerance a re-check would apply,
+    # and below the bound the product carries.
+    from sungeo import diametral_points
+
+    tol = 1e-8 * n
+    rng = np.random.default_rng(700 + n)
+    for trial in range(12):
+        mats = []
+        for _ in range(2):
+            u = random_special_unitary(n, rng).entries
+            if trial % 2:
+                u = _near_the_gate(u, tol, rng)
+            mats.append(validate_special_unitary(u, tol=tol))
+            if trial % 2:
+                worst = max(mats[-1].unitarity_residual, mats[-1].det_residual)
+                assert 0.9 * tol <= worst <= tol
+        p, q = mats
+        rel = p.adjoint().times(q)
+        products = [(rel.entries, rel.unitarity_residual, rel.det_residual)]
+        products += [(pt.entries, pt.unitarity_residual, pt.det_residual)
+                     for pt in diametral_points(p).points]
+        for entries, carried_u, carried_d in products:
+            u_res = np.linalg.norm(entries @ entries.conj().T - np.eye(n))
+            d_res = abs(np.linalg.det(entries) - 1.0)
+            assert u_res <= 10 * tol and d_res <= 10 * tol
+            assert u_res <= carried_u + 1e-12 and d_res <= carried_d + 1e-12
+
+
+def test_tolerances_scale_from_one_base():
+    from sungeo import Tolerances
+
+    for n in range(1, 1001):
+        tols = Tolerances.default(n)
+        assert tols.group == 1e-8 * n and tols.alg == tols.group
+        assert tols.zeta == 1e-6
+        assert tols.eig == tols.cluster == 10.0 * tols.group
+        # 10 * (1e-8 n) and the old 1e-7 n round differently: at most 2 ulp.
+        assert abs(tols.eig - 1e-7 * n) <= 2 * math.ulp(1e-7 * n)
+    custom = Tolerances(3e-7)
+    assert (custom.alg, custom.eig, custom.cluster) == (3e-7, 3e-6, 3e-6)
