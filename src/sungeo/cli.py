@@ -2,9 +2,9 @@
 
 Matrices travel as JSON documents {"n": N, "matrix": [[[re, im], ...], ...]}
 written with 17 significant digits, which round-trips IEEE doubles exactly.
-Every subcommand prints a single JSON report with the echoed inputs, the
-outputs, and a map of verification residuals, and exits 0 on success,
-2 on invalid input, 3 on numerical failure, 4 on usage errors.
+Every subcommand prints one strict JSON report (echoed inputs, outputs and a
+map of verification residuals) and exits 0 on success, 2 on invalid input,
+3 on numerical failure, including a NaN or infinity in the report, 4 on usage errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, SungeoError, UnsupportedOrderError
+from .errors import (NonFiniteResultError, ParseError, ShapeError, SungeoError,
+                     UnsupportedOrderError)
 from .geometry import (
     _distance,
     _relative,
@@ -462,15 +463,19 @@ def main(argv=None) -> int:
         if args["tol"] is None:
             args["tol"] = _env_tol()
         report = run(**args)
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NonFiniteResultError(f"report not written: {exc}") from exc
     except SungeoError as exc:
         payload = {"error": exc.code, "message": str(exc)}
-        if exc.residual is not None:
-            payload["residual"] = exc.residual
-        if exc.tolerance is not None:
-            payload["tolerance"] = exc.tolerance
-        print(json.dumps(payload), file=sys.stderr)
+        for key in ("residual", "tolerance"):
+            value = getattr(exc, key)
+            if value is not None and math.isfinite(value):
+                payload[key] = value
+        print(json.dumps(payload, allow_nan=False), file=sys.stderr)
         return exc.exit_code
-    print(json.dumps(report, indent=2))
+    print(text)
     return EXIT_OK
 
 

@@ -30,8 +30,8 @@ class SungeoError(Exception):
 
     @classmethod
     def check(cls, residual: float, tolerance: float, message: str) -> float:
-        """Return ``residual`` when it is within ``tolerance``, else raise."""
-        if residual > tolerance:
+        """Return ``residual`` when it is within ``tolerance``, else raise (NaN too)."""
+        if not residual <= tolerance:
             raise cls(message, residual=residual, tolerance=tolerance)
         return residual
 
@@ -76,6 +76,11 @@ class ResidualExceededError(SungeoError):
 
 class ZetaNotIntegerError(SungeoError):
     code = "zeta_not_integer"
+    exit_code = 3
+
+
+class NonFiniteResultError(SungeoError):
+    code = "non_finite_result"
     exit_code = 3
 
 

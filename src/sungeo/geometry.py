@@ -85,9 +85,9 @@ class GeodesicSegment:
 class GeodesicFamily:
     """All minimizing geodesic segments between two points.
 
-    ``canonical`` is the deterministic representative; when ``unique`` is
-    false the remaining segments are reached by sampling the descriptor's
-    Grassmannian family of velocities.
+    ``canonical`` is the segment of ``theta.base_log``. When ``unique`` is
+    false it is the family member that rounding picks (see ``canonical_log``)
+    and the others are reached by sampling the descriptor's Grassmannian.
     """
 
     P: SpecialUnitary

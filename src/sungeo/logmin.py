@@ -212,10 +212,10 @@ def canonical_log(sd: SpectralData,
                   alg_tolerance: float | None = None) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with zeta >= 0.
 
-    Keeps the first n - zeta sorted arguments and shifts the last zeta by
-    -2 pi, then conjugates the diagonal back through the eigenbasis. When
-    the solution set is a positive-dimensional family this picks the
-    representative whose -2 pi shifts sit on the top arguments.
+    Keeps the first n - zeta sorted arguments, shifts the last zeta by -2 pi
+    and conjugates back through the eigenbasis. If the kept/shifted boundary
+    splits a cluster, rounding orders the basis columns inside it: this is one
+    member of the family Gr(nu2; C^(nu1+nu2)), and rounding may pick another.
     """
     if sd.zeta < 0:
         raise ValueError("canonical form requires a nonnegative winding; "
@@ -246,14 +246,14 @@ def min_log(q: SpecialUnitary,
 class ThetaDescriptor:
     """Structure of the set of minimal logarithms of Q.
 
-    The set is a single point unless zeta >= 1 and the spectrum is
-    constant across the boundary between kept and shifted arguments
-    (mu_{n-zeta} = mu_{n-zeta+1}); in that case it is diffeomorphic to the
-    complex Grassmannian of nu2-planes in C^(nu1+nu2), where nu1 and nu2
-    count the boundary eigenvalue's repetitions on each side. ``oriented``
-    records that the descriptor was computed for Q^* (with outputs negated)
-    because Q itself had negative winding. ``spectral`` keeps the oriented
-    spectral data so sampling reuses the exact basis of ``base_log``.
+    The set is a single point unless zeta >= 1 and mu_{n-zeta} = mu_{n-zeta+1}
+    (the kept/shifted boundary splits a cluster); then it is diffeomorphic to
+    the complex Grassmannian Gr(nu2; C^(nu1+nu2)), nu1 and nu2 counting the
+    boundary eigenvalue on each side, and ``base_log`` is the member that
+    rounding picks (see ``canonical_log``). ``oriented`` records that the
+    descriptor was computed for Q^* (outputs negated) because Q had negative
+    winding. ``spectral`` keeps the oriented spectral data so sampling reuses
+    the exact basis of ``base_log``.
     """
 
     n: int

@@ -193,11 +193,10 @@ def validate_skew_traceless(x, tol: float | None = None) -> SkewHermitianTracele
 def unitary_eig(q: SpecialUnitary, tol: float | None = None) -> UnitaryEigenDecomposition:
     """Eigendecomposition of a special unitary matrix via Hermitian solves.
 
-    Diagonalizes the Hermitian part Q + Q^* first, then diagonalizes the
-    projected skew part (Q - Q^*)/i inside each eigenspace. Because Q is
-    normal the two commute, so this produces a simultaneous unitary
-    eigenbasis using only Hermitian eigensolvers. Raw eigenvalues are read
-    off the diagonal of U^* Q U and rescaled to modulus one.
+    Diagonalizes the Hermitian part Q + Q^*, then, inside each degenerate
+    eigenspace only, the projected skew part (Q - Q^*)/i; as Q is normal this
+    gives a simultaneous unitary eigenbasis U. The raw eigenvalues, diag(U^* Q U),
+    take one matrix product Q U and a column-wise dot; they are rescaled to modulus one.
     """
     a = q.entries
     n = q.n
@@ -206,21 +205,21 @@ def unitary_eig(q: SpecialUnitary, tol: float | None = None) -> UnitaryEigenDeco
         w, basis = np.linalg.eigh(a + a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
-    basis = np.array(basis)
-    skew = (a - a.conj().T) / 1j
-    splits = np.nonzero(np.diff(w) > _HERM_GAP_TOL * max(n, 2))[0] + 1
-    for block in np.split(np.arange(n), splits):
-        if block.size < 2:
-            continue
-        cols = basis[:, block]
+    # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
+    near = np.zeros(n + 1, dtype=bool)
+    np.less_equal(np.diff(w), _HERM_GAP_TOL * max(n, 2), out=near[1:n])
+    edges = np.flatnonzero(near[1:] != near[:-1])
+    skew = (a - a.conj().T) / 1j if edges.size else None
+    for lo, hi in zip(edges[::2], edges[1::2] + 1):
+        cols = basis[:, lo:hi]
         proj = cols.conj().T @ skew @ cols
         proj = (proj + proj.conj().T) / 2.0
         try:
             _, rot = np.linalg.eigh(proj)
         except np.linalg.LinAlgError as exc:
             raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
-        basis[:, block] = cols @ rot
-    raw = np.einsum("ji,jk,ki->i", basis.conj(), a, basis)
+        basis[:, lo:hi] = cols @ rot
+    raw = np.einsum("ji,ji->i", basis.conj(), a @ basis)
     mags = np.abs(raw)
     if np.any(mags < 0.5):
         raise EigenFailedError("eigenvalue collapsed away from the unit circle")

@@ -48,13 +48,8 @@ def _principal_args(values: np.ndarray) -> np.ndarray:
 
 def _runs_of_equal(args: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Contiguous runs of exactly equal entries in a sorted array."""
-    clusters = []
-    start = 0
-    for i in range(1, len(args) + 1):
-        if i == len(args) or args[i] != args[start]:
-            clusters.append(tuple(range(start, i)))
-            start = i
-    return tuple(clusters)
+    edges = [0, *(np.flatnonzero(args[1:] != args[:-1]) + 1).tolist(), len(args)]
+    return tuple(tuple(range(lo, hi)) for lo, hi in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,35 +105,31 @@ def spectral_summary(q: SpecialUnitary, cluster_tol: float | None = None,
     ztol = ZETA_TOL if zeta_tol is None else float(zeta_tol)
 
     dec = unitary_eig(q, tol=eig_tol)
-    ang = _principal_args(np.array(dec.eigenvalues))
+    ang = _principal_args(dec.eigenvalues)
     order = np.argsort(ang, kind="stable")
-    ang_sorted = ang[order]
-    vals_sorted = dec.eigenvalues[order]
-    basis_sorted = dec.basis[:, order]
+    ang_sorted, vals = ang[order], dec.eigenvalues[order]
 
     labels = np.zeros(n, dtype=int)
-    if n > 1:
-        labels[1:] = np.cumsum(np.diff(ang_sorted) > ctol)
-        # Merge across the branch cut: -pi + eps and pi - eps are the same
-        # eigenvalue cluster on the circle.
-        if labels[-1] > 0 and (ang_sorted[0] + _TWO_PI - ang_sorted[-1]) < ctol:
-            labels[labels == labels[-1]] = 0
+    labels[1:] = np.cumsum(np.diff(ang_sorted) > ctol)
+    # Merge across the branch cut: -pi + eps and pi - eps are the same
+    # eigenvalue cluster on the circle. Labels stay 0..k with none missing.
+    if labels[-1] > 0 and (ang_sorted[0] + _TWO_PI - ang_sorted[-1]) < ctol:
+        labels[labels == labels[-1]] = 0
 
-    snapped = np.empty(n)
-    for label in np.unique(labels):
-        members = labels == label
-        mean = vals_sorted[members].mean()
-        if abs(mean) < 1e-9:  # antipodal cancellation, unreachable at sane tolerances
-            a = float(ang_sorted[members][0])
-        else:
-            a = principal_arg(complex(mean))
-        if math.pi - abs(a) < ctol:
-            a = math.pi
-        snapped[members] = a
+    # Each cluster takes the phase of its circular mean (that of its sum) or,
+    # on antipodal cancellation, unreachable at sane tolerances, its lowest
+    # argument: that of its first member in index order.
+    sums = np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)
+    lowest = np.full(len(sums), np.inf)
+    np.minimum.at(lowest, labels, ang_sorted)
+    cancelled = np.abs(sums) < 1e-9 * np.bincount(labels)
+    centre = np.where(cancelled, lowest, _principal_args(sums))
+    centre[math.pi - np.abs(centre) < ctol] = math.pi
+    snapped = centre[labels]
 
     final = np.argsort(snapped, kind="stable")
     args = snapped[final]
-    basis = basis_sorted[:, final]
+    basis = dec.basis[:, order[final]]
 
     clusters = _runs_of_equal(args)
     s = len(clusters[-1]) if args[-1] == math.pi else 0

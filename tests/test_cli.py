@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestRandom:
         capsys.readouterr()
         assert main(["random", "3", "--seed", "7", "--out", out2]) == 0
         capsys.readouterr()
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_output_revalidates(self, capsys, files):
         code, report, _ = run_cli(capsys, "random", "4", "--seed", "3")
@@ -273,6 +274,35 @@ class TestContract:
         code, report, _ = run_cli(capsys, "dist", files["I2"], files["I2"],
                                   "--tol", "1e-8")
         assert code == 0
+
+
+def strict_json(text):
+    """Parse JSON that may hold no NaN or infinity."""
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """No report or error payload holds NaN or an infinity."""
+
+    def test_non_finite_report_exits_3(self, capsys, files, monkeypatch):
+        # A NaN distance would put NaN into the diam report's residuals.
+        monkeypatch.setattr("sungeo.cli.distance", lambda *args, **kwargs: math.nan)
+        assert main(["diam", "2", "--point", files["I2"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert strict_json(captured.err)["error"] == "non_finite_result"
+
+    def test_overflowing_input_exits_2(self, capsys, files):
+        # The Gram product of diag(1e300, 1e-300) overflows: its NaN
+        # residual is within no tolerance and is left out of the payload.
+        path = write_matrix(files["tmp"], "huge.json", np.diag([1e300, 1e-300]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["plog", path]) == 2
+        payload = strict_json(capsys.readouterr().err)
+        assert payload["error"] == "not_unitary" and "residual" not in payload
 
 
 class TestFlagValues:

@@ -15,8 +15,10 @@ from sungeo import (
     geodesic_eval,
     geodesic_family,
     log_map,
+    m_value,
     random_special_unitary,
     random_unitary,
+    relative_spectrum,
     spectral_summary,
     validate_special_unitary,
 )
@@ -129,6 +131,32 @@ class TestGeodesicFamily:
             end = geodesic_eval(seg, 1.0)
             assert np.linalg.norm(end.entries - MI2.entries) <= 1e-8
             assert abs(seg.length - d) <= 1e-8
+
+
+    # Relative spectra whose kept/shifted boundary splits a cluster; the last
+    # two have zeta < s - zeta, so the pair policy takes Q^*P.
+    FAMILY_SPECTRA = [
+        [PI] * 2, [PI] * 4, [0.0, 0.0, PI, PI], [PI / 2] * 4,
+        [2 * PI - 6.0, 2.0, 2.0, 2.0], [2 * PI / 3] * 3, [-2 * PI / 3] * 3,
+        [-PI / 2] * 4,
+    ]
+
+    @pytest.mark.parametrize("args", FAMILY_SPECTRA)
+    def test_canonical_log_of_a_family_is_a_minimizer(self, args):
+        # Which member of the family is canonical depends on the order of
+        # the eigenbasis columns inside the split cluster, which rounding
+        # decides; so the test checks the minimizing property, not a matrix.
+        n = len(args)
+        for seed in range(4):
+            u = random_unitary(n, seed=[seed, 0])
+            p = random_special_unitary(n, seed=[seed, 1])
+            q = su(p.entries @ (u * np.exp(1j * np.array(args))) @ u.conj().T)
+            fam = geodesic_family(p, q)
+            assert not fam.unique
+            m = m_value(relative_spectrum(p, q))
+            for x in (fam.canonical.X, log_map(p, q)):
+                assert np.linalg.norm(p.entries @ expm_skew(x).entries - q.entries) <= 1e-9
+                assert frobenius_norm(x.entries) ** 2 == pytest.approx(m, abs=1e-9)
 
 
 class TestGeodesicEval:
