@@ -29,8 +29,8 @@ from .geometry import (
     geodesic_eval,
     geodesic_family,
 )
-from .logmin import (LatticeProblem, _sample, _signed, brute_force_m, canonical_log,
-                     grassmann_label, m_value, plog_status, theta_descriptor)
+from .logmin import (LatticeProblem, _sample, brute_force_m, grassmann_label, m_value,
+                     plog_status, theta_descriptor)
 from .matrixcore import (
     SpecialUnitary,
     expm_skew,
@@ -152,7 +152,7 @@ def _unitary_residuals(tag: str, u: SpecialUnitary) -> dict:
 
 def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
     tols, p, q = _load(tol, path_p, path_q)
-    sd, oriented, _ = _relative(p, q, tols)
+    sd, oriented = _relative(p, q, tols)
     return {
         "command": "dist",
         "inputs": {"P": path_p, "Q": path_q, "tol": tols.group},
@@ -170,12 +170,12 @@ def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
 def cmd_log(path_p: str, path_q: str, tol: float | None,
             out: str | None = None) -> dict:
     tols, p, q = _load(tol, path_p, path_q)
-    _, oriented, sign = _relative(p, q, tols)
-    x = _signed(canonical_log(oriented, alg_tolerance=tols.alg), sign)
+    fam = geodesic_family(p, q, tols)
+    x = fam.canonical.X
     e = expm_skew(x, tol=tols.group)
     roundtrip = float(np.linalg.norm(p.entries @ e.entries - q.entries))
-    norm = frobenius_norm(x.entries)
-    d = _distance(oriented)
+    norm = fam.distance
+    d = _distance(fam.theta.spectral)
     if out is not None:
         MatrixFile.from_entries(x.entries).dump(out)
     return {
@@ -229,9 +229,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
 
 def cmd_plog(path_q: str, tol: float | None) -> dict:
     tols, q = _load(tol, path_q)
-    sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
-                          eig_tol=tols.eig)
-    status = plog_status(sd)
+    status = plog_status(spectral_summary(q, tols))
     return {
         "command": "plog",
         "inputs": {"Q": path_q, "tol": tols.group},
@@ -257,7 +255,7 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
         tols, p = _load(tol, point_path)
         if p.n != n:
             raise ShapeError(f"point has order {p.n}, expected {n}")
-        rep = diametral_points(p, tols=tols)
+        rep = diametral_points(p)
         report["outputs"]["points"] = [_matrix_payload(pt.entries) for pt in rep.points]
         report["residuals"].update(_unitary_residuals("P", p))
         for i, pt in enumerate(rep.points):
@@ -266,7 +264,7 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
     return report
 
 
-def cmd_random(n: int, seed: int, out: str | None, tol: float | None) -> dict:
+def cmd_random(n: int, seed: int, out: str | None) -> dict:
     if n < 1:
         raise UnsupportedOrderError("order must be at least 1")
     q = random_special_unitary(n, seed)
@@ -330,8 +328,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
 
 def cmd_oracle(path_q: str, tol: float | None) -> dict:
     tols, q = _load(tol, path_q)
-    sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
-                          eig_tol=tols.eig)
+    sd = spectral_summary(q, tols)
     closed = m_value(sd)
     brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3)
     gap = abs(closed - brute)
@@ -432,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the matrix file here")
-    add_tol(p)
 
     p = command("theta", cmd_theta, "describe and sample the set of minimal logarithms")
     p.add_argument("path_q", metavar="Q"); add_tol(p)
@@ -460,7 +456,7 @@ def main(argv=None) -> int:
     run = args.pop("run")
     del args["command"]
     try:
-        if args["tol"] is None:
+        if "tol" in args and args["tol"] is None:
             args["tol"] = _env_tol()
         report = run(**args)
         try:

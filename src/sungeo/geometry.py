@@ -8,8 +8,10 @@ Orientation: the pair policy in ``_relative`` keeps whichever of P^*Q and
 Q^*P has the larger winding (flip when zeta < s - zeta), so both endpoints
 induce the same oriented spectrum, which makes the distance numerically
 symmetric and the uniqueness classification well defined. Like the
-single-matrix policy of ``logmin`` (flip when zeta < 0), it calls
-``spectral.orient``, the one helper that flips a spectrum.
+single-matrix policy of ``logmin`` (flip when zeta < 0), it flips through
+``spectral.adjoint_spectrum``, the one function that flips a spectrum; the
+flipped spectrum carries ``sign = -1``, and ``log_map`` and
+``geodesic_family`` read the sign from it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .matrixcore import (
 )
 from .logmin import (ThetaDescriptor, _descriptor_from_spectral, _signed, canonical_log,
                      m_value, theta_sample)
-from .spectral import SpectralData, orient, spectral_summary
+from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 from .tolerances import Tolerances
 
 __all__ = [
@@ -51,18 +53,16 @@ def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary,
                       tols: Tolerances | None = None) -> SpectralData:
     """Spectral data of the relative matrix P^*Q, which is built from the
     validated factors without a re-check (``SpecialUnitary.times``)."""
-    tols = Tolerances.default(p.n) if tols is None else tols
-    return spectral_summary(p.adjoint().times(q), cluster_tol=tols.cluster,
-                            zeta_tol=tols.zeta, eig_tol=tols.eig)
+    return spectral_summary(p.adjoint().times(q), tols)
 
 
 def _relative(p: SpecialUnitary, q: SpecialUnitary,
-              tols: Tolerances | None) -> tuple[SpectralData, SpectralData, int]:
-    """Spectrum of P^*Q, and that spectrum oriented by the pair policy with
-    its sign. The larger of zeta and s - zeta is never negative, so the
-    closed forms apply directly to the oriented spectrum."""
+              tols: Tolerances | None) -> tuple[SpectralData, SpectralData]:
+    """Spectrum of P^*Q, and that spectrum oriented by the pair policy. The
+    larger of zeta and s - zeta is never negative, so the closed forms apply
+    directly to the oriented spectrum."""
     sd = relative_spectrum(p, q, tols=tols)
-    return (sd, *orient(sd, sd.zeta < sd.s - sd.zeta))
+    return sd, adjoint_spectrum(sd) if sd.zeta < sd.s - sd.zeta else sd
 
 
 def _distance(oriented: SpectralData) -> float:
@@ -123,8 +123,8 @@ def log_map(p: SpecialUnitary, q: SpecialUnitary,
             tols: Tolerances | None = None) -> SkewHermitianTraceless:
     """Canonical velocity X with P exp(X) = Q and ||X|| = d(P, Q)."""
     tols = Tolerances.default(p.n) if tols is None else tols
-    _, sd, sign = _relative(p, q, tols)
-    return _signed(canonical_log(sd, alg_tolerance=tols.alg), sign)
+    _, sd = _relative(p, q, tols)
+    return _signed(canonical_log(sd, alg_tolerance=tols.alg), sd)
 
 
 def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
@@ -137,8 +137,7 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
     recorded in the descriptor.
     """
     tols = Tolerances.default(p.n) if tols is None else tols
-    _, sd, sign = _relative(p, q, tols)
-    td = _descriptor_from_spectral(sd, sign, alg_tolerance=tols.alg)
+    td = _descriptor_from_spectral(_relative(p, q, tols)[1], alg_tolerance=tols.alg)
     x = td.base_log
     length = frobenius_norm(x.entries)
     seg = GeodesicSegment(p, x, length)
@@ -166,14 +165,13 @@ def diameter(n: int) -> float:
     return math.pi * math.sqrt(n - 1.0 / n)
 
 
-def diametral_points(p: SpecialUnitary,
-                     tols: Tolerances | None = None) -> DiametralReport:
+def diametral_points(p: SpecialUnitary) -> DiametralReport:
     """Points at maximal distance from P.
 
     For even n the unique diametral partner is -P; for odd n there are
     exactly two, e^{+-(n-1) pi i / n} P. Each partner c P has |c| = 1 and
-    c^n = 1, so it keeps P's residuals, as ``SpecialUnitary.adjoint`` does;
-    ``tols`` is accepted for compatibility and no check needs it.
+    c^n = 1, so it keeps P's residuals, as ``SpecialUnitary.adjoint`` does,
+    and needs no check.
     """
     n = p.n
     if n < 2:

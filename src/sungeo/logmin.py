@@ -14,8 +14,9 @@ lattice oracle that enumerates the integer tuples directly.
 
 Orientation: a single matrix with a negative winding is handled through its
 adjoint (policy: flip when zeta < 0, in ``_nonnegative``). The pair policy
-of ``geometry`` (flip when zeta < s - zeta) and this one both call
-``spectral.orient``, the one helper that flips a spectrum.
+of ``geometry`` (flip when zeta < s - zeta) and this one both flip through
+``spectral.adjoint_spectrum``, which marks the flipped spectrum with
+``sign = -1``; ``_signed`` reads that sign to map a logarithm back to Q.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .matrixcore import (
     expm_skew,
     validate_skew_traceless,
 )
-from .spectral import SpectralData, orient, spectral_summary
+from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
@@ -65,15 +66,15 @@ def grassmann_label(k: int, m: int) -> str:
     return f"Gr({k};C^{m})"
 
 
-def _nonnegative(sd: SpectralData) -> tuple[SpectralData, int]:
+def _nonnegative(sd: SpectralData) -> SpectralData:
     """Single-matrix orientation: Q^* when Q has a negative winding."""
-    return orient(sd, sd.zeta < 0)
+    return adjoint_spectrum(sd) if sd.zeta < 0 else sd
 
 
-def _signed(x: SkewHermitianTraceless, sign: int) -> SkewHermitianTraceless:
-    """Map a logarithm of an oriented spectrum back through its sign. By
+def _signed(x: SkewHermitianTraceless, sd: SpectralData) -> SkewHermitianTraceless:
+    """Map a logarithm read off ``sd`` back to one of Q through ``sd.sign``. By
     negation: a complex product by -1 changes the signs of zero entries."""
-    return -x if sign < 0 else x
+    return -x if sd.sign < 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def m_value(sd: SpectralData) -> float:
     Negative windings are evaluated on the adjoint spectrum; the minimum is
     invariant under conjugation of Q.
     """
-    sd, _ = _nonnegative(sd)
+    sd = _nonnegative(sd)
     args = sd.args
     if sd.zeta == 0:
         return float(args @ args)
@@ -208,6 +209,14 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
     return angles
 
 
+def _log_in_basis(u: np.ndarray, angles: np.ndarray,
+                  alg_tolerance: float | None) -> SkewHermitianTraceless:
+    """U diag(i angles) U^*, symmetrized to its skew part and checked in su(n)."""
+    x = (u * (1j * angles)) @ u.conj().T
+    x = (x - x.conj().T) / 2.0
+    return validate_skew_traceless(x, tol=alg_tolerance)
+
+
 def canonical_log(sd: SpectralData,
                   alg_tolerance: float | None = None) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with zeta >= 0.
@@ -220,11 +229,7 @@ def canonical_log(sd: SpectralData,
     if sd.zeta < 0:
         raise ValueError("canonical form requires a nonnegative winding; "
                          "orient through the adjoint first")
-    angles = _canonical_angles(sd)
-    u = sd.basis
-    x = (u * (1j * angles)) @ u.conj().T
-    x = (x - x.conj().T) / 2.0
-    return validate_skew_traceless(x, tol=alg_tolerance)
+    return _log_in_basis(sd.basis, _canonical_angles(sd), alg_tolerance)
 
 
 def min_log(q: SpecialUnitary,
@@ -250,10 +255,9 @@ class ThetaDescriptor:
     (the kept/shifted boundary splits a cluster); then it is diffeomorphic to
     the complex Grassmannian Gr(nu2; C^(nu1+nu2)), nu1 and nu2 counting the
     boundary eigenvalue on each side, and ``base_log`` is the member that
-    rounding picks (see ``canonical_log``). ``oriented`` records that the
-    descriptor was computed for Q^* (outputs negated) because Q had negative
-    winding. ``spectral`` keeps the oriented spectral data so sampling reuses
-    the exact basis of ``base_log``.
+    rounding picks (see ``canonical_log``). ``spectral`` keeps the oriented
+    spectral data so sampling reuses the exact basis of ``base_log``; its
+    ``sign`` maps logarithms read off it back to those of Q.
     """
 
     n: int
@@ -263,7 +267,6 @@ class ThetaDescriptor:
     beta_arg: float | None
     nu1: int | None
     nu2: int | None
-    oriented: bool
     spectral: SpectralData
 
     @property
@@ -274,15 +277,15 @@ class ThetaDescriptor:
         return (self.nu2, self.nu1 + self.nu2)
 
     @property
-    def sign(self) -> int:
-        """Sign mapping logarithms of ``spectral`` back to those of Q."""
-        return -1 if self.oriented else 1
+    def oriented(self) -> bool:
+        """Whether the descriptor was computed for Q^* (outputs negated)."""
+        return self.spectral.sign < 0
 
 
-def _descriptor_from_spectral(sd: SpectralData, sign: int,
+def _descriptor_from_spectral(sd: SpectralData,
                               alg_tolerance: float | None = None) -> ThetaDescriptor:
-    """Descriptor from an oriented spectrum (zeta >= 0) and its sign."""
-    base = _signed(canonical_log(sd, alg_tolerance=alg_tolerance), sign)
+    """Descriptor from an oriented spectrum (zeta >= 0)."""
+    base = _signed(canonical_log(sd, alg_tolerance=alg_tolerance), sd)
     n, zeta, args = sd.n, sd.zeta, sd.args
     # The set is a family when the boundary between kept and shifted
     # arguments splits a cluster; sorted, so each side's part is contiguous.
@@ -292,7 +295,7 @@ def _descriptor_from_spectral(sd: SpectralData, sign: int,
                            beta_arg=beta,
                            nu1=int(np.sum(args[:n - zeta] == beta)) if family else None,
                            nu2=int(np.sum(args[n - zeta:] == beta)) if family else None,
-                           oriented=sign < 0, spectral=sd)
+                           spectral=sd)
 
 
 def theta_descriptor(q: SpecialUnitary,
@@ -304,21 +307,20 @@ def theta_descriptor(q: SpecialUnitary,
     solution set of Q^* onto that of Q.
     """
     tols = Tolerances.default(q.n) if tols is None else tols
-    sd = spectral_summary(q, cluster_tol=tols.cluster, zeta_tol=tols.zeta,
-                          eig_tol=tols.eig)
-    return _descriptor_from_spectral(*_nonnegative(sd), alg_tolerance=tols.alg)
+    return _descriptor_from_spectral(_nonnegative(spectral_summary(q, tols)),
+                                     alg_tolerance=tols.alg)
 
 
 def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
                  tols: Tolerances | None = None) -> SkewHermitianTraceless:
     """Sample the Grassmannian family of minimal logarithms.
 
-    Embeds the unitary ``r`` of order nu1 + nu2 into the eigenblock of the
-    boundary eigenvalue (identity elsewhere: only block unitaries commute
-    with the block-scalar diagonal) and conjugates the canonical diagonal
-    logarithm by it in the spectral basis. Every output exponentiates to Q
-    and has squared norm m(Q); distinct cosets of r give distinct
-    logarithms, though the orbit map is not injective.
+    Rotates the basis columns of the boundary eigenvalue's eigenblock by the
+    unitary ``r`` of order nu1 + nu2 (the other columns stay: only block
+    unitaries commute with the block-scalar diagonal) and builds the
+    canonical diagonal logarithm in the rotated basis. Every output
+    exponentiates to Q and has squared norm m(Q); distinct cosets of r give
+    distinct logarithms, though the orbit map is not injective.
     """
     return _sample(td, q, r, tols)[0]
 
@@ -339,15 +341,10 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary, r,
         raise ShapeError(f"order mismatch: descriptor {td.n}, matrix {q.n}")
 
     sd = td.spectral
-    angles = _canonical_angles(sd)
     start = sd.n - td.zeta - td.nu1
-    full = np.eye(sd.n, dtype=np.complex128)
-    full[start:start + block, start:start + block] = rm
-    core = (full * (1j * angles)) @ full.conj().T
-    u = sd.basis
-    x = u @ core @ u.conj().T
-    x = (x - x.conj().T) / 2.0
-    out = _signed(validate_skew_traceless(x, tol=tols.alg), td.sign)
+    u = sd.basis.copy()
+    u[:, start:start + block] = u[:, start:start + block] @ rm
+    out = _signed(_log_in_basis(u, _canonical_angles(sd), tols.alg), sd)
     check = expm_skew(out, tol=tols.group)
     resid = ResidualExceededError.check(
         float(np.linalg.norm(check.entries - q.entries)), tols.eig,

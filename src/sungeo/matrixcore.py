@@ -167,9 +167,10 @@ def validate_special_unitary(a, tol: float | None = None) -> SpecialUnitary:
     arr = as_complex_matrix(a)
     n = arr.shape[0]
     tol = Tolerances.default(n).group if tol is None else float(tol)
-    gram = arr @ arr.conj().T
-    u_res = NotUnitaryError.check(float(np.linalg.norm(gram - np.eye(n))), tol,
-                                  "matrix is not unitary")
+    # Huge entries overflow the Gram product; its NaN residual is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_res = float(np.linalg.norm(arr @ arr.conj().T - np.eye(n)))
+    u_res = NotUnitaryError.check(gram_res, tol, "matrix is not unitary")
     d_res = DeterminantError.check(float(abs(np.linalg.det(arr) - 1.0)), tol,
                                    "determinant is not one")
     return SpecialUnitary(_readonly(arr), u_res, d_res)
@@ -247,10 +248,12 @@ def expm_skew(x: SkewHermitianTraceless, tol: float | None = None) -> SpecialUni
     return validate_special_unitary(e, tol=tol)
 
 
-def _haar_unitary(n: int, seed) -> np.ndarray:
+def random_unitary(n: int, seed) -> np.ndarray:
+    """Haar-distributed U(n) matrix, deterministic per seed (or drawn from
+    the given ``np.random.Generator``)."""
     if n < 1:
         raise ShapeError("order must be at least 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     z /= np.sqrt(2.0)
     qmat, r = np.linalg.qr(z)
@@ -258,19 +261,7 @@ def _haar_unitary(n: int, seed) -> np.ndarray:
     # Phase fix: dividing column j by the phase of r_jj makes the factor
     # a deterministic equivariant function of the Gaussian draw, so its
     # law is exactly Haar on U(n).
-    qmat = qmat / (diag / np.abs(diag))
-    return qmat
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed U(n) matrix, deterministic per seed."""
-    return _haar_unitary(n, seed)
+    return qmat / (diag / np.abs(diag))
 
 
 def random_special_unitary(n: int, seed) -> SpecialUnitary:
@@ -279,7 +270,7 @@ def random_special_unitary(n: int, seed) -> SpecialUnitary:
     Samples Haar on U(n) by phase-fixed QR of a complex Gaussian matrix,
     then divides the first column by the determinant to land in SU(n).
     """
-    qmat = _haar_unitary(n, seed).copy()
+    qmat = random_unitary(n, seed)
     qmat[:, 0] /= np.linalg.det(qmat)
     return validate_special_unitary(qmat)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError, ZeroInputError, ZetaNotIntegerError
 from .matrixcore import SpecialUnitary, _readonly, unitary_eig, validate_special_unitary
-from .tolerances import ZETA_TOL, Tolerances
+from .tolerances import Tolerances
 
 __all__ = [
     "SpectralData",
@@ -25,7 +25,6 @@ __all__ = [
     "principal_arg",
     "spectral_summary",
     "adjoint_spectrum",
-    "orient",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -57,20 +56,26 @@ class SpectralData:
     """Snapped, sorted spectral fingerprint of a special unitary matrix.
 
     ``args`` are the principal arguments sorted ascending in (-pi, pi],
-    ``zeta`` the winding integer, ``s`` the multiplicity of -1, ``clusters``
-    the partition of sorted indices into runs of equal snapped arguments,
-    and ``basis`` the unitary eigenbasis with columns ordered like ``args``.
+    ``zeta`` the winding integer, ``s`` the multiplicity of -1 and ``basis``
+    the unitary eigenbasis with columns ordered like ``args``. ``sign`` is -1
+    when this is the spectrum of Q^* standing in for Q (``adjoint_spectrum``),
+    so a logarithm read off it maps back to one of Q by negation.
     """
 
     args: np.ndarray
     zeta: int
     s: int
-    clusters: tuple[tuple[int, ...], ...]
     basis: np.ndarray
+    sign: int = 1
 
     @property
     def n(self) -> int:
         return len(self.args)
+
+    @property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """Partition of sorted indices into runs of equal snapped arguments."""
+        return _runs_of_equal(self.args)
 
     def __post_init__(self):
         n = len(self.args)
@@ -85,26 +90,24 @@ class SpectralData:
             raise ValueError("winding integer outside its admissible range")
 
 
-def spectral_summary(q: SpecialUnitary, cluster_tol: float | None = None,
-                     zeta_tol: float | None = None,
-                     eig_tol: float | None = None) -> SpectralData:
+def spectral_summary(q: SpecialUnitary, tols: Tolerances | None = None) -> SpectralData:
     """Eigendecompose Q and extract its spectral invariants.
 
     Eigenvalues are projected onto the unit circle and clustered by
-    circular distance below ``cluster_tol``; every member of a cluster is
+    circular distance below ``tols.cluster``; every member of a cluster is
     snapped to the phase of the cluster's circular mean, and any cluster
-    whose mean lies within ``cluster_tol`` of -1 is snapped to exactly pi.
+    whose mean lies within ``tols.cluster`` of -1 is snapped to exactly pi.
     Clustering is circular, so eigenvalues straddling the -pi/pi boundary
     are never split. The winding integer is the rounded value of
-    sum(args)/2pi; a rounding residual above ``zeta_tol`` signals a broken
-    input and raises ``ZetaNotIntegerError``. ``eig_tol`` caps the
+    sum(args)/2pi; a rounding residual above ``tols.zeta`` signals a broken
+    input and raises ``ZetaNotIntegerError``. ``tols.eig`` caps the
     eigendecomposition reconstruction residual.
     """
     n = q.n
-    ctol = Tolerances.default(n).cluster if cluster_tol is None else float(cluster_tol)
-    ztol = ZETA_TOL if zeta_tol is None else float(zeta_tol)
+    tols = Tolerances.default(n) if tols is None else tols
+    ctol = tols.cluster
 
-    dec = unitary_eig(q, tol=eig_tol)
+    dec = unitary_eig(q, tol=tols.eig)
     ang = _principal_args(dec.eigenvalues)
     order = np.argsort(ang, kind="stable")
     ang_sorted, vals = ang[order], dec.eigenvalues[order]
@@ -131,15 +134,13 @@ def spectral_summary(q: SpecialUnitary, cluster_tol: float | None = None,
     args = snapped[final]
     basis = dec.basis[:, order[final]]
 
-    clusters = _runs_of_equal(args)
-    s = len(clusters[-1]) if args[-1] == math.pi else 0
+    s = int(np.count_nonzero(args == math.pi))
 
     total = float(args.sum())
     zeta = int(round(total / _TWO_PI))
-    ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), ztol,
+    ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), tols.zeta,
                               "argument sum is not a multiple of 2pi")
-    return SpectralData(args=_readonly(args), zeta=zeta, s=s,
-                        clusters=clusters, basis=_readonly(basis))
+    return SpectralData(args=_readonly(args), zeta=zeta, s=s, basis=_readonly(basis))
 
 
 def adjoint_spectrum(sd: SpectralData) -> SpectralData:
@@ -148,7 +149,8 @@ def adjoint_spectrum(sd: SpectralData) -> SpectralData:
     Arguments away from pi are negated (and therefore re-sorted in reverse
     order); the cluster at pi stays at pi. The winding integers satisfy
     zeta(Q^*) = s - zeta(Q). Eigenvectors carry over unchanged since Q and
-    Q^* share eigenspaces.
+    Q^* share eigenspaces. This is the one function that flips a spectrum,
+    and it negates ``sign``: flipping twice gives back Q's orientation.
     """
     args = sd.args
     pi_mask = args == math.pi
@@ -159,17 +161,8 @@ def adjoint_spectrum(sd: SpectralData) -> SpectralData:
     return SpectralData(args=_readonly(new_args),
                         zeta=sd.s - sd.zeta,
                         s=sd.s,
-                        clusters=_runs_of_equal(new_args),
-                        basis=_readonly(sd.basis[:, perm]))
-
-
-def orient(sd: SpectralData, flip: bool) -> tuple[SpectralData, int]:
-    """The spectrum of Q^* and sign -1 when ``flip``, else ``sd`` and +1.
-
-    The sign maps logarithms of the returned spectrum back to those of Q.
-    The policies deciding ``flip`` live in ``logmin`` and ``geometry``.
-    """
-    return (adjoint_spectrum(sd), -1) if flip else (sd, 1)
+                        basis=_readonly(sd.basis[:, perm]),
+                        sign=-sd.sign)
 
 
 @dataclass(frozen=True)

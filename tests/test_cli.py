@@ -200,6 +200,17 @@ class TestRandom:
         b = MatrixFile.load(out2).matrix
         assert np.linalg.norm(a - b) > 1e-6
 
+    def test_tol_is_not_a_flag(self):
+        # The sampler checks no tolerance, so random offers none.
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "3", "--tol", "1e-8"])
+        assert exc.value.code == 4
+
+    def test_env_tolerance_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUNGEO_TOL", "abc")
+        code, report, _ = run_cli(capsys, "random", "3")
+        assert code == 0 and report["command"] == "random"
+
 
 class TestTheta:
     def test_samples(self, capsys, files):
@@ -299,8 +310,7 @@ class TestStrictJson:
         # The Gram product of diag(1e300, 1e-300) overflows: its NaN
         # residual is within no tolerance and is left out of the payload.
         path = write_matrix(files["tmp"], "huge.json", np.diag([1e300, 1e-300]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["plog", path]) == 2
+        assert main(["plog", path]) == 2
         payload = strict_json(capsys.readouterr().err)
         assert payload["error"] == "not_unitary" and "residual" not in payload
 

@@ -158,6 +158,34 @@ class TestGeodesicFamily:
                 assert np.linalg.norm(p.entries @ expm_skew(x).entries - q.entries) <= 1e-9
                 assert frobenius_norm(x.entries) ** 2 == pytest.approx(m, abs=1e-9)
 
+    def orientation_pairs(self):
+        """Haar pairs and pairs with the family spectra, in both pair
+        orientations."""
+        for n in (2, 3, 4, 5, 8):
+            for seed in range(10):
+                yield (random_special_unitary(n, seed=[n, seed, 0]),
+                       random_special_unitary(n, seed=[n, seed, 1]))
+        for args in self.FAMILY_SPECTRA:
+            n = len(args)
+            for seed in range(2):
+                u = random_unitary(n, seed=[seed, 0])
+                p = random_special_unitary(n, seed=[seed, 1])
+                yield p, su(p.entries @ (u * np.exp(1j * np.array(args))) @ u.conj().T)
+
+    def test_oriented_iff_adjoint_has_larger_winding(self):
+        seen = set()
+        for p, q in self.orientation_pairs():
+            sd = relative_spectrum(p, q)
+            oriented = geodesic_family(p, q).theta.oriented
+            assert oriented == (sd.zeta < sd.s - sd.zeta)
+            seen.add(oriented)
+        assert seen == {False, True}
+
+    def test_log_map_is_the_canonical_velocity(self):
+        for p, q in self.orientation_pairs():
+            x = geodesic_family(p, q).canonical.X
+            assert log_map(p, q).entries.tobytes() == x.entries.tobytes()
+
 
 class TestGeodesicEval:
     def test_endpoints(self):

@@ -232,6 +232,18 @@ class TestThetaDescriptor:
         assert td2.zeta == 1 and td2.is_singleton
         assert td2.beta_arg == pytest.approx(PI / 2, abs=1e-14)
 
+    def test_oriented_iff_negative_winding(self):
+        qs = [random_special_unitary(n, seed=[n, seed]) for n in (2, 3, 4, 5)
+              for seed in range(10)]
+        qs += [validate_special_unitary(-1j * np.eye(4)), diag_su([PI] * 4)]
+        seen = set()
+        for q in qs:
+            td = theta_descriptor(q)
+            assert td.oriented == (spectral_summary(q).zeta < 0)
+            assert td.spectral.sign == (-1 if td.oriented else 1)
+            seen.add(td.oriented)
+        assert seen == {False, True}
+
     def test_base_log_norm_matches_m(self):
         for seed in range(5):
             q = random_special_unitary(5, seed=700 + seed)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sungeo import (
     AdmissibleTuple,
+    Tolerances,
     ZeroInputError,
     adjoint_spectrum,
     distance,
@@ -82,8 +83,7 @@ class TestSpectralSummary:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_zeta_always_integer_on_haar_corpus(self, n):
         for i in range(200):
-            sd = spectral_summary(random_special_unitary(n, seed=n * 1000 + i),
-                                  zeta_tol=1e-6)
+            sd = spectral_summary(random_special_unitary(n, seed=n * 1000 + i))
             assert sd.s - n // 2 <= sd.zeta <= n // 2
 
     def test_conjugation_invariance(self):
@@ -124,6 +124,12 @@ class TestAdjointSpectrum:
         back = adjoint_spectrum(adj)
         assert np.allclose(back.args, sd.args, atol=1e-12)
         assert back.zeta == sd.zeta
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_flip_negates_sign(self, n):
+        sd = spectral_summary(random_special_unitary(n, seed=n))
+        adj = adjoint_spectrum(sd)
+        assert (sd.sign, adj.sign, adjoint_spectrum(adj).sign) == (1, -1, 1)
 
     def test_matches_full_pipeline_on_adjoint_matrix(self):
         q = random_special_unitary(5, seed=91)
@@ -287,8 +293,9 @@ class TestAgainstLoopReference:
     def check(self, q, ctol):
         args, zeta, s, clusters, basis = reference_summary(q, ctol)
         # Snapping a cluster to pi moves the argument sum by up to a few
-        # ctol; the winding gate is not under test here.
-        sd = spectral_summary(q, cluster_tol=ctol, zeta_tol=0.1)
+        # ctol; the winding gate is not under test here. The cluster and
+        # reconstruction tolerances are both 10x the base: ctol.
+        sd = spectral_summary(q, Tolerances(group=ctol / 10, zeta=0.1))
         assert (sd.zeta, sd.s, sd.clusters) == (zeta, s, clusters)
         assert np.abs(sd.args - args).max() <= 8.9e-16
         assert np.array_equal(sd.basis, basis)
