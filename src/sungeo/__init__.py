@@ -51,7 +51,6 @@ from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
     UnitaryEigenDecomposition,
-    adjoint,
     as_complex_matrix,
     expm_skew,
     frobenius_inner,

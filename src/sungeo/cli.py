@@ -10,6 +10,7 @@ map of verification residuals) and exits 0 on success, 2 on invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -76,15 +77,17 @@ class MatrixFile:
 
     @classmethod
     def loads(cls, text: str) -> "MatrixFile":
+        # ValueError: bad JSON or an over-long integer; RecursionError: deep nesting.
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "n" not in doc or "matrix" not in doc:
             raise ParseError('expected an object with "n" and "matrix" keys')
         n = doc["n"]
         rows = doc["matrix"]
-        if not isinstance(n, int) or n < 1:
+        # JSON true and false load as bool, a subclass of int: not numbers here.
+        if type(n) is not int or n < 1:
             raise ParseError('"n" must be a positive integer')
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f'"matrix" must be a list of {n} rows')
@@ -94,9 +97,12 @@ class MatrixFile:
                 raise ParseError(f"row {i} must hold {n} entries")
             for j, cell in enumerate(row):
                 if (not isinstance(cell, list) or len(cell) != 2
-                        or not all(isinstance(v, (int, float)) for v in cell)):
+                        or not all(type(v) in (int, float) for v in cell)):
                     raise ParseError(f"entry ({i},{j}) must be an [re, im] pair")
-                out[i, j] = complex(cell[0], cell[1])
+                try:
+                    out[i, j] = complex(cell[0], cell[1])
+                except OverflowError as exc:
+                    raise ParseError(f"entry ({i},{j}) is out of range: {exc}") from exc
         if not np.all(np.isfinite(out)):
             raise ParseError("matrix entries must be finite")
         return cls(out)
@@ -106,7 +112,7 @@ class MatrixFile:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         return cls.loads(text)
 
@@ -125,16 +131,16 @@ class MatrixFile:
             raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _load(tol: float | None, *paths: str) -> tuple:
-    """Read and validate matrix files; returns the tolerances, scaled from
-    the first file's order unless ``tol`` is given, and the matrices."""
+def _load(tol: float | None, *paths: str) -> list[SpecialUnitary]:
+    """Read and validate matrix files at one set of tolerances, scaled from the
+    first file's order unless ``tol`` is given; the matrices carry them."""
     tols, mats = None, []
     for path in paths:
         matrix = MatrixFile.load(path).matrix
         if tols is None:
             tols = Tolerances.default(len(matrix)) if tol is None else Tolerances(tol)
-        mats.append(validate_special_unitary(matrix, tol=tols.group))
-    return (tols, *mats)
+        mats.append(validate_special_unitary(matrix, tols))
+    return mats
 
 
 def _matrix_payload(entries: np.ndarray) -> list:
@@ -151,11 +157,11 @@ def _unitary_residuals(tag: str, u: SpecialUnitary) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
-    tols, p, q = _load(tol, path_p, path_q)
-    sd, oriented = _relative(p, q, tols)
+    p, q = _load(tol, path_p, path_q)
+    sd, oriented = _relative(p, q)
     return {
         "command": "dist",
-        "inputs": {"P": path_p, "Q": path_q, "tol": tols.group},
+        "inputs": {"P": path_p, "Q": path_q, "tol": p.tols.group},
         "outputs": {
             "distance": _distance(oriented),
             "zeta": sd.zeta,
@@ -169,10 +175,10 @@ def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
 
 def cmd_log(path_p: str, path_q: str, tol: float | None,
             out: str | None = None) -> dict:
-    tols, p, q = _load(tol, path_p, path_q)
-    fam = geodesic_family(p, q, tols)
+    p, q = _load(tol, path_p, path_q)
+    fam = geodesic_family(p, q)
     x = fam.canonical.X
-    e = expm_skew(x, tol=tols.group)
+    e = expm_skew(x)
     roundtrip = float(np.linalg.norm(p.entries @ e.entries - q.entries))
     norm = fam.distance
     d = _distance(fam.theta.spectral)
@@ -180,7 +186,7 @@ def cmd_log(path_p: str, path_q: str, tol: float | None,
         MatrixFile.from_entries(x.entries).dump(out)
     return {
         "command": "log",
-        "inputs": {"P": path_p, "Q": path_q, "tol": tols.group, "out": out},
+        "inputs": {"P": path_p, "Q": path_q, "tol": p.tols.group, "out": out},
         "outputs": {
             "log": _matrix_payload(x.entries),
             "norm": norm,
@@ -198,19 +204,19 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
             tol: float | None) -> dict:
     if not t_list:
         raise ShapeError("the list of curve parameters must be nonempty")
-    tols, p, q = _load(tol, path_p, path_q)
-    fam = geodesic_family(p, q, tols=tols)
+    p, q = _load(tol, path_p, path_q)
+    fam = geodesic_family(p, q)
     points = []
     residuals = {**_unitary_residuals("P", p), **_unitary_residuals("Q", q)}
     end = None
     for t in t_list:
-        g = geodesic_eval(fam.canonical, t, tols=tols)
+        g = geodesic_eval(fam.canonical, t)
         points.append({"t": t, "matrix": _matrix_payload(g.entries)})
         residuals[f"gamma({_fmt(t)})_unitarity"] = g.unitarity_residual
         if t == 1.0:
             end = g
     if end is None:
-        end = geodesic_eval(fam.canonical, 1.0, tols=tols)
+        end = geodesic_eval(fam.canonical, 1.0)
     residuals["endpoint"] = float(np.linalg.norm(end.entries - q.entries))
     outputs = {
         "unique": fam.unique,
@@ -221,18 +227,18 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
         outputs["grassmannian"] = grassmann_label(*fam.theta.grassmannian)
     return {
         "command": "geo",
-        "inputs": {"P": path_p, "Q": path_q, "t": t_list, "tol": tols.group},
+        "inputs": {"P": path_p, "Q": path_q, "t": t_list, "tol": p.tols.group},
         "outputs": outputs,
         "residuals": residuals,
     }
 
 
 def cmd_plog(path_q: str, tol: float | None) -> dict:
-    tols, q = _load(tol, path_q)
-    status = plog_status(spectral_summary(q, tols))
+    [q] = _load(tol, path_q)
+    status = plog_status(spectral_summary(q))
     return {
         "command": "plog",
-        "inputs": {"Q": path_q, "tol": tols.group},
+        "inputs": {"Q": path_q, "tol": q.tols.group},
         "outputs": {
             "nonempty": status.nonempty,
             "zeta": status.zeta,
@@ -252,7 +258,7 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
         "residuals": {},
     }
     if point_path is not None:
-        tols, p = _load(tol, point_path)
+        [p] = _load(tol, point_path)
         if p.n != n:
             raise ShapeError(f"point has order {p.n}, expected {n}")
         rep = diametral_points(p)
@@ -260,7 +266,7 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
         report["residuals"].update(_unitary_residuals("P", p))
         for i, pt in enumerate(rep.points):
             report["residuals"][f"point{i}_distance_vs_diameter"] = \
-                abs(distance(p, pt, tols=tols) - rep.diameter)
+                abs(distance(p, pt) - rep.diameter)
     return report
 
 
@@ -284,8 +290,8 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
 
 
 def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
-    tols, q = _load(tol, path_q)
-    td = theta_descriptor(q, tols=tols)
+    [q] = _load(tol, path_q)
+    td = theta_descriptor(q)
     m = frobenius_norm(td.base_log.entries) ** 2
     outputs = {
         "zeta": td.zeta,
@@ -301,7 +307,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
         outputs["nu2"] = td.nu2
         outputs["grassmannian"] = grassmann_label(*td.grassmannian)
     residuals = _unitary_residuals("Q", q)
-    base_exp = expm_skew(td.base_log, tol=tols.group)
+    base_exp = expm_skew(td.base_log)
     residuals["base_exp_roundtrip"] = float(np.linalg.norm(base_exp.entries - q.entries))
     if samples > 0:
         if td.is_singleton:
@@ -312,7 +318,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             block = td.nu1 + td.nu2
             sampled = []
             for i in range(samples):
-                x, roundtrip = _sample(td, q, random_unitary(block, rng), tols=tols)
+                x, roundtrip = _sample(td, q, random_unitary(block, rng))
                 sampled.append(_matrix_payload(x.entries))
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
                 residuals[f"sample{i}_norm_vs_m"] = \
@@ -320,15 +326,15 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             outputs["samples"] = sampled
     return {
         "command": "theta",
-        "inputs": {"Q": path_q, "samples": samples, "seed": seed, "tol": tols.group},
+        "inputs": {"Q": path_q, "samples": samples, "seed": seed, "tol": q.tols.group},
         "outputs": outputs,
         "residuals": residuals,
     }
 
 
 def cmd_oracle(path_q: str, tol: float | None) -> dict:
-    tols, q = _load(tol, path_q)
-    sd = spectral_summary(q, tols)
+    [q] = _load(tol, path_q)
+    sd = spectral_summary(q)
     closed = m_value(sd)
     brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3)
     gap = abs(closed - brute)
@@ -340,7 +346,7 @@ def cmd_oracle(path_q: str, tol: float | None) -> dict:
         )
     return {
         "command": "oracle",
-        "inputs": {"Q": path_q, "K": 3, "tol": tols.group},
+        "inputs": {"Q": path_q, "K": 3, "tol": q.tols.group},
         "outputs": {
             "zeta": sd.zeta,
             "s": sd.s,
@@ -386,6 +392,7 @@ def finite_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sungeo",
                      description="Geometry of SU(n) with the Frobenius metric")
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("geo", cmd_geo, "evaluate the canonical geodesic at parameters t")
     p.add_argument("path_p", metavar="P"); p.add_argument("path_q", metavar="Q")
     add_tol(p)
-    p.add_argument("--t", dest="t_list", metavar="T", type=finite_list, default=[0.0, 1.0],
+    p.add_argument("--t", dest="t_list", metavar="T", type=finite_list, default=(0.0, 1.0),
                    help="comma-separated curve parameters (default 0,1)")
 
     p = command("plog", cmd_plog, "classify generalized principal logarithms")
@@ -427,13 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("random", cmd_random, "Haar-random special unitary matrix")
     p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="write the matrix file here")
 
     p = command("theta", cmd_theta, "describe and sample the set of minimal logarithms")
     p.add_argument("path_q", metavar="Q"); add_tol(p)
     p.add_argument("--samples", type=nonnegative_int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
 
     p = command("oracle", cmd_oracle, "cross-check the closed form against brute force")
     p.add_argument("path_q", metavar="Q"); add_tol(p)

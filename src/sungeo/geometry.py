@@ -12,6 +12,9 @@ single-matrix policy of ``logmin`` (flip when zeta < 0), it flips through
 ``spectral.adjoint_spectrum``, the one function that flips a spectrum; the
 flipped spectrum carries ``sign = -1``, and ``log_map`` and
 ``geodesic_family`` read the sign from it.
+
+No function here takes a tolerance: P^*Q, its spectrum, its logarithms and the
+points of a geodesic carry P's (``unitary_product`` checks points at 10x).
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from .matrixcore import (
     _readonly,
     expm_skew,
     frobenius_norm,
-    validate_special_unitary,
+    unitary_product,
 )
 from .logmin import (ThetaDescriptor, _descriptor_from_spectral, _signed, canonical_log,
                      m_value, theta_sample)
 from .spectral import SpectralData, adjoint_spectrum, spectral_summary
-from .tolerances import Tolerances
 
 __all__ = [
     "GeodesicSegment",
@@ -49,19 +51,17 @@ __all__ = [
 ]
 
 
-def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary,
-                      tols: Tolerances | None = None) -> SpectralData:
+def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary) -> SpectralData:
     """Spectral data of the relative matrix P^*Q, which is built from the
     validated factors without a re-check (``SpecialUnitary.times``)."""
-    return spectral_summary(p.adjoint().times(q), tols)
+    return spectral_summary(p.adjoint().times(q))
 
 
-def _relative(p: SpecialUnitary, q: SpecialUnitary,
-              tols: Tolerances | None) -> tuple[SpectralData, SpectralData]:
+def _relative(p: SpecialUnitary, q: SpecialUnitary) -> tuple[SpectralData, SpectralData]:
     """Spectrum of P^*Q, and that spectrum oriented by the pair policy. The
     larger of zeta and s - zeta is never negative, so the closed forms apply
     directly to the oriented spectrum."""
-    sd = relative_spectrum(p, q, tols=tols)
+    sd = relative_spectrum(p, q)
     return sd, adjoint_spectrum(sd) if sd.zeta < sd.s - sd.zeta else sd
 
 
@@ -113,22 +113,18 @@ class DiametralReport:
     points: tuple[SpecialUnitary, ...]
 
 
-def distance(p: SpecialUnitary, q: SpecialUnitary,
-             tols: Tolerances | None = None) -> float:
+def distance(p: SpecialUnitary, q: SpecialUnitary) -> float:
     """Geodesic distance induced by the Frobenius metric."""
-    return _distance(_relative(p, q, tols)[1])
+    return _distance(_relative(p, q)[1])
 
 
-def log_map(p: SpecialUnitary, q: SpecialUnitary,
-            tols: Tolerances | None = None) -> SkewHermitianTraceless:
+def log_map(p: SpecialUnitary, q: SpecialUnitary) -> SkewHermitianTraceless:
     """Canonical velocity X with P exp(X) = Q and ||X|| = d(P, Q)."""
-    tols = Tolerances.default(p.n) if tols is None else tols
-    _, sd = _relative(p, q, tols)
-    return _signed(canonical_log(sd, alg_tolerance=tols.alg), sd)
+    _, sd = _relative(p, q)
+    return _signed(canonical_log(sd), sd)
 
 
-def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
-                    tols: Tolerances | None = None) -> GeodesicFamily:
+def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     """Classify and parametrize the minimizing geodesics joining P and Q.
 
     The segment is unique iff the oriented relative spectrum has zeta = 0,
@@ -136,8 +132,7 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
     shifted boundary; otherwise the family is a complex Grassmannian
     recorded in the descriptor.
     """
-    tols = Tolerances.default(p.n) if tols is None else tols
-    td = _descriptor_from_spectral(_relative(p, q, tols)[1], alg_tolerance=tols.alg)
+    td = _descriptor_from_spectral(_relative(p, q)[1])
     x = td.base_log
     length = frobenius_norm(x.entries)
     seg = GeodesicSegment(p, x, length)
@@ -145,15 +140,9 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary,
                           theta=td, distance=length)
 
 
-def geodesic_eval(seg: GeodesicSegment, t: float,
-                  tols: Tolerances | None = None) -> SpecialUnitary:
+def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
     """Point P exp(tX) on the (complete) geodesic through the segment."""
-    n = seg.P.n
-    tols = Tolerances.default(n) if tols is None else tols
-    e = expm_skew(seg.X.scaled(t), tol=tols.group)
-    # Accumulated tolerance headroom, as for any internal product.
-    return validate_special_unitary(seg.P.entries @ e.entries,
-                                    tol=10.0 * tols.group)
+    return unitary_product(seg.P, expm_skew(seg.X.scaled(t)))
 
 
 def diameter(n: int) -> float:
@@ -170,8 +159,8 @@ def diametral_points(p: SpecialUnitary) -> DiametralReport:
 
     For even n the unique diametral partner is -P; for odd n there are
     exactly two, e^{+-(n-1) pi i / n} P. Each partner c P has |c| = 1 and
-    c^n = 1, so it keeps P's residuals, as ``SpecialUnitary.adjoint`` does,
-    and needs no check.
+    c^n = 1, so it keeps P's residuals and tolerances, as
+    ``SpecialUnitary.adjoint`` does, and needs no check.
     """
     n = p.n
     if n < 2:
@@ -181,6 +170,6 @@ def diametral_points(p: SpecialUnitary) -> DiametralReport:
     else:
         phase = (n - 1) * math.pi / n
         entries = (np.exp(1j * phase) * p.entries, np.exp(-1j * phase) * p.entries)
-    points = tuple(SpecialUnitary(_readonly(e), p.unitarity_residual, p.det_residual)
-                   for e in entries)
+    points = tuple(SpecialUnitary(_readonly(e), p.unitarity_residual, p.det_residual,
+                                  p.tols) for e in entries)
     return DiametralReport(n=n, diameter=diameter(n), points=points)

@@ -209,16 +209,15 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
     return angles
 
 
-def _log_in_basis(u: np.ndarray, angles: np.ndarray,
-                  alg_tolerance: float | None) -> SkewHermitianTraceless:
-    """U diag(i angles) U^*, symmetrized to its skew part and checked in su(n)."""
-    x = (u * (1j * angles)) @ u.conj().T
+def _log_in_basis(sd: SpectralData, u: np.ndarray) -> SkewHermitianTraceless:
+    """U diag(i angles) U^* for the canonical angles of ``sd``, symmetrized to
+    its skew part and checked in su(n) at ``sd.tols``."""
+    x = (u * (1j * _canonical_angles(sd))) @ u.conj().T
     x = (x - x.conj().T) / 2.0
-    return validate_skew_traceless(x, tol=alg_tolerance)
+    return validate_skew_traceless(x, sd.tols)
 
 
-def canonical_log(sd: SpectralData,
-                  alg_tolerance: float | None = None) -> SkewHermitianTraceless:
+def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with zeta >= 0.
 
     Keeps the first n - zeta sorted arguments, shifts the last zeta by -2 pi
@@ -229,18 +228,17 @@ def canonical_log(sd: SpectralData,
     if sd.zeta < 0:
         raise ValueError("canonical form requires a nonnegative winding; "
                          "orient through the adjoint first")
-    return _log_in_basis(sd.basis, _canonical_angles(sd), alg_tolerance)
+    return _log_in_basis(sd, sd.basis)
 
 
-def min_log(q: SpecialUnitary,
-            tols: Tolerances | None = None) -> SkewHermitianTraceless:
+def min_log(q: SpecialUnitary) -> SkewHermitianTraceless:
     """A minimal-norm su(n)-logarithm of Q.
 
     Exponentiates back to Q and has squared norm m(Q). Negative windings
     are handled by taking the canonical logarithm of Q^* and negating,
     which maps minimal logarithms of Q^* onto those of Q.
     """
-    return theta_descriptor(q, tols=tols).base_log
+    return theta_descriptor(q).base_log
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +280,9 @@ class ThetaDescriptor:
         return self.spectral.sign < 0
 
 
-def _descriptor_from_spectral(sd: SpectralData,
-                              alg_tolerance: float | None = None) -> ThetaDescriptor:
+def _descriptor_from_spectral(sd: SpectralData) -> ThetaDescriptor:
     """Descriptor from an oriented spectrum (zeta >= 0)."""
-    base = _signed(canonical_log(sd, alg_tolerance=alg_tolerance), sd)
+    base = _signed(canonical_log(sd), sd)
     n, zeta, args = sd.n, sd.zeta, sd.args
     # The set is a family when the boundary between kept and shifted
     # arguments splits a cluster; sorted, so each side's part is contiguous.
@@ -298,21 +295,17 @@ def _descriptor_from_spectral(sd: SpectralData,
                            spectral=sd)
 
 
-def theta_descriptor(q: SpecialUnitary,
-                     tols: Tolerances | None = None) -> ThetaDescriptor:
+def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
     """Describe the set of minimal logarithms of Q.
 
     The winding is oriented to be nonnegative through the adjoint; the
     family structure is unchanged by that because negation maps the
     solution set of Q^* onto that of Q.
     """
-    tols = Tolerances.default(q.n) if tols is None else tols
-    return _descriptor_from_spectral(_nonnegative(spectral_summary(q, tols)),
-                                     alg_tolerance=tols.alg)
+    return _descriptor_from_spectral(_nonnegative(spectral_summary(q)))
 
 
-def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
-                 tols: Tolerances | None = None) -> SkewHermitianTraceless:
+def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r) -> SkewHermitianTraceless:
     """Sample the Grassmannian family of minimal logarithms.
 
     Rotates the basis columns of the boundary eigenvalue's eigenblock by the
@@ -322,15 +315,14 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r,
     exponentiates to Q and has squared norm m(Q); distinct cosets of r give
     distinct logarithms, though the orbit map is not injective.
     """
-    return _sample(td, q, r, tols)[0]
+    return _sample(td, q, r)[0]
 
 
-def _sample(td: ThetaDescriptor, q: SpecialUnitary, r,
-            tols: Tolerances | None = None) -> tuple[SkewHermitianTraceless, float]:
+def _sample(td: ThetaDescriptor, q: SpecialUnitary,
+            r) -> tuple[SkewHermitianTraceless, float]:
     """``theta_sample`` and its checked round-trip residual ||exp(X) - Q||_F."""
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
-    tols = Tolerances.default(td.n) if tols is None else tols
     block = td.nu1 + td.nu2
     rm = np.asarray(r, dtype=np.complex128)
     if rm.shape != (block, block):
@@ -344,10 +336,10 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary, r,
     start = sd.n - td.zeta - td.nu1
     u = sd.basis.copy()
     u[:, start:start + block] = u[:, start:start + block] @ rm
-    out = _signed(_log_in_basis(u, _canonical_angles(sd), tols.alg), sd)
-    check = expm_skew(out, tol=tols.group)
+    out = _signed(_log_in_basis(sd, u), sd)
+    check = expm_skew(out)
     resid = ResidualExceededError.check(
-        float(np.linalg.norm(check.entries - q.entries)), tols.eig,
+        float(np.linalg.norm(check.entries - q.entries)), sd.tols.eig,
         "sampled logarithm does not exponentiate to the given matrix")
     return out, resid
 

@@ -4,6 +4,10 @@ Validated group and algebra element types, the Frobenius inner product, a
 unitary eigendecomposition built entirely from Hermitian solves, the
 skew-Hermitian matrix exponential, and Haar-distributed random sampling.
 
+Tolerances are chosen once, by the two validators. The validated value carries
+them as ``tols``, values derived from it (adjoint, product, multiple,
+exponential) inherit them, and each later check reads them off the value.
+
 All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The only randomness is the
 caller-owned generator passed to the samplers.
@@ -32,7 +36,6 @@ __all__ = [
     "SkewHermitianTraceless",
     "UnitaryEigenDecomposition",
     "as_complex_matrix",
-    "adjoint",
     "frobenius_inner",
     "frobenius_norm",
     "validate_special_unitary",
@@ -68,11 +71,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return arr
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
-
-
 def frobenius_inner(a, b) -> float:
     """Real scalar product Re(tr(A B^*)) of two square matrices."""
     am = as_complex_matrix(a)
@@ -94,12 +92,13 @@ class SpecialUnitary:
     """Validated element of SU(n).
 
     ``unitarity_residual`` is ||QQ^* - I||_F and ``det_residual`` is
-    |det(Q) - 1|, both recorded at validation time.
+    |det(Q) - 1|, both recorded when Q was validated at ``tols``.
     """
 
     entries: np.ndarray
     unitarity_residual: float
     det_residual: float
+    tols: Tolerances
 
     @property
     def n(self) -> int:
@@ -109,39 +108,37 @@ class SpecialUnitary:
         # Q^* inherits the residuals: ||Q^*Q - I||_F = ||QQ^* - I||_F
         # (same singular values) and |conj(det) - 1| = |det - 1|.
         return SpecialUnitary(_readonly(self.entries.conj().T),
-                              self.unitarity_residual, self.det_residual)
+                              self.unitarity_residual, self.det_residual, self.tols)
 
     def times(self, other: "SpecialUnitary") -> "SpecialUnitary":
         """Product with another validated element, without a re-check: each
-        residual r of AB is at most r(A) + r(B) + r(A) r(B) up to rounding, and
-        the product carries that bound as Q^* carries Q's residuals."""
+        residual r of AB is at most r(A) + r(B) + r(A) r(B) up to rounding; the
+        product carries that bound, as Q^* carries Q's residuals, and A's tols."""
         if self.n != other.n:
             raise ShapeError(f"order mismatch: {self.n} vs {other.n}")
         u, d = self.unitarity_residual, self.det_residual
         return SpecialUnitary(_readonly(self.entries @ other.entries),
                               u + other.unitarity_residual * (1.0 + u),
-                              d + other.det_residual * (1.0 + d))
+                              d + other.det_residual * (1.0 + d), self.tols)
 
 
 @dataclass(frozen=True, eq=False)
 class SkewHermitianTraceless:
-    """Element of the Lie algebra su(n): skew-Hermitian with zero trace."""
+    """Element of su(n), skew-Hermitian with zero trace, checked at ``tols``."""
 
     entries: np.ndarray
+    tols: Tolerances
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def __neg__(self) -> "SkewHermitianTraceless":
-        return SkewHermitianTraceless(_readonly(-self.entries))
+        return SkewHermitianTraceless(_readonly(-self.entries), self.tols)
 
     def scaled(self, t: float) -> "SkewHermitianTraceless":
         """Real scalar multiple; stays in the algebra."""
-        return SkewHermitianTraceless(_readonly(self.entries * float(t)))
-
-    def norm(self) -> float:
-        return frobenius_norm(self.entries)
+        return SkewHermitianTraceless(_readonly(self.entries * float(t)), self.tols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,50 +155,49 @@ class UnitaryEigenDecomposition:
         return self.basis.shape[0]
 
 
-def validate_special_unitary(a, tol: float | None = None) -> SpecialUnitary:
-    """Check unitarity and unit determinant, returning the wrapped matrix.
+def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
+    """Check unitarity and unit determinant at ``tols.group`` (by default
+    scaled from the order), returning the wrapped matrix carrying ``tols``.
 
-    Raises ``NotUnitaryError`` or ``DeterminantError`` with the offending
-    residual when the matrix is farther than ``tol`` from SU(n).
+    Raises ``NotUnitaryError`` or ``DeterminantError`` with the residual.
     """
     arr = as_complex_matrix(a)
     n = arr.shape[0]
-    tol = Tolerances.default(n).group if tol is None else float(tol)
+    tols = Tolerances.default(n) if tols is None else tols
     # Huge entries overflow the Gram product; its NaN residual is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
         gram_res = float(np.linalg.norm(arr @ arr.conj().T - np.eye(n)))
-    u_res = NotUnitaryError.check(gram_res, tol, "matrix is not unitary")
-    d_res = DeterminantError.check(float(abs(np.linalg.det(arr) - 1.0)), tol,
+    u_res = NotUnitaryError.check(gram_res, tols.group, "matrix is not unitary")
+    d_res = DeterminantError.check(float(abs(np.linalg.det(arr) - 1.0)), tols.group,
                                    "determinant is not one")
-    return SpecialUnitary(_readonly(arr), u_res, d_res)
+    return SpecialUnitary(_readonly(arr), u_res, d_res, tols)
 
 
-def validate_skew_traceless(x, tol: float | None = None) -> SkewHermitianTraceless:
-    """Check membership in su(n): X + X^* = 0 and tr(X) = 0.
+def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianTraceless:
+    """Check membership in su(n) at ``tols.alg``: X + X^* = 0 and tr(X) = 0.
 
-    A matrix passing both checks automatically has purely imaginary
-    eigenvalues up to the same tolerance.
+    A matrix passing both checks has purely imaginary eigenvalues up to the
+    same tolerance. The result carries ``tols``, by default those for its order.
     """
     arr = as_complex_matrix(x)
-    n = arr.shape[0]
-    tol = Tolerances.default(n).alg if tol is None else float(tol)
-    NotSkewHermitianError.check(float(np.linalg.norm(arr + arr.conj().T)), tol,
+    tols = Tolerances.default(arr.shape[0]) if tols is None else tols
+    NotSkewHermitianError.check(float(np.linalg.norm(arr + arr.conj().T)), tols.alg,
                                 "matrix is not skew-Hermitian")
-    TraceNotZeroError.check(float(abs(np.trace(arr))), tol, "trace is not zero")
-    return SkewHermitianTraceless(_readonly(arr))
+    TraceNotZeroError.check(float(abs(np.trace(arr))), tols.alg, "trace is not zero")
+    return SkewHermitianTraceless(_readonly(arr), tols)
 
 
-def unitary_eig(q: SpecialUnitary, tol: float | None = None) -> UnitaryEigenDecomposition:
+def unitary_eig(q: SpecialUnitary) -> UnitaryEigenDecomposition:
     """Eigendecomposition of a special unitary matrix via Hermitian solves.
 
     Diagonalizes the Hermitian part Q + Q^*, then, inside each degenerate
     eigenspace only, the projected skew part (Q - Q^*)/i; as Q is normal this
     gives a simultaneous unitary eigenbasis U. The raw eigenvalues, diag(U^* Q U),
     take one matrix product Q U and a column-wise dot; they are rescaled to modulus one.
+    The reconstruction residual is gated at ``q.tols.eig``.
     """
     a = q.entries
     n = q.n
-    tol = Tolerances.default(n).eig if tol is None else float(tol)
     try:
         w, basis = np.linalg.eigh(a + a.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -226,17 +222,17 @@ def unitary_eig(q: SpecialUnitary, tol: float | None = None) -> UnitaryEigenDeco
         raise EigenFailedError("eigenvalue collapsed away from the unit circle")
     evals = raw / mags
     recon = (basis * evals) @ basis.conj().T
-    residual = ResidualExceededError.check(float(np.linalg.norm(recon - a)), tol,
+    residual = ResidualExceededError.check(float(np.linalg.norm(recon - a)), q.tols.eig,
                                            "eigendecomposition reconstruction failed")
     return UnitaryEigenDecomposition(_readonly(evals), _readonly(basis), residual)
 
 
-def expm_skew(x: SkewHermitianTraceless, tol: float | None = None) -> SpecialUnitary:
+def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
     """Matrix exponential su(n) -> SU(n).
 
     Diagonalizes the Hermitian matrix -iX and exponentiates its (real)
     eigenvalues on the unit circle: exp(X) = V diag(e^{i theta_j}) V^*.
-    The result is revalidated as special unitary.
+    The result is revalidated as special unitary at ``x.tols``.
     """
     herm = -1j * x.entries
     herm = (herm + herm.conj().T) / 2.0
@@ -245,7 +241,7 @@ def expm_skew(x: SkewHermitianTraceless, tol: float | None = None) -> SpecialUni
     except np.linalg.LinAlgError as exc:
         raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
     e = (v * np.exp(1j * w)) @ v.conj().T
-    return validate_special_unitary(e, tol=tol)
+    return validate_special_unitary(e, x.tols)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -275,13 +271,13 @@ def random_special_unitary(n: int, seed) -> SpecialUnitary:
     return validate_special_unitary(qmat)
 
 
-def unitary_product(p: SpecialUnitary, q: SpecialUnitary,
-                    tol: float | None = None) -> SpecialUnitary:
-    """Group product P Q as a validated element.
+def unitary_product(p: SpecialUnitary, q: SpecialUnitary) -> SpecialUnitary:
+    """Group product P Q, checked at 10x the group tolerance of P.
 
-    Default tolerance is 10x the group tolerance: residuals of the factors
-    accumulate, so an exact-group-tolerance check could spuriously reject
-    products of matrices that each barely pass validation.
+    Residuals of the factors accumulate, so an exact-group-tolerance check
+    could spuriously reject products of matrices that each barely pass
+    validation. The product carries P's tolerances.
     """
-    tol = 10.0 * Tolerances.default(p.n).group if tol is None else float(tol)
-    return validate_special_unitary(p.times(q).entries, tol=tol)
+    wide = Tolerances(10.0 * p.tols.group, p.tols.zeta)
+    pq = validate_special_unitary(p.times(q).entries, wide)
+    return SpecialUnitary(pq.entries, pq.unitarity_residual, pq.det_residual, p.tols)

@@ -57,15 +57,17 @@ class SpectralData:
 
     ``args`` are the principal arguments sorted ascending in (-pi, pi],
     ``zeta`` the winding integer, ``s`` the multiplicity of -1 and ``basis``
-    the unitary eigenbasis with columns ordered like ``args``. ``sign`` is -1
-    when this is the spectrum of Q^* standing in for Q (``adjoint_spectrum``),
-    so a logarithm read off it maps back to one of Q by negation.
+    the unitary eigenbasis with columns ordered like ``args``; ``tols`` are
+    Q's. ``sign`` is -1 when this is the spectrum of Q^* standing in for Q
+    (``adjoint_spectrum``), so a logarithm read off it maps back to one of Q
+    by negation.
     """
 
     args: np.ndarray
     zeta: int
     s: int
     basis: np.ndarray
+    tols: Tolerances
     sign: int = 1
 
     @property
@@ -90,8 +92,8 @@ class SpectralData:
             raise ValueError("winding integer outside its admissible range")
 
 
-def spectral_summary(q: SpecialUnitary, tols: Tolerances | None = None) -> SpectralData:
-    """Eigendecompose Q and extract its spectral invariants.
+def spectral_summary(q: SpecialUnitary) -> SpectralData:
+    """Eigendecompose Q and extract its spectral invariants at ``q.tols``.
 
     Eigenvalues are projected onto the unit circle and clustered by
     circular distance below ``tols.cluster``; every member of a cluster is
@@ -104,10 +106,9 @@ def spectral_summary(q: SpecialUnitary, tols: Tolerances | None = None) -> Spect
     eigendecomposition reconstruction residual.
     """
     n = q.n
-    tols = Tolerances.default(n) if tols is None else tols
-    ctol = tols.cluster
+    ctol = q.tols.cluster
 
-    dec = unitary_eig(q, tol=tols.eig)
+    dec = unitary_eig(q)
     ang = _principal_args(dec.eigenvalues)
     order = np.argsort(ang, kind="stable")
     ang_sorted, vals = ang[order], dec.eigenvalues[order]
@@ -138,9 +139,10 @@ def spectral_summary(q: SpecialUnitary, tols: Tolerances | None = None) -> Spect
 
     total = float(args.sum())
     zeta = int(round(total / _TWO_PI))
-    ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), tols.zeta,
+    ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), q.tols.zeta,
                               "argument sum is not a multiple of 2pi")
-    return SpectralData(args=_readonly(args), zeta=zeta, s=s, basis=_readonly(basis))
+    return SpectralData(args=_readonly(args), zeta=zeta, s=s, basis=_readonly(basis),
+                        tols=q.tols)
 
 
 def adjoint_spectrum(sd: SpectralData) -> SpectralData:
@@ -162,7 +164,7 @@ def adjoint_spectrum(sd: SpectralData) -> SpectralData:
                         zeta=sd.s - sd.zeta,
                         s=sd.s,
                         basis=_readonly(sd.basis[:, perm]),
-                        sign=-sd.sign)
+                        tols=sd.tols, sign=-sd.sign)
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ class AdmissibleTuple:
         zeta = int(round(math.fsum(alphas) / _TWO_PI))
         return cls(alphas=alphas, zeta=zeta)
 
-    def to_special_unitary(self, tol: float | None = None) -> SpecialUnitary:
-        """Diagonal SU(n) matrix with these eigenvalue arguments."""
+    def to_special_unitary(self, tols: Tolerances | None = None) -> SpecialUnitary:
+        """Diagonal SU(n) matrix with these arguments, validated at ``tols``."""
         diag = np.exp(1j * np.array(self.alphas))
-        return validate_special_unitary(np.diag(diag), tol=tol)
+        return validate_special_unitary(np.diag(diag), tols)

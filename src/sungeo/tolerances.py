@@ -5,6 +5,10 @@ and algebra membership (skew-hermitian and traceless). The
 eigendecomposition reconstruction and the eigenvalue clustering get 10x
 headroom over it. The rounding residual of the winding integer has its own
 fixed bound.
+
+Tolerances are chosen once, when a matrix is validated, and then travel with
+it: validated matrices, the values derived from them and their spectra carry
+``tols``, and each later check reads the field it needs from the value it checks.
 """
 
 from __future__ import annotations

@@ -131,6 +131,15 @@ class TestGeo:
                        for row in report["outputs"]["points"][0]["matrix"]])
         assert np.allclose(pt, np.diag([1j, -1j]), atol=1e-9)
 
+    def test_default_parameters_survive_earlier_requests(self, capsys, files):
+        # The parser is built once per process, so its defaults are shared
+        # by every request.
+        code, report, _ = run_cli(capsys, "geo", files["I2"], files["mI2"], "--t", "0.5")
+        assert code == 0 and report["inputs"]["t"] == [0.5]
+        code, report, _ = run_cli(capsys, "geo", files["I2"], files["mI2"])
+        assert code == 0 and report["inputs"]["t"] == [0.0, 1.0]
+        assert [pt["t"] for pt in report["outputs"]["points"]] == [0.0, 1.0]
+
 
 class TestPlog:
     def test_antipodal(self, capsys, files):
@@ -352,3 +361,44 @@ def test_oracle_rejects_orders_too_large_to_enumerate(capsys, files):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "unsupported_n"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE = "1" + "0" * 400    # an integer literal beyond float range
+LONG = "1" * 5000         # more digits than Python converts to int
+
+
+@pytest.mark.parametrize("content, argv, code", [
+    ('{"n": true, "matrix": [[[1, 0]]]}', ["dist", "F", "F"], 2),
+    ('{"n": 1, "matrix": [[[%s, 0]]]}' % HUGE, ["dist", "F", "F"], 2),
+    ('{"n": 1, "matrix": [[[%s, 0]]]}' % LONG, ["plog", "F"], 2),
+    (b"\xff\xfe", ["dist", "F", "F"], 2),
+    (DEEP, ["plog", "F"], 2),
+    ('{"n": 2, "matrix": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}', ["dist", "F", "F"], 2),
+    ('{"n": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, false]]]}', ["plog", "F"], 2),
+    (None, ["random", "3", "--seed", "-1"], 4),
+    (np.diag([-1.0, -1.0]), ["theta", "F", "--samples", "2", "--seed", "-1"], 4),
+], ids=["n-true", "huge-int", "long-int", "not-utf8", "deep-nesting", "bool-entry",
+        "bool-imag", "random-negative-seed", "theta-negative-seed"])
+def test_outside_input_gets_one_line_and_its_exit_code(tmp_path, capsys, content, argv,
+                                                       code):
+    path = tmp_path / "F.json"
+    if isinstance(content, np.ndarray):
+        MatrixFile.from_entries(content).dump(str(path))
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    try:
+        got = main([str(path) if a == "F" else a for a in argv])
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    if code == 2:
+        assert json.loads(lines[0])["error"] == "parse"
+    else:
+        assert "usage error" in lines[0]

@@ -9,6 +9,7 @@ from sungeo import (
     DeterminantError,
     NotUnitaryError,
     ShapeError,
+    Tolerances,
     expm_skew,
     frobenius_inner,
     frobenius_norm,
@@ -237,7 +238,7 @@ def test_unchecked_products_stay_within_the_gate(n):
             u = random_special_unitary(n, rng).entries
             if trial % 2:
                 u = _near_the_gate(u, tol, rng)
-            mats.append(validate_special_unitary(u, tol=tol))
+            mats.append(validate_special_unitary(u, Tolerances(tol)))
             if trial % 2:
                 worst = max(mats[-1].unitarity_residual, mats[-1].det_residual)
                 assert 0.9 * tol <= worst <= tol

@@ -295,7 +295,8 @@ class TestAgainstLoopReference:
         # Snapping a cluster to pi moves the argument sum by up to a few
         # ctol; the winding gate is not under test here. The cluster and
         # reconstruction tolerances are both 10x the base: ctol.
-        sd = spectral_summary(q, Tolerances(group=ctol / 10, zeta=0.1))
+        q = validate_special_unitary(q.entries, Tolerances(group=ctol / 10, zeta=0.1))
+        sd = spectral_summary(q)
         assert (sd.zeta, sd.s, sd.clusters) == (zeta, s, clusters)
         assert np.abs(sd.args - args).max() <= 8.9e-16
         assert np.array_equal(sd.basis, basis)
