@@ -1,9 +1,11 @@
-"""Cross-check the closed-form minimal log norm against brute enumeration.
+"""Cross-check the closed-form minimal log norm against the lattice oracle.
 
 Sweeps Haar-random matrices, compares m(Q) from the two-block formula with
-the exhaustive integer-lattice minimum, and tallies the structure of the
-minimizers (spread at most 1; for nonnegative winding, exactly zeta entries
-equal to -1).
+the integer-lattice minimum that ``brute_force_m`` finds by dynamic
+programming over the box [-K, K]^n (never from the closed form), and tallies
+the structure of the minimizers it lists (spread at most 1; for nonnegative
+winding, exactly zeta entries equal to -1). Boxes of more than 1e8 tuples
+are rejected, so with K = 3 the orders stop at 9.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from sungeo import brute_force_m, m_value, random_special_unitary, spectral_summ
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5, 6, 7])
+    parser.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5, 6, 7, 8, 9])
     parser.add_argument("--per-order", type=int, default=100)
     parser.add_argument("--box", type=int, default=3, help="half-width K of the search box")
     parser.add_argument("--seed", type=int, default=0)

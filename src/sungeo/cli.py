@@ -180,8 +180,6 @@ def cmd_log(path_p: str, path_q: str, tol: float | None,
     x = fam.canonical.X
     e = expm_skew(x)
     roundtrip = float(np.linalg.norm(p.entries @ e.entries - q.entries))
-    norm = fam.distance
-    d = _distance(fam.theta.spectral)
     if out is not None:
         MatrixFile.from_entries(x.entries).dump(out)
     return {
@@ -189,13 +187,13 @@ def cmd_log(path_p: str, path_q: str, tol: float | None,
         "inputs": {"P": path_p, "Q": path_q, "tol": p.tols.group, "out": out},
         "outputs": {
             "log": _matrix_payload(x.entries),
-            "norm": norm,
-            "distance": d,
+            "norm": fam.canonical.length,
+            "distance": fam.distance,
         },
         "residuals": {
             **_unitary_residuals("P", p), **_unitary_residuals("Q", q),
             "exp_roundtrip": roundtrip,
-            "norm_vs_distance": abs(norm - d),
+            "norm_vs_distance": abs(fam.canonical.length - fam.distance),
         },
     }
 

@@ -88,6 +88,8 @@ class GeodesicFamily:
     ``canonical`` is the segment of ``theta.base_log``. When ``unique`` is
     false it is the family member that rounding picks (see ``canonical_log``)
     and the others are reached by sampling the descriptor's Grassmannian.
+    ``distance`` is ``distance(P, Q)`` bit for bit; ``canonical.length`` is
+    ||X||_F, equal to it up to rounding.
     """
 
     P: SpecialUnitary
@@ -133,11 +135,9 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     recorded in the descriptor.
     """
     td = _descriptor_from_spectral(_relative(p, q)[1])
-    x = td.base_log
-    length = frobenius_norm(x.entries)
-    seg = GeodesicSegment(p, x, length)
+    seg = GeodesicSegment(p, td.base_log, frobenius_norm(td.base_log.entries))
     return GeodesicFamily(P=p, Q=q, unique=td.is_singleton, canonical=seg,
-                          theta=td, distance=length)
+                          theta=td, distance=_distance(td.spectral))
 
 
 def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:

@@ -9,8 +9,10 @@ squared norm of a minimal logarithm is
 This module provides the closed form for m(Q) (assuming zeta >= 0), the
 canonical minimizing logarithm, the descriptor of the full solution set
 Theta(Q) together with a sampler of its Grassmannian family, the classifier
-for generalized principal logarithms, and an independent brute-force
-lattice oracle that enumerates the integer tuples directly.
+for generalized principal logarithms, and an independent lattice oracle: a
+dynamic program over positions that minimizes exactly over the box
+[-K, K]^n, lists every tuple within a relative ``tie_tol`` of the minimum
+and rejects boxes of more than 1e8 tuples.
 
 Orientation: a single matrix with a negative winding is handled through its
 adjoint (policy: flip when zeta < 0, in ``_nonnegative``). The pair policy
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     InfeasibleError,
+    NotFiniteError,
     NotUnitaryError,
     ResidualExceededError,
     ShapeError,
@@ -130,36 +132,16 @@ class LatticeProblem:
         return max(k) - min(k)
 
 
-@lru_cache(maxsize=None)
-def _feasible_tuples(n: int, k_max: int, total: int) -> np.ndarray:
-    """All integer tuples of length n with entries in [-k_max, k_max] and the
-    given sum, in lexicographic order. Cached per (n, k_max, total)."""
-    if abs(total) > k_max * n:
-        return np.empty((0, n), dtype=np.int8)
-    if n == 1:
-        return np.array([[total]], dtype=np.int8)
-    blocks = []
-    for first in range(-k_max, k_max + 1):
-        rest = _feasible_tuples(n - 1, k_max, total - first)
-        if len(rest):
-            lead = np.full((len(rest), 1), first, dtype=np.int8)
-            blocks.append(np.hstack([lead, rest]))
-    if not blocks:
-        return np.empty((0, n), dtype=np.int8)
-    out = np.vstack(blocks)
-    out.setflags(write=False)
-    return out
-
-
 def brute_force_m(args, zeta: int, K: int = 3,
                   tie_tol: float = 1e-9) -> tuple[float, list[tuple[int, ...]]]:
-    """Exhaustive minimization of psi over the integer box [-K, K]^n.
+    """Exact minimization of psi over the integer box [-K, K]^n.
 
-    Enumerates every integer tuple with entries in [-K, K] summing to
-    -zeta, evaluates psi on all of them, and returns the minimum together
-    with every minimizer (sorted lexicographically). Floating-point ties
-    within ``tie_tol`` relative to the minimum count as minimizers; exact
-    ties between permuted sums can differ by a few ulps.
+    A dynamic program over positions with the partial sum of k as state:
+    ``rest[j][t]`` is the least cost of positions j..n-1 whose k sum to t,
+    and the minimum is ``rest[0][-zeta]``. A depth-first walk lists, in
+    lexicographic order, every tuple whose psi is within ``tie_tol``
+    relative to the minimum (exact ties can differ by a few ulps). Boxes of
+    more than 1e8 tuples, (2K + 1)^n, are rejected.
 
     This path never consults the closed form, so it serves as an
     independent oracle for it.
@@ -167,7 +149,7 @@ def brute_force_m(args, zeta: int, K: int = 3,
     Parameters
     ----------
     args : sequence of float
-        Sorted argument tuple summing to 2*pi*zeta.
+        Sorted finite argument tuple summing to 2*pi*zeta.
     zeta : int
         Winding integer of the tuple.
     K : int
@@ -178,6 +160,8 @@ def brute_force_m(args, zeta: int, K: int = 3,
     n = len(arr)
     if n < 1:
         raise ShapeError("argument tuple must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise NotFiniteError("arguments must be finite")
     if np.any(np.diff(arr) < 0):
         raise ValueError("arguments must be sorted ascending")
     if K < 2:
@@ -189,12 +173,28 @@ def brute_force_m(args, zeta: int, K: int = 3,
         raise UnsupportedOrderError("search box too large to enumerate")
     if K * n < abs(zeta):
         raise InfeasibleError("no tuple in the box satisfies the sum constraint")
-    table = _feasible_tuples(n, int(K), -int(zeta))
-    shifted = arr[None, :] + _TWO_PI * table.astype(float)
-    psi = np.einsum("ij,ij->i", shifted, shifted)
-    best = float(psi.min())
+    ks = range(-int(K), int(K) + 1)
+    cost = ((arr[:, None] + _TWO_PI * np.array(ks, dtype=float)) ** 2).tolist()
+    rest = [None] * n + [{0: 0.0}]
+    for j in range(n - 1, -1, -1):
+        row = rest[j] = {}
+        for t, tail in rest[j + 1].items():
+            for k, c in zip(ks, cost[j]):
+                if c + tail < row.get(t + k, math.inf):
+                    row[t + k] = c + tail
+    best = rest[0][-int(zeta)]
     cutoff = best + tie_tol * max(1.0, best)
-    minimizers = sorted(tuple(int(v) for v in row) for row in table[psi <= cutoff])
+    minimizers = []
+
+    def walk(j: int, t: int, prefix: float, head: tuple[int, ...]) -> None:
+        if j == n:
+            minimizers.append(head)
+            return
+        for k, c in zip(ks, cost[j]):
+            if prefix + c + rest[j + 1].get(t - k, math.inf) <= cutoff:
+                walk(j + 1, t - k, prefix + c, head + (k,))
+
+    walk(0, -int(zeta), 0.0, ())
     return best, minimizers
 
 

@@ -140,6 +140,15 @@ class TestGeo:
         assert code == 0 and report["inputs"]["t"] == [0.0, 1.0]
         assert [pt["t"] for pt in report["outputs"]["points"]] == [0.0, 1.0]
 
+    def test_distance_is_the_dist_report(self, capsys, files):
+        for i in range(8):
+            n = (2, 3, 4, 5, 8)[i % 5]
+            p = write_matrix(files["tmp"], "p.json", random_special_unitary(n, seed=40 + i).entries)
+            q = write_matrix(files["tmp"], "q.json", random_special_unitary(n, seed=80 + i).entries)
+            distances = {cmd: run_cli(capsys, cmd, p, q)[1]["outputs"]["distance"]
+                         for cmd in ("dist", "geo", "log")}
+            assert len(set(distances.values())) == 1, distances
+
 
 class TestPlog:
     def test_antipodal(self, capsys, files):

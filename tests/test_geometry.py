@@ -122,6 +122,16 @@ class TestGeodesicFamily:
         assert abs(fam.canonical.length - distance(p, q)) <= 1e-9
         assert abs(frobenius_norm(fam.canonical.X.entries) - fam.canonical.length) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 32])
+    def test_family_distance_is_the_distance(self, n):
+        pairs = [(random_special_unitary(n, seed=900 + 2 * i),
+                  random_special_unitary(n, seed=901 + 2 * i)) for i in range(10)]
+        if n == 2:
+            pairs.append((I2, MI2))
+        for p, q in pairs:
+            fam = geodesic_family(p, q)
+            assert fam.distance == distance(p, q)
+
     def test_family_samples_are_minimizing(self):
         fam = geodesic_family(I2, MI2)
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from sungeo import (
     AdmissibleTuple,
     InfeasibleError,
     LatticeProblem,
+    NotFiniteError,
     ShapeError,
     SingletonThetaError,
     adjoint_spectrum,
@@ -55,6 +57,27 @@ def random_args_with_winding(n: int, zeta: int, rng) -> list[float]:
 
 def summary_of(entries):
     return spectral_summary(validate_special_unitary(entries))
+
+
+def enumerate_box(args, zeta: int, K: int, tie_tol: float = 1e-9):
+    """Reference for ``brute_force_m``: psi on every tuple of the box."""
+    tuples = [k for k in itertools.product(range(-K, K + 1), repeat=len(args))
+              if sum(k) == -zeta]
+    psi = [sum((a + TWO_PI * kj) ** 2 for a, kj in zip(args, k)) for k in tuples]
+    best = min(psi)
+    cutoff = best + tie_tol * max(1.0, best)
+    return best, [k for k, v in zip(tuples, psi) if v <= cutoff]
+
+
+def tie_heavy_spectra():
+    """-I, omega I, [pi/2] x 4, [0, 0, pi, pi] and clusters split by the
+    kept/shifted boundary, as (args, zeta)."""
+    spectra = [[PI] * 2, [PI] * 4, [PI / 2] * 4, [0.0, 0.0, PI, PI],
+               [2 * PI / 3] * 3, [-2 * PI / 3] * 3, [2 * PI / 5] * 5, [4 * PI / 5] * 5,
+               [-4 * PI / 5] * 5, [0.0, PI, PI], [0.0] + [2 * PI / 3] * 3,
+               [-PI / 2, -PI / 2, PI, PI, PI], [0.0, PI, PI, PI, PI],
+               [0.0, 0.0] + [2 * PI / 3] * 3, [0.0] * 5]
+    return [(t.alphas, t.zeta) for t in map(AdmissibleTuple.from_args, spectra)]
 
 
 class TestMValue:
@@ -106,6 +129,12 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_m((0.0, 0.0), 0, K=1)
 
+    @pytest.mark.parametrize("args", [(math.nan, math.nan), (-math.inf, math.inf),
+                                      (0.0, math.nan)])
+    def test_non_finite_arguments_are_rejected(self, args):
+        with pytest.raises(NotFiniteError):
+            brute_force_m(args, 0)
+
     def test_lattice_problem_psi_matches(self):
         prob = LatticeProblem(args=(PI, PI), zeta=1)
         assert prob.psi((-1, 0)) == pytest.approx(2 * PI**2, abs=1e-12)
@@ -114,7 +143,19 @@ class TestBruteForce:
         best, mins = brute_force_m(prob.args, prob.zeta, K=3)
         assert all(prob.psi(k) == pytest.approx(best, rel=1e-12) for k in mins)
 
-    @given(n=st.integers(2, 6), seed=st.integers(0, 10**5))
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_matches_literal_enumeration(self, K):
+        haar = [spectral_summary(random_special_unitary(n, seed=50 * n + i))
+                for n in range(1, 6) for i in range(6)]
+        spectra = [(sd.args, sd.zeta) for sd in haar] + tie_heavy_spectra()
+        assert {zeta for _, zeta in spectra} >= {-1, 0, 1, 2}
+        for args, zeta in spectra:
+            ref, ref_mins = enumerate_box(args, zeta, K)
+            best, mins = brute_force_m(args, zeta, K=K)
+            assert mins == ref_mins
+            assert best == pytest.approx(ref, rel=1e-12)
+
+    @given(n=st.integers(2, 9), seed=st.integers(0, 10**5))
     @settings(max_examples=40)
     def test_closed_form_matches_oracle(self, n, seed):
         sd = spectral_summary(random_special_unitary(n, seed=seed))
