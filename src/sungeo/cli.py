@@ -132,13 +132,14 @@ class MatrixFile:
 
 
 def _load(tol: float | None, *paths: str) -> list[SpecialUnitary]:
-    """Read and validate matrix files at one set of tolerances, scaled from the
-    first file's order unless ``tol`` is given; the matrices carry them."""
+    """Read and validate matrix files at one set of tolerances for the first
+    file's order, the default or those at base ``tol``; the matrices carry them."""
     tols, mats = None, []
     for path in paths:
         matrix = MatrixFile.load(path).matrix
         if tols is None:
-            tols = Tolerances.default(len(matrix)) if tol is None else Tolerances(tol)
+            tols = (Tolerances.default(len(matrix)) if tol is None
+                    else Tolerances.scaled(tol, len(matrix)))
         mats.append(validate_special_unitary(matrix, tols))
     return mats
 
@@ -334,7 +335,7 @@ def cmd_oracle(path_q: str, tol: float | None) -> dict:
     [q] = _load(tol, path_q)
     sd = spectral_summary(q)
     closed = m_value(sd)
-    brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3)
+    brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3, zeta_tol=sd.tols.zeta)
     gap = abs(closed - brute)
     structure_ok = all(LatticeProblem.spread(k) <= 1 for k in minimizers)
     if sd.zeta >= 0:

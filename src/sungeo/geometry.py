@@ -28,7 +28,7 @@ from .errors import UnsupportedOrderError
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
-    _readonly,
+    _frozen,
     expm_skew,
     frobenius_norm,
     unitary_product,
@@ -170,6 +170,6 @@ def diametral_points(p: SpecialUnitary) -> DiametralReport:
     else:
         phase = (n - 1) * math.pi / n
         entries = (np.exp(1j * phase) * p.entries, np.exp(-1j * phase) * p.entries)
-    points = tuple(SpecialUnitary(_readonly(e), p.unitarity_residual, p.det_residual,
+    points = tuple(SpecialUnitary(_frozen(e), p.unitarity_residual, p.det_residual,
                                   p.tols) for e in entries)
     return DiametralReport(n=n, diameter=diameter(n), points=points)

@@ -132,8 +132,8 @@ class LatticeProblem:
         return max(k) - min(k)
 
 
-def brute_force_m(args, zeta: int, K: int = 3,
-                  tie_tol: float = 1e-9) -> tuple[float, list[tuple[int, ...]]]:
+def brute_force_m(args, zeta: int, K: int = 3, tie_tol: float = 1e-9,
+                  zeta_tol: float = ZETA_TOL) -> tuple[float, list[tuple[int, ...]]]:
     """Exact minimization of psi over the integer box [-K, K]^n.
 
     A dynamic program over positions with the partial sum of k as state:
@@ -155,6 +155,9 @@ def brute_force_m(args, zeta: int, K: int = 3,
     K : int
         Half-width of the search box; must be at least 2 so the box is
         strictly larger than where minimizers can live.
+    zeta_tol : float
+        Bound on |sum(args) - 2*pi*zeta|; a spectrum passes on its own
+        ``tols.zeta``.
     """
     arr = np.asarray(args, dtype=float)
     n = len(arr)
@@ -167,7 +170,7 @@ def brute_force_m(args, zeta: int, K: int = 3,
     if K < 2:
         raise ValueError("search box half-width must be at least 2")
     resid = abs(float(arr.sum()) - _TWO_PI * zeta)
-    if resid > ZETA_TOL:
+    if resid > zeta_tol:
         raise ValueError(f"arguments do not sum to 2*pi*{zeta} (residual {resid:.3e})")
     if (2 * K + 1) ** n > 100_000_000:
         raise UnsupportedOrderError("search box too large to enumerate")

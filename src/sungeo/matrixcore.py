@@ -9,12 +9,15 @@ them as ``tols``, values derived from it (adjoint, product, multiple,
 exponential) inherit them, and each later check reads them off the value.
 
 All functions are pure and all types are immutable after construction, so
-everything here is safe to call concurrently. The only randomness is the
-caller-owned generator passed to the samplers.
+everything here is safe to call concurrently. The validators copy the
+caller's array once, at the boundary; every other array a value holds is
+built fresh for it and frozen in place (marked read-only, not copied). The
+only randomness is the caller-owned generator passed to the samplers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +58,18 @@ __all__ = [
 _HERM_GAP_TOL = 1e-11
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, order="C")
-    out.setflags(write=False)
-    return out
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only in place; nothing else may hold it."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _frobenius(arr: np.ndarray) -> float:
+    """||arr||_F by the formula of ``np.linalg.norm``, sqrt(re.re + im.im) over
+    the raveled array, so residuals are bit for bit what it reports."""
+    flat = arr.ravel()
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -66,7 +77,7 @@ def as_complex_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NotFiniteError("matrix entries must be finite")
     return arr
 
@@ -106,8 +117,9 @@ class SpecialUnitary:
 
     def adjoint(self) -> "SpecialUnitary":
         # Q^* inherits the residuals: ||Q^*Q - I||_F = ||QQ^* - I||_F
-        # (same singular values) and |conj(det) - 1| = |det - 1|.
-        return SpecialUnitary(_readonly(self.entries.conj().T),
+        # (same singular values) and |conj(det) - 1| = |det - 1|. The copy
+        # lays Q^* out row-major, as every other entries array is.
+        return SpecialUnitary(_frozen(self.entries.conj().T.copy()),
                               self.unitarity_residual, self.det_residual, self.tols)
 
     def times(self, other: "SpecialUnitary") -> "SpecialUnitary":
@@ -117,7 +129,7 @@ class SpecialUnitary:
         if self.n != other.n:
             raise ShapeError(f"order mismatch: {self.n} vs {other.n}")
         u, d = self.unitarity_residual, self.det_residual
-        return SpecialUnitary(_readonly(self.entries @ other.entries),
+        return SpecialUnitary(_frozen(self.entries @ other.entries),
                               u + other.unitarity_residual * (1.0 + u),
                               d + other.det_residual * (1.0 + d), self.tols)
 
@@ -134,11 +146,11 @@ class SkewHermitianTraceless:
         return self.entries.shape[0]
 
     def __neg__(self) -> "SkewHermitianTraceless":
-        return SkewHermitianTraceless(_readonly(-self.entries), self.tols)
+        return SkewHermitianTraceless(_frozen(-self.entries), self.tols)
 
     def scaled(self, t: float) -> "SkewHermitianTraceless":
         """Real scalar multiple; stays in the algebra."""
-        return SkewHermitianTraceless(_readonly(self.entries * float(t)), self.tols)
+        return SkewHermitianTraceless(_frozen(self.entries * float(t)), self.tols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +178,14 @@ def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitar
     tols = Tolerances.default(n) if tols is None else tols
     # Huge entries overflow the Gram product; its NaN residual is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram_res = float(np.linalg.norm(arr @ arr.conj().T - np.eye(n)))
+        gram = (arr @ arr.conj().T).ravel()
+        diagonal = gram[::n + 1]
+        diagonal -= 1.0
+        gram_res = _frobenius(gram)
     u_res = NotUnitaryError.check(gram_res, tols.group, "matrix is not unitary")
     d_res = DeterminantError.check(float(abs(np.linalg.det(arr) - 1.0)), tols.group,
                                    "determinant is not one")
-    return SpecialUnitary(_readonly(arr), u_res, d_res, tols)
+    return SpecialUnitary(_frozen(arr.copy()), u_res, d_res, tols)
 
 
 def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianTraceless:
@@ -181,10 +196,10 @@ def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianT
     """
     arr = as_complex_matrix(x)
     tols = Tolerances.default(arr.shape[0]) if tols is None else tols
-    NotSkewHermitianError.check(float(np.linalg.norm(arr + arr.conj().T)), tols.alg,
+    NotSkewHermitianError.check(_frobenius(arr + arr.conj().T), tols.alg,
                                 "matrix is not skew-Hermitian")
-    TraceNotZeroError.check(float(abs(np.trace(arr))), tols.alg, "trace is not zero")
-    return SkewHermitianTraceless(_readonly(arr), tols)
+    TraceNotZeroError.check(float(abs(arr.trace())), tols.alg, "trace is not zero")
+    return SkewHermitianTraceless(_frozen(arr.copy()), tols)
 
 
 def unitary_eig(q: SpecialUnitary) -> UnitaryEigenDecomposition:
@@ -202,29 +217,32 @@ def unitary_eig(q: SpecialUnitary) -> UnitaryEigenDecomposition:
         w, basis = np.linalg.eigh(a + a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
-    # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
-    near = np.zeros(n + 1, dtype=bool)
-    np.less_equal(np.diff(w), _HERM_GAP_TOL * max(n, 2), out=near[1:n])
-    edges = np.flatnonzero(near[1:] != near[:-1])
-    skew = (a - a.conj().T) / 1j if edges.size else None
-    for lo, hi in zip(edges[::2], edges[1::2] + 1):
-        cols = basis[:, lo:hi]
-        proj = cols.conj().T @ skew @ cols
-        proj = (proj + proj.conj().T) / 2.0
-        try:
-            _, rot = np.linalg.eigh(proj)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
-        basis[:, lo:hi] = cols @ rot
+    close = w[1:] - w[:-1] <= _HERM_GAP_TOL * max(n, 2)
+    if close.any():
+        # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
+        near = np.zeros(n + 1, dtype=bool)
+        near[1:n] = close
+        edges = np.flatnonzero(near[1:] != near[:-1])
+        skew = (a - a.conj().T) / 1j
+        for lo, hi in zip(edges[::2], edges[1::2] + 1):
+            cols = basis[:, lo:hi]
+            proj = cols.conj().T @ skew @ cols
+            proj = (proj + proj.conj().T) / 2.0
+            try:
+                _, rot = np.linalg.eigh(proj)
+            except np.linalg.LinAlgError as exc:
+                raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
+            basis[:, lo:hi] = cols @ rot
     raw = np.einsum("ji,ji->i", basis.conj(), a @ basis)
     mags = np.abs(raw)
-    if np.any(mags < 0.5):
+    if (mags < 0.5).any():
         raise EigenFailedError("eigenvalue collapsed away from the unit circle")
     evals = raw / mags
     recon = (basis * evals) @ basis.conj().T
-    residual = ResidualExceededError.check(float(np.linalg.norm(recon - a)), q.tols.eig,
+    recon -= a
+    residual = ResidualExceededError.check(_frobenius(recon), q.tols.eig,
                                            "eigendecomposition reconstruction failed")
-    return UnitaryEigenDecomposition(_readonly(evals), _readonly(basis), residual)
+    return UnitaryEigenDecomposition(_frozen(evals), _frozen(basis), residual)
 
 
 def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ZeroInputError, ZetaNotIntegerError
-from .matrixcore import SpecialUnitary, _readonly, unitary_eig, validate_special_unitary
+from .matrixcore import SpecialUnitary, _frozen, unitary_eig, validate_special_unitary
 from .tolerances import Tolerances
 
 __all__ = [
@@ -40,7 +40,7 @@ def principal_arg(z: complex) -> float:
 
 
 def _principal_args(values: np.ndarray) -> np.ndarray:
-    ang = np.angle(values)
+    ang = np.arctan2(values.imag, values.real)
     ang[ang == -np.pi] = np.pi
     return ang
 
@@ -83,7 +83,7 @@ class SpectralData:
         n = len(self.args)
         if self.basis.shape != (n, n):
             raise ShapeError("basis order does not match argument count")
-        if n > 1 and np.any(np.diff(self.args) < 0):
+        if (self.args[1:] < self.args[:-1]).any():
             raise ValueError("arguments must be sorted ascending")
         if not (-math.pi < self.args[0] and self.args[-1] <= math.pi):
             raise ValueError("arguments must lie in (-pi, pi]")
@@ -110,30 +110,38 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
 
     dec = unitary_eig(q)
     ang = _principal_args(dec.eigenvalues)
-    order = np.argsort(ang, kind="stable")
-    ang_sorted, vals = ang[order], dec.eigenvalues[order]
+    order = ang.argsort(kind="stable")
+    ang_sorted = ang[order]
 
-    labels = np.zeros(n, dtype=int)
-    labels[1:] = np.cumsum(np.diff(ang_sorted) > ctol)
+    splits = ang_sorted[1:] - ang_sorted[:-1] > ctol
     # Merge across the branch cut: -pi + eps and pi - eps are the same
-    # eigenvalue cluster on the circle. Labels stay 0..k with none missing.
-    if labels[-1] > 0 and (ang_sorted[0] + _TWO_PI - ang_sorted[-1]) < ctol:
-        labels[labels == labels[-1]] = 0
+    # eigenvalue cluster on the circle.
+    wraps = ang_sorted[0] + _TWO_PI - ang_sorted[-1] < ctol
+    if not wraps and splits.all():
+        # All singletons: each centre is the eigenvalue's own argument, taken
+        # as that of vals + 0.0, so an imaginary part of -0.0 gives +0.0, as
+        # the cluster sum below does.
+        snapped = ang_sorted + 0.0
+    else:
+        labels = np.zeros(n, dtype=int)
+        labels[1:] = np.cumsum(splits)
+        # Labels stay 0..k with none missing.
+        if labels[-1] > 0 and wraps:
+            labels[labels == labels[-1]] = 0
+        # Each cluster takes the phase of its circular mean (that of its sum)
+        # or, on antipodal cancellation, unreachable at sane tolerances, its
+        # lowest argument: that of its first member in index order.
+        vals = dec.eigenvalues[order]
+        sums = np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)
+        lowest = np.full(len(sums), np.inf)
+        np.minimum.at(lowest, labels, ang_sorted)
+        cancelled = np.abs(sums) < 1e-9 * np.bincount(labels)
+        snapped = np.where(cancelled, lowest, _principal_args(sums))[labels]
+    snapped[math.pi - np.abs(snapped) < ctol] = math.pi
 
-    # Each cluster takes the phase of its circular mean (that of its sum) or,
-    # on antipodal cancellation, unreachable at sane tolerances, its lowest
-    # argument: that of its first member in index order.
-    sums = np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)
-    lowest = np.full(len(sums), np.inf)
-    np.minimum.at(lowest, labels, ang_sorted)
-    cancelled = np.abs(sums) < 1e-9 * np.bincount(labels)
-    centre = np.where(cancelled, lowest, _principal_args(sums))
-    centre[math.pi - np.abs(centre) < ctol] = math.pi
-    snapped = centre[labels]
-
-    final = np.argsort(snapped, kind="stable")
+    final = snapped.argsort(kind="stable")
     args = snapped[final]
-    basis = dec.basis[:, order[final]]
+    basis = dec.basis.take(order[final], axis=1)
 
     s = int(np.count_nonzero(args == math.pi))
 
@@ -141,7 +149,7 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
     zeta = int(round(total / _TWO_PI))
     ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), q.tols.zeta,
                               "argument sum is not a multiple of 2pi")
-    return SpectralData(args=_readonly(args), zeta=zeta, s=s, basis=_readonly(basis),
+    return SpectralData(args=_frozen(args), zeta=zeta, s=s, basis=_frozen(basis),
                         tols=q.tols)
 
 
@@ -154,16 +162,15 @@ def adjoint_spectrum(sd: SpectralData) -> SpectralData:
     Q^* share eigenspaces. This is the one function that flips a spectrum,
     and it negates ``sign``: flipping twice gives back Q's orientation.
     """
-    args = sd.args
-    pi_mask = args == math.pi
-    nonpi_idx = np.nonzero(~pi_mask)[0][::-1]
-    pi_idx = np.nonzero(pi_mask)[0]
-    perm = np.concatenate([nonpi_idx, pi_idx])
-    new_args = np.concatenate([-args[nonpi_idx], args[pi_idx]])
-    return SpectralData(args=_readonly(new_args),
+    k = sd.n - sd.s
+    perm = np.arange(sd.n)
+    perm[:k] = perm[:k][::-1]
+    args = sd.args[perm]
+    np.negative(args[:k], out=args[:k])
+    return SpectralData(args=_frozen(args),
                         zeta=sd.s - sd.zeta,
                         s=sd.s,
-                        basis=_readonly(sd.basis[:, perm]),
+                        basis=_frozen(sd.basis.take(perm, axis=1)),
                         tols=sd.tols, sign=-sd.sign)
 
 

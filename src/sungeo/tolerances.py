@@ -4,7 +4,7 @@ The base ``1e-8 * n`` bounds group membership (unitarity and determinant)
 and algebra membership (skew-hermitian and traceless). The
 eigendecomposition reconstruction and the eigenvalue clustering get 10x
 headroom over it. The rounding residual of the winding integer has its own
-fixed bound.
+bound, fixed at the default base and scaled with a base chosen by the caller.
 
 Tolerances are chosen once, when a matrix is validated, and then travel with
 it: validated matrices, the values derived from them and their spectra carry
@@ -30,6 +30,15 @@ class Tolerances:
     @classmethod
     def default(cls, n: int) -> "Tolerances":
         return cls(group=BASE_TOL_COEFF * n)
+
+    @classmethod
+    def scaled(cls, group: float, n: int) -> "Tolerances":
+        """Tolerances for order n at a chosen base. The winding tolerance
+        scales by the base's factor over the default, never below ``ZETA_TOL``
+        and at most 0.1, far below the pi at which rounding becomes ambiguous:
+        input noise moves the argument sum as it moves the residuals."""
+        factor = group / cls.default(n).group
+        return cls(group=group, zeta=min(0.1, max(ZETA_TOL, ZETA_TOL * factor)))
 
     @property
     def alg(self) -> float:

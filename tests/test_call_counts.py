@@ -3,7 +3,8 @@
 Each request should decompose each matrix once and validate only what a
 caller or a file supplies, plus the checks that guard exponentials and the
 points a geodesic returns. The counts are taken by wrapping the public
-names in every ``sungeo`` module namespace, the way a tracer sees them.
+names in every ``sungeo`` module namespace, the way a tracer sees them, and
+the LAPACK-backed ``numpy.linalg`` solves the library calls.
 """
 
 import sys
@@ -19,6 +20,7 @@ from sungeo import (
     geodesic_family,
     log_map,
     random_special_unitary,
+    validate_special_unitary,
 )
 from sungeo.cli import MatrixFile, main
 
@@ -88,3 +90,31 @@ def test_library_call_counts(call, target, pair, counts):
     counts.clear()
     call(*pair)
     assert tuple(counts[name] for name in COUNTED) == target
+
+
+LAPACK = ("eigh", "det")
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    tally = Counter()
+    for name in LAPACK:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            tally[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return tally
+
+
+# (eigh, det) per request: trimming Python work must not add or drop a solve.
+@pytest.mark.parametrize("call, target", [
+    (lambda p, q: distance(p, q), (1, 0)),
+    (lambda p, q: log_map(p, q), (1, 0)),
+    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (2, 2)),
+    (lambda p, q: validate_special_unitary(p.entries), (0, 1)),
+], ids=["distance", "log_map", "geodesic_eval", "validate_special_unitary"])
+def test_library_lapack_counts(call, target, pair, lapack):
+    lapack.clear()
+    call(*pair)
+    assert tuple(lapack[name] for name in LAPACK) == target

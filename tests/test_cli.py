@@ -298,6 +298,22 @@ class TestContract:
         assert main(["plog", path]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["dist", "log", "plog", "oracle"])
+    def test_loose_tol_scales_the_winding_tolerance(self, capsys, files, command):
+        # Noise of 1e-5 moves the argument sum of P^*Q by about 1e-5, past the
+        # default winding tolerance 1e-6; --tol 1e-3 admits the noisy file, so
+        # every later stage must accept it too.
+        rng = np.random.default_rng(14)
+        for i in range(4):
+            q = random_special_unitary(3, seed=[14, i]).entries.copy()
+            q += 1e-5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            path = write_matrix(files["tmp"], f"noisy{i}.json", q)
+            operands = [path] if command in ("plog", "oracle") else [files["I3"], path]
+            assert main([command, *operands]) == 2
+            code, report, err = run_cli(capsys, command, *operands, "--tol", "1e-3")
+            assert code == 0, err
+            assert report["inputs"]["tol"] == 1e-3
+
     def test_flag_overrides_env(self, capsys, files, monkeypatch):
         monkeypatch.setenv("SUNGEO_TOL", "1e-30")
         code, report, _ = run_cli(capsys, "dist", files["I2"], files["I2"],

@@ -266,3 +266,38 @@ def test_tolerances_scale_from_one_base():
         assert abs(tols.eig - 1e-7 * n) <= 2 * math.ulp(1e-7 * n)
     custom = Tolerances(3e-7)
     assert (custom.alg, custom.eig, custom.cluster) == (3e-7, 3e-6, 3e-6)
+
+
+class TestFreshArraysAreFrozen:
+    """The validators copy the caller's array once, at the boundary; every
+    array on a value built here is read-only, so no later copy is needed."""
+
+    @pytest.mark.parametrize("validate, make", [
+        (validate_special_unitary, lambda: random_special_unitary(4, seed=3).entries.copy()),
+        (validate_skew_traceless, lambda: random_skew_traceless(4, seed=3)),
+    ], ids=["special_unitary", "skew_traceless"])
+    def test_validators_copy_the_callers_array(self, validate, make):
+        a = make()
+        before = a.copy()
+        value = validate(a)
+        assert a.flags.writeable and not value.entries.flags.writeable
+        assert not np.shares_memory(value.entries, a)
+        a[0, 0] += 1.0
+        assert np.array_equal(value.entries, before)
+
+    def test_derived_values_are_read_only(self):
+        p = random_special_unitary(4, seed=1)
+        q = random_special_unitary(4, seed=2)
+        x = validate_skew_traceless(random_skew_traceless(4, seed=4))
+        dec = unitary_eig(p.adjoint().times(q))
+        arrays = {
+            "adjoint": p.adjoint().entries,
+            "times": p.times(q).entries,
+            "scaled": x.scaled(0.5).entries,
+            "negated": (-x).entries,
+            "eigenvalues": dec.eigenvalues,
+            "eigenbasis": dec.basis,
+            "expm_skew": expm_skew(x).entries,
+            "unitary_product": unitary_product(p, q).entries,
+        }
+        assert [k for k, arr in arrays.items() if arr.flags.writeable] == []

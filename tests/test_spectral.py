@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from sungeo import (
     AdmissibleTuple,
     Tolerances,
+    UnitaryEigenDecomposition,
     ZeroInputError,
     adjoint_spectrum,
     distance,
+    geodesic_family,
+    log_map,
     principal_arg,
     random_special_unitary,
     random_unitary,
@@ -137,6 +140,22 @@ class TestAdjointSpectrum:
         direct = spectral_summary(q.adjoint())
         assert np.allclose(adj.args, direct.args, atol=1e-10)
         assert adj.zeta == direct.zeta and adj.s == direct.s
+
+
+@pytest.mark.parametrize("args", [[0.3, -0.3, 1.1, -1.1], [PI, PI, 0.4, -0.4]],
+                         ids=["generic", "minus_one_pair"])
+def test_spectral_values_are_read_only(args):
+    p = random_special_unitary(4, seed=8)
+    q = validate_special_unitary(p.entries @ with_spectrum(args, seed=9).entries)
+    sd = spectral_summary(p.adjoint().times(q))
+    adj = adjoint_spectrum(sd)
+    arrays = {
+        "args": sd.args, "basis": sd.basis,
+        "adjoint args": adj.args, "adjoint basis": adj.basis,
+        "log_map": log_map(p, q).entries,
+        "canonical velocity": geodesic_family(p, q).canonical.X.entries,
+    }
+    assert [k for k, arr in arrays.items() if arr.flags.writeable] == []
 
 
 class TestAdmissibleTuple:
@@ -288,6 +307,11 @@ class TestAgainstLoopReference:
         "all equal": [2 * PI / 3] * 3,
         "all equal at -1": [PI] * 4,
         "all singleton": det_one([-2.5, -1.0, 0.1, 1.2, 2.9]),
+        # Singletons on either side of -1, each within ctol of it but not of
+        # each other: both snap to pi, which moves the first one last.
+        "singletons snapped across the cut": det_one([PI - 0.6 * C, -PI + 0.6 * C,
+                                                      1.0, -2.5]),
+        "singletons and one pair": det_one([0.3, 0.3 + 0.4 * C, -1.5, 2.0]),
     }
 
     def check(self, q, ctol):
@@ -305,6 +329,31 @@ class TestAgainstLoopReference:
     def test_crafted(self, name):
         for seed in range(3):
             self.check(with_spectrum(self.CRAFTED[name], seed=seed), self.C)
+
+    def test_exact_one_with_negative_zero_imaginary_part(self, monkeypatch):
+        # A real rotation has the eigenvalue exactly 1; its imaginary part is
+        # set to -0.0 as a solve could round it. A singleton's argument is
+        # then +0.0, the phase of its cluster sum 0.0 + z.
+        solve = unitary_eig
+
+        def signed_zero(q):
+            dec = solve(q)
+            vals = dec.eigenvalues.copy()
+            vals[vals == 1] = complex(1.0, -0.0)
+            return UnitaryEigenDecomposition(vals, dec.basis, dec.residual)
+
+        monkeypatch.setattr("sungeo.spectral.unitary_eig", signed_zero)
+        monkeypatch.setitem(globals(), "unitary_eig", signed_zero)
+        c, s = math.cos(1.0), math.sin(1.0)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        o = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        q = validate_special_unitary(o @ rot @ o.T)
+        dec = signed_zero(q)
+        assert np.count_nonzero((dec.eigenvalues == 1) & np.signbit(dec.eigenvalues.imag)) == 1
+        self.check(q, self.C)
+        sd = spectral_summary(q)
+        assert np.count_nonzero(sd.args == 0.0) == 1
+        assert not np.signbit(sd.args[sd.args == 0.0]).any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 32])
     def test_haar(self, n):

@@ -152,3 +152,14 @@ def test_only_the_boundary_takes_a_tolerance():
     takers = {name for name, fn in _exported_callables()
               if KNOBS & set(inspect.signature(fn).parameters)}
     assert takers == BOUNDARY
+
+
+def test_scaled_tolerances_scale_the_winding_tolerance_too():
+    for n in (1, 3, 8, 256):
+        default = Tolerances.default(n)
+        assert Tolerances.scaled(default.group, n) == default
+        assert Tolerances.scaled(default.group / 100, n) == Tolerances(default.group / 100)
+        loose = Tolerances.scaled(100 * default.group, n)
+        assert loose.group == 100 * default.group
+        assert loose.zeta == pytest.approx(100 * default.zeta, rel=1e-15)
+        assert Tolerances.scaled(1.0, n).zeta == 0.1
