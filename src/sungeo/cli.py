@@ -317,7 +317,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             block = td.nu1 + td.nu2
             sampled = []
             for i in range(samples):
-                x, roundtrip = _sample(td, q, random_unitary(block, rng))
+                x, roundtrip, _ = _sample(td, q, random_unitary(block, rng))
                 sampled.append(_matrix_payload(x.entries))
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
                 residuals[f"sample{i}_norm_vs_m"] = \

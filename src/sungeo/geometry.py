@@ -24,17 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedOrderError
+from .errors import NotFiniteError, UnsupportedOrderError
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
+    _exp_in_basis,
     _frozen,
-    expm_skew,
     frobenius_norm,
     unitary_product,
 )
-from .logmin import (ThetaDescriptor, _descriptor_from_spectral, _signed, canonical_log,
-                     m_value, theta_sample)
+from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral, _sample,
+                     _signed, canonical_log, m_value)
 from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 
 __all__ = [
@@ -71,14 +71,30 @@ def _distance(oriented: SpectralData) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSegment:
-    """Geodesic t -> P exp(tX); at t = 1 it reaches P exp(X)."""
+    """Geodesic t -> P exp(tX); at t = 1 it reaches P exp(X).
+
+    The segment carries the spectral form X was built from,
+    X = U diag(i angles) U^* with U = ``basis`` and real ``angles`` (the
+    kept/shifted arguments of the oriented relative spectrum, times its
+    sign), so a point on it is one product in that basis and no eigensolve.
+    """
 
     P: SpecialUnitary
     X: SkewHermitianTraceless
     length: float
+    basis: np.ndarray
+    angles: np.ndarray
 
     def at(self, t: float) -> SpecialUnitary:
         return geodesic_eval(self, t)
+
+
+def _segment(p: SpecialUnitary, x: SkewHermitianTraceless, sd: SpectralData,
+             basis: np.ndarray) -> GeodesicSegment:
+    """Segment from P with velocity X, built in ``basis`` from the oriented
+    spectrum ``sd`` (``canonical_log`` or a sample of the family)."""
+    return GeodesicSegment(p, x, frobenius_norm(x.entries), basis,
+                           _frozen(sd.sign * _canonical_angles(sd)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +118,8 @@ class GeodesicFamily:
     def sample(self, r) -> GeodesicSegment:
         """Minimizing segment with velocity drawn from the family; ``r`` is
         a unitary of order nu1 + nu2."""
-        x = theta_sample(self.theta, self.P.adjoint().times(self.Q), r)
-        return GeodesicSegment(self.P, x, frobenius_norm(x.entries))
+        x, _, basis = _sample(self.theta, self.P.adjoint().times(self.Q), r)
+        return _segment(self.P, x, self.theta.spectral, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +151,23 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     recorded in the descriptor.
     """
     td = _descriptor_from_spectral(_relative(p, q)[1])
-    seg = GeodesicSegment(p, td.base_log, frobenius_norm(td.base_log.entries))
+    seg = _segment(p, td.base_log, td.spectral, td.spectral.basis)
     return GeodesicFamily(P=p, Q=q, unique=td.is_singleton, canonical=seg,
                           theta=td, distance=_distance(td.spectral))
 
 
 def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
-    """Point P exp(tX) on the (complete) geodesic through the segment."""
-    return unitary_product(seg.P, expm_skew(seg.X.scaled(t)))
+    """Point P exp(tX) on the (complete) geodesic through the segment.
+
+    exp(tX) = U diag(e^{i t angles}) U^* is one product in the segment's
+    basis, validated at X's tolerances as ``expm_skew`` validates its
+    result; ``unitary_product`` checks the point at 10x. A non-finite ``t``
+    raises ``NotFiniteError``.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise NotFiniteError("curve parameter must be finite")
+    return unitary_product(seg.P, _exp_in_basis(seg.basis, t * seg.angles, seg.X.tols))
 
 
 def diameter(n: int) -> float:

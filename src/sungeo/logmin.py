@@ -40,6 +40,7 @@ from .errors import (
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
+    _frozen,
     expm_skew,
     validate_skew_traceless,
 )
@@ -322,8 +323,9 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r) -> SkewHermitianTrac
 
 
 def _sample(td: ThetaDescriptor, q: SpecialUnitary,
-            r) -> tuple[SkewHermitianTraceless, float]:
-    """``theta_sample`` and its checked round-trip residual ||exp(X) - Q||_F."""
+            r) -> tuple[SkewHermitianTraceless, float, np.ndarray]:
+    """``theta_sample``, its checked round-trip residual ||exp(X) - Q||_F and
+    the rotated eigenbasis X was built in."""
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
     block = td.nu1 + td.nu2
@@ -344,7 +346,7 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary,
     resid = ResidualExceededError.check(
         float(np.linalg.norm(check.entries - q.entries)), sd.tols.eig,
         "sampled logarithm does not exponentiate to the given matrix")
-    return out, resid
+    return out, resid, _frozen(u)
 
 
 # ---------------------------------------------------------------------------

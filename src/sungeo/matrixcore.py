@@ -245,12 +245,20 @@ def unitary_eig(q: SpecialUnitary) -> UnitaryEigenDecomposition:
     return UnitaryEigenDecomposition(_frozen(evals), _frozen(basis), residual)
 
 
+def _exp_in_basis(v: np.ndarray, w: np.ndarray, tols: Tolerances) -> SpecialUnitary:
+    """V diag(e^{i w}) V^* for a unitary V and real w, validated as special
+    unitary at ``tols``: the exponential of V diag(i w) V^*."""
+    return validate_special_unitary((v * np.exp(1j * w)) @ v.conj().T, tols)
+
+
 def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
     """Matrix exponential su(n) -> SU(n).
 
     Diagonalizes the Hermitian matrix -iX and exponentiates its (real)
     eigenvalues on the unit circle: exp(X) = V diag(e^{i theta_j}) V^*.
-    The result is revalidated as special unitary at ``x.tols``.
+    The result is revalidated as special unitary at ``x.tols``. A caller
+    that already holds V and theta (a geodesic segment does) skips the
+    solve and forms the same product, checked the same way.
     """
     herm = -1j * x.entries
     herm = (herm + herm.conj().T) / 2.0
@@ -258,8 +266,7 @@ def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
         w, v = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
         raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
-    e = (v * np.exp(1j * w)) @ v.conj().T
-    return validate_special_unitary(e, x.tols)
+    return _exp_in_basis(v, w, x.tols)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Each request should decompose each matrix once and validate only what a
 caller or a file supplies, plus the checks that guard exponentials and the
-points a geodesic returns. The counts are taken by wrapping the public
-names in every ``sungeo`` module namespace, the way a tracer sees them, and
-the LAPACK-backed ``numpy.linalg`` solves the library calls.
+points a geodesic returns. A geodesic point is formed in the eigenbasis its
+segment was built from, so it costs two checks and no ``expm_skew`` or
+eigensolve; ``expm_skew`` runs only for the independent round-trip checks
+of ``log``, ``theta`` and sampling. The counts are taken by wrapping the
+public names in every ``sungeo`` module namespace, the way a tracer sees
+them, and the LAPACK-backed ``numpy.linalg`` solves the library calls.
 """
 
 import sys
@@ -20,6 +23,7 @@ from sungeo import (
     geodesic_family,
     log_map,
     random_special_unitary,
+    random_unitary,
     validate_special_unitary,
 )
 from sungeo.cli import MatrixFile, main
@@ -65,7 +69,7 @@ def files(tmp_path, pair):
 CLI_TARGETS = {
     "dist P Q": (["dist", "P", "Q"], (1, 2, 0)),
     "log P Q": (["log", "P", "Q"], (1, 3, 1)),
-    "geo P Q": (["geo", "P", "Q", "--t", "0,0.5,1"], (1, 8, 3)),
+    "geo P Q": (["geo", "P", "Q", "--t", "0,0.5,1"], (1, 8, 0)),
     "theta R": (["theta", "R", "--samples", "8"], (1, 10, 9)),
     "diam 4 P": (["diam", "4", "--point", "P"], (1, 1, 0)),
 }
@@ -84,12 +88,23 @@ def test_cli_request_counts(case, files, counts, capsys):
 @pytest.mark.parametrize("call, target", [
     (lambda p, q: distance(p, q), (1, 0, 0)),
     (lambda p, q: log_map(p, q), (1, 0, 0)),
-    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (1, 2, 1)),
+    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (1, 2, 0)),
 ], ids=["distance", "log_map", "geodesic_eval"])
 def test_library_call_counts(call, target, pair, counts):
     counts.clear()
     call(*pair)
     assert tuple(counts[name] for name in COUNTED) == target
+
+
+def test_sampled_segment_counts(counts):
+    # I -> -I in SU(2) is a family; the one expm_skew is the sample's
+    # round-trip check, and the point itself costs two checks.
+    fam = geodesic_family(validate_special_unitary(np.eye(2)),
+                          validate_special_unitary(-np.eye(2)))
+    r = random_unitary(2, seed=5)
+    counts.clear()
+    fam.sample(r).at(0.5)
+    assert tuple(counts[name] for name in COUNTED) == (0, 3, 1)
 
 
 LAPACK = ("eigh", "det")
@@ -111,10 +126,19 @@ def lapack(monkeypatch):
 @pytest.mark.parametrize("call, target", [
     (lambda p, q: distance(p, q), (1, 0)),
     (lambda p, q: log_map(p, q), (1, 0)),
-    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (2, 2)),
+    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (1, 2)),
     (lambda p, q: validate_special_unitary(p.entries), (0, 1)),
 ], ids=["distance", "log_map", "geodesic_eval", "validate_special_unitary"])
 def test_library_lapack_counts(call, target, pair, lapack):
     lapack.clear()
     call(*pair)
     assert tuple(lapack[name] for name in LAPACK) == target
+
+
+def test_cli_geo_eigh_count(files, lapack, capsys):
+    # One solve for the relative spectrum; the three points need none.
+    argv = ["geo", files["P"], files["Q"], "--t", "0,0.5,1"]
+    lapack.clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert lapack["eigh"] == 1

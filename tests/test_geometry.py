@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sungeo import (
+    NotFiniteError,
     ShapeError,
     UnsupportedOrderError,
     brute_force_m,
@@ -218,6 +219,50 @@ class TestGeodesicEval:
         fam = geodesic_family(I2, MI2)
         g = geodesic_eval(fam.canonical, 2.0)
         assert np.allclose(g.entries, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_rejected(self, t):
+        fam = geodesic_family(I2, MI2)
+        for seg in (fam.canonical, fam.sample(random_unitary(2, seed=6))):
+            with pytest.raises(NotFiniteError):
+                geodesic_eval(seg, t)
+
+    TS = (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0)
+
+    def assert_agrees_with_expm_skew(self, seg, q):
+        n = seg.P.n
+        for t in self.TS:
+            reference = seg.P.entries @ expm_skew(seg.X.scaled(t)).entries
+            assert np.linalg.norm(geodesic_eval(seg, t).entries - reference) <= 1e-13 * n
+        assert np.linalg.norm(seg.at(1.0).entries - q.entries) <= q.tols.eig
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 32])
+    def test_agrees_with_expm_skew_on_haar_pairs(self, n):
+        for i in range(5):
+            p = random_special_unitary(n, seed=[n, i, 0])
+            q = random_special_unitary(n, seed=[n, i, 1])
+            self.assert_agrees_with_expm_skew(geodesic_family(p, q).canonical, q)
+
+    def test_agrees_with_expm_skew_on_sampled_segments(self):
+        fam = geodesic_family(I2, MI2)
+        rng = np.random.default_rng(7)
+        self.assert_agrees_with_expm_skew(fam.canonical, MI2)
+        for _ in range(5):
+            self.assert_agrees_with_expm_skew(fam.sample(random_unitary(2, rng)), MI2)
+
+    def test_agrees_with_expm_skew_through_the_adjoint(self):
+        # A boundary spectrum with winding 1 whose adjoint winds twice, so the
+        # pair policy reads the segments off Q^*P (sign -1).
+        args = np.array([-PI / 2 - 0.3, -PI / 2 + 0.3, PI, PI, PI])
+        u = random_unitary(5, seed=8)
+        p = random_special_unitary(5, seed=9)
+        q = su(p.entries @ (u * np.exp(1j * args)) @ u.conj().T)
+        fam = geodesic_family(p, q)
+        assert fam.theta.spectral.sign == -1 and not fam.unique
+        rng = np.random.default_rng(10)
+        self.assert_agrees_with_expm_skew(fam.canonical, q)
+        for _ in range(5):
+            self.assert_agrees_with_expm_skew(fam.sample(random_unitary(3, rng)), q)
 
 
 class TestDiameter:
