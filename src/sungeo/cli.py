@@ -5,6 +5,11 @@ written with 17 significant digits, which round-trips IEEE doubles exactly.
 Every subcommand prints one strict JSON report (echoed inputs, outputs and a
 map of verification residuals) and exits 0 on success, 2 on invalid input,
 3 on numerical failure, including a NaN or infinity in the report, 4 on usage errors.
+
+A report is the text ``json.dumps(report, indent=2)`` gives, with floats in
+their shortest round-trip form. Reports hold matrices as complex arrays, and
+``_ReportEncoder`` writes each one as a block of nested [re, im] pairs with a
+single format string instead of walking it value by value.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -144,13 +150,78 @@ def _load(tol: float | None, *paths: str) -> list[SpecialUnitary]:
     return mats
 
 
-def _matrix_payload(entries: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(entries)]
-
-
 def _unitary_residuals(tag: str, u: SpecialUnitary) -> dict:
     return {f"{tag}_unitarity": u.unitarity_residual,
             f"{tag}_determinant": u.det_residual}
+
+
+# ---------------------------------------------------------------------------
+# report writer
+# ---------------------------------------------------------------------------
+
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _matrix_text(entries: np.ndarray, newline: str, step: str) -> str:
+    """A complex matrix as nested [re, im] lists, written with one format
+    string over its float view (row-major, re before im)."""
+    values = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
+    flat = values.ravel().tolist()
+    if not np.isfinite(values).all():
+        raise _non_finite(next(v for v in flat if not math.isfinite(v)))
+    rows, cols = entries.shape
+    row_nl = newline + step
+    pair_nl = row_nl + step
+    value_nl = pair_nl + step
+    pair = "[" + value_nl + "%r," + value_nl + "%r" + pair_nl + "]"
+    row = "[" + pair_nl + ("," + pair_nl).join([pair] * cols) + row_nl + "]"
+    template = "[" + row_nl + ("," + row_nl).join([row] * rows) + newline + "]"
+    return template % tuple(flat)
+
+
+def _text(o, newline: str, step: str) -> str:
+    """JSON text of ``o`` whose first line sits at indentation ``newline``;
+    the type tests run in the stdlib encoder's order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise _non_finite(o)
+        return float.__repr__(o)
+    if isinstance(o, np.ndarray):
+        return _matrix_text(o, newline, step)
+    inner = newline + step
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_text(v, inner, step) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _text(v, inner, step)
+                 for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+class _ReportEncoder(json.JSONEncoder):
+    """Writes ``json.dumps(report, cls=_ReportEncoder, indent=2,
+    allow_nan=False)`` as the stdlib's indented encoder would, and 2-d
+    arrays as nested [re, im] lists. Keys must be strings; a NaN or infinity
+    raises the stdlib's ValueError whatever ``allow_nan`` says."""
+
+    def encode(self, o) -> str:
+        return _text(o, "\n", " " * self.indent)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +258,7 @@ def cmd_log(path_p: str, path_q: str, tol: float | None,
         "command": "log",
         "inputs": {"P": path_p, "Q": path_q, "tol": p.tols.group, "out": out},
         "outputs": {
-            "log": _matrix_payload(x.entries),
+            "log": x.entries,
             "norm": fam.canonical.length,
             "distance": fam.distance,
         },
@@ -210,7 +281,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
     end = None
     for t in t_list:
         g = geodesic_eval(fam.canonical, t)
-        points.append({"t": t, "matrix": _matrix_payload(g.entries)})
+        points.append({"t": t, "matrix": g.entries})
         residuals[f"gamma({_fmt(t)})_unitarity"] = g.unitarity_residual
         if t == 1.0:
             end = g
@@ -261,7 +332,7 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
         if p.n != n:
             raise ShapeError(f"point has order {p.n}, expected {n}")
         rep = diametral_points(p)
-        report["outputs"]["points"] = [_matrix_payload(pt.entries) for pt in rep.points]
+        report["outputs"]["points"] = [pt.entries for pt in rep.points]
         report["residuals"].update(_unitary_residuals("P", p))
         for i, pt in enumerate(rep.points):
             report["residuals"][f"point{i}_distance_vs_diameter"] = \
@@ -272,7 +343,10 @@ def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
 def cmd_random(n: int, seed: int, out: str | None) -> dict:
     if n < 1:
         raise UnsupportedOrderError("order must be at least 1")
-    q = random_special_unitary(n, seed)
+    try:
+        q = random_special_unitary(n, seed)
+    except MemoryError as exc:
+        raise UnsupportedOrderError(f"order {n} is too large to allocate") from exc
     doc = MatrixFile.from_entries(q.entries)
     report = {
         "command": "random",
@@ -284,7 +358,7 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
         doc.dump(out)
         report["outputs"]["path"] = out
     else:
-        report["outputs"]["matrix"] = _matrix_payload(q.entries)
+        report["outputs"]["matrix"] = q.entries
     return report
 
 
@@ -297,7 +371,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
         "singleton": td.is_singleton,
         "oriented": td.oriented,
         "m": m,
-        "base_log": _matrix_payload(td.base_log.entries),
+        "base_log": td.base_log.entries,
     }
     if td.beta_arg is not None:
         outputs["beta_arg"] = td.beta_arg
@@ -318,7 +392,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             sampled = []
             for i in range(samples):
                 x, roundtrip, _ = _sample(td, q, random_unitary(block, rng))
-                sampled.append(_matrix_payload(x.entries))
+                sampled.append(x.entries)
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
                 residuals[f"sample{i}_norm_vs_m"] = \
                     abs(frobenius_norm(x.entries) ** 2 - m)
@@ -466,7 +540,7 @@ def main(argv=None) -> int:
             args["tol"] = _env_tol()
         report = run(**args)
         try:
-            text = json.dumps(report, indent=2, allow_nan=False)
+            text = json.dumps(report, cls=_ReportEncoder, indent=2, allow_nan=False)
         except ValueError as exc:
             raise NonFiniteResultError(f"report not written: {exc}") from exc
     except SungeoError as exc:

@@ -388,6 +388,18 @@ def test_oracle_rejects_orders_too_large_to_enumerate(capsys, files):
     assert json.loads(captured.err)["error"] == "unsupported_n"
 
 
+def test_random_rejects_orders_too_large_to_allocate(capsys):
+    # A 1e8 x 1e8 array of doubles (71 PiB) is larger than a process's
+    # address space, so the allocation fails at once and touches no memory.
+    assert main(["random", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "unsupported_n"
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 HUGE = "1" + "0" * 400    # an integer literal beyond float range
 LONG = "1" * 5000         # more digits than Python converts to int
