@@ -48,18 +48,17 @@ def main():
     print(f"family: {grassmann_label(*td.grassmannian)} "
           f"(nu1 {td.nu1}, nu2 {td.nu2}, boundary argument {td.beta_arg:+.6f})")
 
-    rng = np.random.default_rng(args.seed)
-    block = td.nu1 + td.nu2
-    samples = [theta_sample(td, q, random_unitary(block, rng))
-               for _ in range(args.samples)]
+    # One stacked draw of sampling unitaries, sampled as one stack.
+    samples = theta_sample(td, q, random_unitary(td.nu1 + td.nu2, args.seed, args.samples))
     print(f"{'sample':>6} {'norm':>12} {'exp residual':>14} {'dist to base':>14}")
     for i, x in enumerate(samples):
         resid = np.linalg.norm(expm_skew(x).entries - q.entries)
         gap = np.linalg.norm(x.entries - td.base_log.entries)
         print(f"{i:>6} {frobenius_norm(x.entries):>12.8f} {resid:>14.2e} {gap:>14.6f}")
-    pairwise = max(np.linalg.norm(a.entries - b.entries)
-                   for i, a in enumerate(samples) for b in samples[i + 1:])
-    print(f"largest pairwise separation: {pairwise:.6f}")
+    if len(samples) > 1:
+        pairwise = max(np.linalg.norm(a.entries - b.entries)
+                       for i, a in enumerate(samples) for b in samples[i + 1:])
+        print(f"largest pairwise separation: {pairwise:.6f}")
 
 
 if __name__ == "__main__":

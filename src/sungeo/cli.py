@@ -2,6 +2,10 @@
 
 Matrices travel as JSON documents {"n": N, "matrix": [[[re, im], ...], ...]}
 written with 17 significant digits, which round-trips IEEE doubles exactly.
+A document is checked in a few bulk passes and converted by one array call;
+a malformed one is reported at its first bad row or entry in row-major order.
+``theta --samples k`` draws its k sampling unitaries as one stack and builds
+the k members in one pass.
 Every subcommand prints one strict JSON report (echoed inputs, outputs and a
 map of verification residuals) and exits 0 on success, 2 on invalid input,
 3 on numerical failure, including a NaN or infinity in the report, 4 on usage errors.
@@ -21,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -67,6 +72,23 @@ def _fmt(x: float) -> str:
     return out
 
 
+# JSON true and false load as bool, a subclass of int: not numbers here.
+_NUMBER = {int, float}
+
+
+def _pair(cell) -> bool:
+    return isinstance(cell, list) and len(cell) == 2 and set(map(type, cell)) <= _NUMBER
+
+
+def _too_large(value) -> bool:
+    """Whether an int from a JSON document is out of the float range."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 @dataclass(frozen=True)
 class MatrixFile:
     """In-memory form of the matrix file format."""
@@ -92,26 +114,35 @@ class MatrixFile:
             raise ParseError('expected an object with "n" and "matrix" keys')
         n = doc["n"]
         rows = doc["matrix"]
-        # JSON true and false load as bool, a subclass of int: not numbers here.
         if type(n) is not int or n < 1:
             raise ParseError('"n" must be a positive integer')
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f'"matrix" must be a list of {n} rows')
-        out = np.empty((n, n), dtype=np.complex128)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise ParseError(f"row {i} must hold {n} entries")
-            for j, cell in enumerate(row):
-                if (not isinstance(cell, list) or len(cell) != 2
-                        or not all(type(v) in (int, float) for v in cell)):
-                    raise ParseError(f"entry ({i},{j}) must be an [re, im] pair")
-                try:
-                    out[i, j] = complex(cell[0], cell[1])
-                except OverflowError as exc:
-                    raise ParseError(f"entry ({i},{j}) is out of range: {exc}") from exc
-        if not np.all(np.isfinite(out)):
+        # Bulk passes in the row-major order of the document: the rows, then
+        # the cells of the rows before the first bad one, then their values.
+        # The first offence in that order is named: a cell whose value is
+        # too large for a float counts where it stands.
+        stop = next((i for i, row in enumerate(rows)
+                     if not isinstance(row, list) or len(row) != n), n)
+        cells = list(chain.from_iterable(rows[:stop]))
+        pairs = set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
+        flat = list(chain.from_iterable(cells)) if pairs else []
+        bad = len(cells)
+        if not pairs or not set(map(type, flat)) <= _NUMBER:
+            bad = next(k for k, cell in enumerate(cells) if not _pair(cell))
+            flat = list(chain.from_iterable(cells[:bad]))
+        try:
+            values = np.array(flat, dtype=np.float64)
+        except OverflowError as exc:
+            k = next(k for k, v in enumerate(flat) if _too_large(v)) // 2
+            raise ParseError(f"entry ({k // n},{k % n}) is out of range: {exc}") from exc
+        if bad < len(cells):
+            raise ParseError(f"entry ({bad // n},{bad % n}) must be an [re, im] pair")
+        if stop < n:
+            raise ParseError(f"row {stop} must hold {n} entries")
+        if not np.isfinite(values).all():
             raise ParseError("matrix entries must be finite")
-        return cls(out)
+        return cls(values.view(np.complex128).reshape(n, n))
 
     @classmethod
     def load(cls, path: str) -> "MatrixFile":
@@ -345,7 +376,7 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
         raise UnsupportedOrderError("order must be at least 1")
     try:
         q = random_special_unitary(n, seed)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # numpy: too many bytes, or too many elements
         raise UnsupportedOrderError(f"order {n} is too large to allocate") from exc
     doc = MatrixFile.from_entries(q.entries)
     report = {
@@ -387,16 +418,16 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             outputs["samples"] = []
             outputs["samples_skipped"] = "the set of minimal logarithms is a single point"
         else:
-            rng = np.random.default_rng(seed)
-            block = td.nu1 + td.nu2
-            sampled = []
-            for i in range(samples):
-                x, roundtrip, _ = _sample(td, q, random_unitary(block, rng))
-                sampled.append(x.entries)
+            try:
+                rs = random_unitary(td.nu1 + td.nu2, seed, samples)
+            except (MemoryError, ValueError) as exc:  # as in cmd_random
+                raise ShapeError(f"{samples} samples are too many to allocate") from exc
+            xs, roundtrips, _ = _sample(td, q, rs)
+            for i, (x, roundtrip) in enumerate(zip(xs, roundtrips)):
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
                 residuals[f"sample{i}_norm_vs_m"] = \
                     abs(frobenius_norm(x.entries) ** 2 - m)
-            outputs["samples"] = sampled
+            outputs["samples"] = [x.entries for x in xs]
     return {
         "command": "theta",
         "inputs": {"Q": path_q, "samples": samples, "seed": seed, "tol": q.tols.group},

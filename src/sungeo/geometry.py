@@ -115,11 +115,15 @@ class GeodesicFamily:
     theta: ThetaDescriptor
     distance: float
 
-    def sample(self, r) -> GeodesicSegment:
+    def sample(self, r) -> GeodesicSegment | tuple[GeodesicSegment, ...]:
         """Minimizing segment with velocity drawn from the family; ``r`` is
-        a unitary of order nu1 + nu2."""
-        x, _, basis = _sample(self.theta, self.P.adjoint().times(self.Q), r)
-        return _segment(self.P, x, self.theta.spectral, basis)
+        a unitary of order nu1 + nu2. A (k, nu1 + nu2, nu1 + nu2) stack of
+        them gives a tuple of k segments, built together (``theta_sample``);
+        P^*Q, which their round-trip checks need, is formed once per call."""
+        xs, _, bases = _sample(self.theta, self.P.adjoint().times(self.Q), r)
+        segs = tuple(_segment(self.P, x, self.theta.spectral, basis)
+                     for x, basis in zip(xs, bases))
+        return segs if np.ndim(r) == 3 else segs[0]
 
 
 @dataclass(frozen=True, eq=False)

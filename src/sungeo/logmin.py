@@ -14,6 +14,11 @@ dynamic program over positions that minimizes exactly over the box
 [-K, K]^n, lists every tuple within a relative ``tie_tol`` of the minimum
 and rejects boxes of more than 1e8 tuples.
 
+The sampler takes one sampling unitary or a (k, b, b) stack of them, with
+the batch axis first as in geomstats. A stack is built and its round trips
+are solved in one pass, each member bit for bit what its slice gives alone;
+then each member goes through the checks a single sample passes.
+
 Orientation: a single matrix with a negative winding is handled through its
 adjoint (policy: flip when zeta < 0, in ``_nonnegative``). The pair policy
 of ``geometry`` (flip when zeta < s - zeta) and this one both flip through
@@ -40,8 +45,10 @@ from .errors import (
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
+    _exp_in_basis,
+    _frobenius,
     _frozen,
-    expm_skew,
+    _skew_eigh,
     validate_skew_traceless,
 )
 from .spectral import SpectralData, adjoint_spectrum, spectral_summary
@@ -74,9 +81,10 @@ def _nonnegative(sd: SpectralData) -> SpectralData:
     return adjoint_spectrum(sd) if sd.zeta < 0 else sd
 
 
-def _signed(x: SkewHermitianTraceless, sd: SpectralData) -> SkewHermitianTraceless:
-    """Map a logarithm read off ``sd`` back to one of Q through ``sd.sign``. By
-    negation: a complex product by -1 changes the signs of zero entries."""
+def _signed(x, sd: SpectralData):
+    """Map a logarithm read off ``sd`` (or a stack of their entries) back to
+    one of Q through ``sd.sign``. By negation: a complex product by -1
+    changes the signs of zero entries."""
     return -x if sd.sign < 0 else x
 
 
@@ -213,12 +221,11 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
     return angles
 
 
-def _log_in_basis(sd: SpectralData, u: np.ndarray) -> SkewHermitianTraceless:
+def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
     """U diag(i angles) U^* for the canonical angles of ``sd``, symmetrized to
-    its skew part and checked in su(n) at ``sd.tols``."""
-    x = (u * (1j * _canonical_angles(sd))) @ u.conj().T
-    x = (x - x.conj().T) / 2.0
-    return validate_skew_traceless(x, sd.tols)
+    its skew part, for one basis U or a stack of them; not yet checked."""
+    x = (u * (1j * _canonical_angles(sd))) @ np.swapaxes(u.conj(), -1, -2)
+    return (x - np.swapaxes(x.conj(), -1, -2)) / 2.0
 
 
 def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
@@ -232,7 +239,7 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     if sd.zeta < 0:
         raise ValueError("canonical form requires a nonnegative winding; "
                          "orient through the adjoint first")
-    return _log_in_basis(sd, sd.basis)
+    return validate_skew_traceless(_log_in_basis(sd, sd.basis), sd.tols)
 
 
 def min_log(q: SpecialUnitary) -> SkewHermitianTraceless:
@@ -309,7 +316,8 @@ def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
     return _descriptor_from_spectral(_nonnegative(spectral_summary(q)))
 
 
-def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r) -> SkewHermitianTraceless:
+def theta_sample(td: ThetaDescriptor, q: SpecialUnitary,
+                 r) -> SkewHermitianTraceless | tuple[SkewHermitianTraceless, ...]:
     """Sample the Grassmannian family of minimal logarithms.
 
     Rotates the basis columns of the boundary eigenvalue's eigenblock by the
@@ -318,35 +326,56 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary, r) -> SkewHermitianTrac
     canonical diagonal logarithm in the rotated basis. Every output
     exponentiates to Q and has squared norm m(Q); distinct cosets of r give
     distinct logarithms, though the orbit map is not injective.
+
+    ``r`` may also be a (k, nu1 + nu2, nu1 + nu2) stack, as
+    ``random_unitary(nu1 + nu2, rng, k)`` draws it; the k logarithms are
+    then built together and returned as a tuple, each one bit for bit what
+    its slice gives alone.
     """
-    return _sample(td, q, r)[0]
+    xs = _sample(td, q, r)[0]
+    return xs if np.ndim(r) == 3 else xs[0]
 
 
 def _sample(td: ThetaDescriptor, q: SpecialUnitary,
-            r) -> tuple[SkewHermitianTraceless, float, np.ndarray]:
-    """``theta_sample``, its checked round-trip residual ||exp(X) - Q||_F and
-    the rotated eigenbasis X was built in."""
+            r) -> tuple[tuple[SkewHermitianTraceless, ...], tuple[float, ...], np.ndarray]:
+    """``theta_sample`` for one sampling unitary or a stack of them: the
+    logarithms, their checked round-trip residuals ||exp(X) - Q||_F and the
+    (k, n, n) stack of rotated eigenbases they were built in.
+
+    The arithmetic runs once on the whole stack: the block rotation, one
+    product and one symmetrization for the logarithms and one stacked
+    eigensolve of -iX for their exponentials. The gates run slice by slice,
+    as for a single unitary: r unitary, X in su(n), exp(X) special unitary
+    and the round trip to Q.
+    """
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
     block = td.nu1 + td.nu2
     rm = np.asarray(r, dtype=np.complex128)
-    if rm.shape != (block, block):
+    if rm.ndim not in (2, 3) or rm.shape[-2:] != (block, block):
         raise ShapeError(f"expected a unitary of order {block}, got shape {rm.shape}")
-    NotUnitaryError.check(float(np.linalg.norm(rm @ rm.conj().T - np.eye(block))),
-                          Tolerances.default(block).alg, "sampling matrix is not unitary")
+    rm = rm.reshape(-1, block, block)
+    gram = rm @ np.swapaxes(rm.conj(), 1, 2)
+    gram -= np.eye(block)
+    alg = Tolerances.default(block).alg
+    for g in gram:
+        NotUnitaryError.check(_frobenius(g), alg, "sampling matrix is not unitary")
     if q.n != td.n:
         raise ShapeError(f"order mismatch: descriptor {td.n}, matrix {q.n}")
 
     sd = td.spectral
     start = sd.n - td.zeta - td.nu1
-    u = sd.basis.copy()
-    u[:, start:start + block] = u[:, start:start + block] @ rm
-    out = _signed(_log_in_basis(sd, u), sd)
-    check = expm_skew(out)
-    resid = ResidualExceededError.check(
-        float(np.linalg.norm(check.entries - q.entries)), sd.tols.eig,
-        "sampled logarithm does not exponentiate to the given matrix")
-    return out, resid, _frozen(u)
+    u = np.repeat(sd.basis[None], len(rm), axis=0)
+    u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
+    x = _signed(_log_in_basis(sd, u), sd)
+    outs = tuple(validate_skew_traceless(xi, sd.tols) for xi in x)
+    w, v = _skew_eigh(x)
+    resids = tuple(
+        ResidualExceededError.check(
+            _frobenius(_exp_in_basis(vi, wi, sd.tols).entries - q.entries), sd.tols.eig,
+            "sampled logarithm does not exponentiate to the given matrix")
+        for vi, wi in zip(v, w))
+    return outs, resids, _frozen(u)
 
 
 # ---------------------------------------------------------------------------

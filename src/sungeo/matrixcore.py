@@ -2,7 +2,8 @@
 
 Validated group and algebra element types, the Frobenius inner product, a
 unitary eigendecomposition built entirely from Hermitian solves, the
-skew-Hermitian matrix exponential, and Haar-distributed random sampling.
+skew-Hermitian matrix exponential, and Haar-distributed random sampling,
+of one matrix or of a stack drawn as successive single draws.
 
 Tolerances are chosen once, by the two validators. The validated value carries
 them as ``tols``, values derived from it (adjoint, product, multiple,
@@ -251,38 +252,56 @@ def _exp_in_basis(v: np.ndarray, w: np.ndarray, tols: Tolerances) -> SpecialUnit
     return validate_special_unitary((v * np.exp(1j * w)) @ v.conj().T, tols)
 
 
+def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors V of the Hermitian matrix -iX, for one
+    skew-Hermitian X or a stack of them (one solve per slice), so that
+    exp(X) = V diag(e^{i w}) V^*."""
+    herm = -1j * x
+    herm = (herm + np.swapaxes(herm.conj(), -1, -2)) / 2.0
+    try:
+        return np.linalg.eigh(herm)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
+
+
 def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
     """Matrix exponential su(n) -> SU(n).
 
     Diagonalizes the Hermitian matrix -iX and exponentiates its (real)
     eigenvalues on the unit circle: exp(X) = V diag(e^{i theta_j}) V^*.
     The result is revalidated as special unitary at ``x.tols``. A caller
-    that already holds V and theta (a geodesic segment does) skips the
-    solve and forms the same product, checked the same way.
+    that already holds V and theta (a geodesic segment does, and the family
+    sampler solves a whole stack at once) skips the solve and forms the
+    same product, checked the same way.
     """
-    herm = -1j * x.entries
-    herm = (herm + herm.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
+    w, v = _skew_eigh(x.entries)
     return _exp_in_basis(v, w, x.tols)
 
 
-def random_unitary(n: int, seed) -> np.ndarray:
+def random_unitary(n: int, seed, count: int | None = None) -> np.ndarray:
     """Haar-distributed U(n) matrix, deterministic per seed (or drawn from
-    the given ``np.random.Generator``)."""
+    the given ``np.random.Generator``).
+
+    With ``count``, a (count, n, n) stack that is bit for bit ``count``
+    successive single draws from the same generator, and leaves it in the
+    same state: the Gaussians are drawn in one call, in that order, and the
+    stack is factored by one stacked QR.
+    """
     if n < 1:
         raise ShapeError("order must be at least 1")
+    if count is not None and count < 0:
+        raise ShapeError("sample count must be nonnegative")
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    # Each draw takes the real parts, then the imaginary parts.
+    g = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     z /= np.sqrt(2.0)
     qmat, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     # Phase fix: dividing column j by the phase of r_jj makes the factor
     # a deterministic equivariant function of the Gaussian draw, so its
     # law is exactly Haar on U(n).
-    return qmat / (diag / np.abs(diag))
+    return qmat / (diag / np.abs(diag))[..., None, :]
 
 
 def random_special_unitary(n: int, seed) -> SpecialUnitary:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sungeo import random_special_unitary
+from sungeo import ParseError, random_special_unitary
 from sungeo.cli import MatrixFile, main
 
 PI = math.pi
@@ -400,6 +400,24 @@ def test_random_rejects_orders_too_large_to_allocate(capsys):
     assert json.loads(lines[0])["error"] == "unsupported_n"
 
 
+# Each of these also fails at once and touches no memory: numpy raises
+# MemoryError for 1e15 stacked 2 x 2 samples (57 PiB), and ValueError for
+# 1e10 x 1e10 doubles or 1e30 samples, sizes beyond its size type.
+@pytest.mark.parametrize("argv, code", [
+    (["random", "10000000000"], "unsupported_n"),
+    (["theta", "mI2", "--samples", str(10 ** 15)], "shape"),
+    (["theta", "mI2", "--samples", str(10 ** 30)], "shape"),
+], ids=["random-size", "theta-memory", "theta-size"])
+def test_requests_too_large_to_allocate_exit_2(capsys, files, argv, code):
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == code
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 HUGE = "1" + "0" * 400    # an integer literal beyond float range
 LONG = "1" * 5000         # more digits than Python converts to int
@@ -439,3 +457,57 @@ def test_outside_input_gets_one_line_and_its_exit_code(tmp_path, capsys, content
         assert json.loads(lines[0])["error"] == "parse"
     else:
         assert "usage error" in lines[0]
+
+
+def _doc(rows, n=2):
+    return '{"n": %d, "matrix": [%s]}' % (n, ", ".join(rows))
+
+
+OK_ROW = "[[1, 0], [0, 0]]"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_doc(["[[1, 0]]", OK_ROW]), "row 0 must hold 2 entries"),
+    (_doc([OK_ROW, "5"]), "row 1 must hold 2 entries"),
+    (_doc([OK_ROW, "[[0, 0], [1, 0, 0]]"]), "entry (1,1) must be an [re, im] pair"),
+    (_doc(["[[1, 0], [true, 0]]", OK_ROW]), "entry (0,1) must be an [re, im] pair"),
+    (_doc([OK_ROW, '[[0, 0], [1, "0"]]']), "entry (1,1) must be an [re, im] pair"),
+    (_doc([OK_ROW, "[null, [1, 0]]"]), "entry (1,0) must be an [re, im] pair"),
+    (_doc([OK_ROW, "[[0, null], [1, 0]]"]), "entry (1,0) must be an [re, im] pair"),
+    (_doc(["[[1, 0], [[0], 0]]", OK_ROW]), "entry (0,1) must be an [re, im] pair"),
+    (_doc([OK_ROW, "[[%s, 0], [1, 0]]" % HUGE]),
+     "entry (1,0) is out of range: int too large to convert to float"),
+    (_doc([OK_ROW, "[[0, -%s], [1, 0]]" % HUGE]),
+     "entry (1,0) is out of range: int too large to convert to float"),
+    (_doc(["[[NaN, 0], [0, 0]]", OK_ROW]), "matrix entries must be finite"),
+    (_doc([OK_ROW, "[[0, Infinity], [1, 0]]"]), "matrix entries must be finite"),
+    (_doc([OK_ROW, "[[0, 0], [-Infinity, 0]]"]), "matrix entries must be finite"),
+    (_doc([OK_ROW, "[[0, 0], [1e400, 0]]"]), "matrix entries must be finite"),
+    # The first offending row or entry in row-major order is named.
+    (_doc(["[[1, 0], [true, 0]]", "[[0, 0]]"]), "entry (0,1) must be an [re, im] pair"),
+    (_doc(["[[1, 0]]", '[["x", 0], [1, 0]]']), "row 0 must hold 2 entries"),
+    (_doc(["[[%s, 0], [0, 0]]" % HUGE, "[[0, 0]]"]),
+     "entry (0,0) is out of range: int too large to convert to float"),
+    (_doc(["[[1, 0], [%s, 0]]" % HUGE, '[[0, 0], [1, "0"]]']),
+     "entry (0,1) is out of range: int too large to convert to float"),
+    (_doc(['[["x", %s], [0, 0]]' % HUGE, OK_ROW]), "entry (0,0) must be an [re, im] pair"),
+    (_doc(["[[1, 0], [0, 0]]", "[[NaN, 0], [true, 0]]"]),
+     "entry (1,1) must be an [re, im] pair"),
+    (_doc([OK_ROW], n=2), '"matrix" must be a list of 2 rows'),
+], ids=["short-row", "row-not-list", "triple", "bool", "string", "null-cell",
+        "null-value", "nested-list", "huge-int", "huge-negative-imag", "nan", "infinity",
+        "minus-infinity", "float-overflow", "cell-before-short-row",
+        "short-row-before-cell", "huge-before-short-row", "huge-before-bad-cell",
+        "bad-cell-holding-huge", "bad-cell-after-nan", "too-few-rows"])
+def test_malformed_file_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        MatrixFile.loads(text)
+    assert str(exc.value) == message
+
+
+def test_loads_converts_each_entry_exactly():
+    text = _doc(["[[%d, -0.0], [5e-324, %d]]" % (2 ** 53 + 1, 10 ** 30),
+                 "[[0, 1.7976931348623157e308], [-0, 0.1]]"])
+    expected = np.array([[complex(2 ** 53 + 1, -0.0), complex(5e-324, 10 ** 30)],
+                         [complex(0, 1.7976931348623157e308), complex(0, 0.1)]])
+    assert MatrixFile.loads(text).matrix.tobytes() == expected.tobytes()

@@ -6,6 +6,7 @@ import pytest
 from sungeo import (
     NotFiniteError,
     ShapeError,
+    SpecialUnitary,
     UnsupportedOrderError,
     brute_force_m,
     diameter,
@@ -132,6 +133,25 @@ class TestGeodesicFamily:
         for p, q in pairs:
             fam = geodesic_family(p, q)
             assert fam.distance == distance(p, q)
+
+    def test_stacked_samples_are_the_single_samples(self, monkeypatch):
+        # A stack gives a tuple of segments, each bit for bit its slice's,
+        # and P^*Q is formed once per call, not once per member.
+        p = random_special_unitary(4, seed=8)
+        fam = geodesic_family(p, su(-p.entries))
+        rs = random_unitary(4, seed=12, count=4)
+        singles = [fam.sample(r) for r in rs]
+        products = []
+        times = SpecialUnitary.times
+        monkeypatch.setattr(SpecialUnitary, "times",
+                            lambda a, b: products.append(1) or times(a, b))
+        segs = fam.sample(rs)
+        assert isinstance(segs, tuple) and len(segs) == 4 and len(products) == 1
+        for seg, single in zip(segs, singles):
+            assert seg.X.entries.tobytes() == single.X.entries.tobytes()
+            assert seg.basis.tobytes() == single.basis.tobytes()
+            assert seg.angles.tobytes() == single.angles.tobytes()
+            assert seg.at(0.5).entries.tobytes() == single.at(0.5).entries.tobytes()
 
     def test_family_samples_are_minimizing(self):
         fam = geodesic_family(I2, MI2)

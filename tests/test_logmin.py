@@ -11,6 +11,8 @@ from sungeo import (
     InfeasibleError,
     LatticeProblem,
     NotFiniteError,
+    NotUnitaryError,
+    ResidualExceededError,
     ShapeError,
     SingletonThetaError,
     adjoint_spectrum,
@@ -28,6 +30,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
+from sungeo.logmin import _sample
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -385,6 +388,110 @@ class TestThetaSample:
             exp_gap = np.linalg.norm(expm_skew(cand).entries - q.entries)
             norm_gap = frobenius_norm(cand.entries) ** 2 - frobenius_norm(x.entries) ** 2
             assert exp_gap > 1e-6 or norm_gap > 1e-8
+
+
+def family_args(kind: str, n: int) -> list[float]:
+    """Arguments of a family spectrum of order n (the kept/shifted boundary
+    splits a cluster): a scalar matrix at maximal distance from I, a
+    repeated eigenvalue at the boundary, or -1 repeated with 0 < zeta < s.
+    ``*_adjoint`` negates them, so the winding is negative and the
+    descriptor is oriented through Q^*."""
+    base = kind.removesuffix("_adjoint")
+    if base == "diametral" or n == 2:   # -I is the only family in SU(2)
+        args = [PI] * n if n % 2 == 0 else [(n - 1) * PI / n] * n
+    else:
+        top, value = {"boundary": (2 if n < 5 else 3, 2.6 if n < 5 else 2.2),
+                      "minus_one": (2 if n < 5 else 4, PI)}[base]
+        total = (2 * PI if base == "boundary" else 2 * PI * (top // 2)) - top * value
+        spread = np.linspace(-1.0, 1.0, n - top)
+        args = [value] * top + list(spread - spread.mean() + total / (n - top))
+    return [-a for a in args] if kind.endswith("_adjoint") else args
+
+
+# (kind, n); -I is its own adjoint, so the diametral adjoint needs odd n.
+FAMILY_CASES = ([(kind, n) for kind in ("diametral", "boundary", "minus_one")
+                 for n in range(2, 9)]
+                + [("boundary_adjoint", n) for n in range(3, 9)]
+                + [("diametral_adjoint", n) for n in (3, 5, 7)])
+
+
+def conjugated_family(kind: str, n: int):
+    u = random_unitary(n, seed=300 + n)
+    q = validate_special_unitary(u @ diag_su(family_args(kind, n)).entries @ u.conj().T)
+    td = theta_descriptor(q)
+    assert not td.is_singleton and td.oriented == kind.endswith("_adjoint")
+    return q, td
+
+
+def sample_reference(td, q, r):
+    """One member of the family computed on its own, step by step: rotate the
+    block, build U diag(i angles) U^*, take its skew part, map it back to Q
+    and check exp(X) against Q."""
+    sd = td.spectral
+    angles = np.array(sd.args, dtype=float)
+    angles[sd.n - sd.zeta:] -= TWO_PI
+    start, block = sd.n - td.zeta - td.nu1, td.nu1 + td.nu2
+    u = sd.basis.copy()
+    u[:, start:start + block] = u[:, start:start + block] @ r
+    x = (u * (1j * angles)) @ u.conj().T
+    x = validate_skew_traceless((x - x.conj().T) / 2.0, sd.tols)
+    x = -x if sd.sign < 0 else x
+    return x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("kind, n", FAMILY_CASES)
+    def test_stack_equals_single_members_bit_for_bit(self, kind, n):
+        q, td = conjugated_family(kind, n)
+        rs = random_unitary(td.nu1 + td.nu2, seed=n, count=5)
+        xs, resids, bases = _sample(td, q, rs)
+        assert len(xs) == len(resids) == 5 and bases.shape == (5, n, n)
+        singles = theta_sample(td, q, rs)
+        assert isinstance(singles, tuple) and len(singles) == 5
+        for r, x, resid, basis, same in zip(rs, xs, resids, bases, singles):
+            ref_x, ref_resid, ref_basis = sample_reference(td, q, r)
+            assert x.entries.tobytes() == ref_x.entries.tobytes()
+            assert resid == ref_resid
+            assert basis.tobytes() == ref_basis.tobytes()
+            assert same.entries.tobytes() == x.entries.tobytes()
+            assert theta_sample(td, q, r).entries.tobytes() == x.entries.tobytes()
+
+    def test_empty_stack_gives_no_members(self):
+        q, td = conjugated_family("boundary", 4)
+        assert theta_sample(td, q, np.zeros((0, 2, 2))) == ()
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", ["scaled", "nan"])
+    def test_bad_slice_raises_what_its_single_call_raises(self, position, bad):
+        q, td = conjugated_family("minus_one", 6)
+        rs = random_unitary(td.nu1 + td.nu2, seed=1, count=5)
+        rs[position] = 1.5 * rs[position] if bad == "scaled" else np.nan
+        with pytest.raises(NotUnitaryError) as single:
+            theta_sample(td, q, rs[position])
+        with pytest.raises(NotUnitaryError) as stacked:
+            theta_sample(td, q, rs)
+        assert str(stacked.value) == str(single.value)
+
+    def test_round_trip_failure_names_the_first_member(self):
+        # A descriptor of one matrix used with another of the same family
+        # shape: every member misses Q, and the stack fails as its first does.
+        q, td = conjugated_family("boundary", 5)
+        other = validate_special_unitary(
+            random_unitary(5, seed=1) @ diag_su(family_args("boundary", 5)).entries
+            @ random_unitary(5, seed=1).conj().T)
+        rs = random_unitary(td.nu1 + td.nu2, seed=2, count=3)
+        with pytest.raises(ResidualExceededError) as single:
+            theta_sample(td, other, rs[0])
+        with pytest.raises(ResidualExceededError) as stacked:
+            theta_sample(td, other, rs)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2), (1, 1, 3, 3), (3,)])
+    def test_wrong_shape_names_the_given_shape(self, shape):
+        q, td = conjugated_family("boundary", 5)   # block of order 3
+        with pytest.raises(ShapeError) as exc:
+            theta_sample(td, q, np.ones(shape))
+        assert str(exc.value) == f"expected a unitary of order 3, got shape {shape}"
 
 
 class TestConjugatedMultiplicities:

@@ -199,6 +199,25 @@ class TestRandomSpecialUnitary:
         assert np.array_equal(a.entries, b.entries)
 
 
+class TestRandomUnitaryStack:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_stack_is_successive_draws(self, n, count):
+        one_by_one, stacked = np.random.default_rng(n), np.random.default_rng(n)
+        singles = [random_unitary(n, one_by_one) for _ in range(count)]
+        stack = random_unitary(n, stacked, count)
+        assert stack.shape == (count, n, n)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(singles, stack))
+        assert one_by_one.bit_generator.state == stacked.bit_generator.state
+
+    def test_stack_from_a_seed_starts_with_the_single_draw(self):
+        assert random_unitary(4, 17, 3)[0].tobytes() == random_unitary(4, 17).tobytes()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ShapeError):
+            random_unitary(3, 0, -1)
+
+
 def test_unitary_product_and_adjoint():
     p = random_special_unitary(4, seed=1)
     q = random_special_unitary(4, seed=2)
