@@ -19,7 +19,6 @@ from .errors import (
     SungeoError,
     TraceNotZeroError,
     UnsupportedOrderError,
-    ZeroInputError,
     ZetaNotIntegerError,
 )
 from .geometry import (
@@ -35,14 +34,12 @@ from .geometry import (
     relative_spectrum,
 )
 from .logmin import (
-    LatticeProblem,
     PlogStatus,
     ThetaDescriptor,
     brute_force_m,
     canonical_log,
     grassmann_label,
     m_value,
-    min_log,
     plog_status,
     theta_descriptor,
     theta_sample,
@@ -50,8 +47,6 @@ from .logmin import (
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
-    UnitaryEigenDecomposition,
-    as_complex_matrix,
     expm_skew,
     frobenius_inner,
     frobenius_norm,
@@ -66,7 +61,6 @@ from .spectral import (
     AdmissibleTuple,
     SpectralData,
     adjoint_spectrum,
-    principal_arg,
     spectral_summary,
 )
 from .tolerances import Tolerances

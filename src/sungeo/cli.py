@@ -41,8 +41,8 @@ from .geometry import (
     geodesic_eval,
     geodesic_family,
 )
-from .logmin import (LatticeProblem, _sample, brute_force_m, grassmann_label, m_value,
-                     plog_status, theta_descriptor)
+from .logmin import (_sample, brute_force_m, grassmann_label, m_value, plog_status,
+                     theta_descriptor)
 from .matrixcore import (
     SpecialUnitary,
     expm_skew,
@@ -442,7 +442,7 @@ def cmd_oracle(path_q: str, tol: float | None) -> dict:
     closed = m_value(sd)
     brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3, zeta_tol=sd.tols.zeta)
     gap = abs(closed - brute)
-    structure_ok = all(LatticeProblem.spread(k) <= 1 for k in minimizers)
+    structure_ok = all(max(k) - min(k) <= 1 for k in minimizers)
     if sd.zeta >= 0:
         structure_ok = structure_ok and all(
             sorted(set(k)) in ([0], [-1, 0], [-1]) and k.count(-1) == sd.zeta

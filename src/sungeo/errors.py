@@ -44,10 +44,6 @@ class NotFiniteError(SungeoError):
     code = "not_finite"
 
 
-class ZeroInputError(SungeoError):
-    code = "zero_input"
-
-
 class NotUnitaryError(SungeoError):
     code = "not_unitary"
 

@@ -165,12 +165,13 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
 
     exp(tX) = U diag(e^{i t angles}) U^* is one product in the segment's
     basis, validated at X's tolerances as ``expm_skew`` validates its
-    result; ``unitary_product`` checks the point at 10x. A non-finite ``t``
-    raises ``NotFiniteError``.
+    result; ``unitary_product`` checks the point at 10x. A ``t`` that is not
+    finite, or whose phases t * angles overflow, raises ``NotFiniteError``.
     """
     t = float(t)
-    if not math.isfinite(t):
-        raise NotFiniteError("curve parameter must be finite")
+    # Python floats overflow to inf without the warning numpy would give.
+    if not math.isfinite(t * float(np.abs(seg.angles).max())):
+        raise NotFiniteError(f"curve parameter {t!r} gives non-finite phases")
     return unitary_product(seg.P, _exp_in_basis(seg.basis, t * seg.angles, seg.X.tols))
 
 

@@ -55,12 +55,10 @@ from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
-    "LatticeProblem",
     "ThetaDescriptor",
     "PlogStatus",
     "m_value",
     "brute_force_m",
-    "min_log",
     "canonical_log",
     "theta_descriptor",
     "theta_sample",
@@ -114,36 +112,10 @@ def m_value(sd: SpectralData) -> float:
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeProblem:
-    """Integer-lattice form of the minimal-logarithm problem.
-
-    Minimize psi(k) = sum_j (args_j + 2 pi k_j)^2 over integer tuples with
-    sum(k) = -zeta.
-    """
-
-    args: tuple[float, ...]
-    zeta: int
-
-    @property
-    def n(self) -> int:
-        return len(self.args)
-
-    def psi(self, k) -> float:
-        k = tuple(k)
-        if len(k) != self.n:
-            raise ShapeError("tuple length does not match argument count")
-        return math.fsum((a + _TWO_PI * kj) ** 2 for a, kj in zip(self.args, k))
-
-    @staticmethod
-    def spread(k) -> int:
-        """max(k) - min(k); minimizers always have spread at most 1."""
-        return max(k) - min(k)
-
-
 def brute_force_m(args, zeta: int, K: int = 3, tie_tol: float = 1e-9,
                   zeta_tol: float = ZETA_TOL) -> tuple[float, list[tuple[int, ...]]]:
-    """Exact minimization of psi over the integer box [-K, K]^n.
+    """Exact minimization of psi(k) = sum_j (args_j + 2 pi k_j)^2 over the
+    integer tuples k in the box [-K, K]^n with sum(k) = -zeta.
 
     A dynamic program over positions with the partial sum of k as state:
     ``rest[j][t]`` is the least cost of positions j..n-1 whose k sum to t,
@@ -240,16 +212,6 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
         raise ValueError("canonical form requires a nonnegative winding; "
                          "orient through the adjoint first")
     return validate_skew_traceless(_log_in_basis(sd, sd.basis), sd.tols)
-
-
-def min_log(q: SpecialUnitary) -> SkewHermitianTraceless:
-    """A minimal-norm su(n)-logarithm of Q.
-
-    Exponentiates back to Q and has squared norm m(Q). Negative windings
-    are handled by taking the canonical logarithm of Q^* and negating,
-    which maps minimal logarithms of Q^* onto those of Q.
-    """
-    return theta_descriptor(q).base_log
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ from .tolerances import Tolerances
 __all__ = [
     "SpecialUnitary",
     "SkewHermitianTraceless",
-    "UnitaryEigenDecomposition",
-    "as_complex_matrix",
     "frobenius_inner",
     "frobenius_norm",
     "validate_special_unitary",
@@ -73,7 +71,7 @@ def _frobenius(arr: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def as_complex_matrix(a) -> np.ndarray:
+def _as_complex_matrix(a) -> np.ndarray:
     """Coerce to a square complex128 matrix with finite entries."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -85,8 +83,8 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def frobenius_inner(a, b) -> float:
     """Real scalar product Re(tr(A B^*)) of two square matrices."""
-    am = as_complex_matrix(a)
-    bm = as_complex_matrix(b)
+    am = _as_complex_matrix(a)
+    bm = _as_complex_matrix(b)
     if am.shape != bm.shape:
         raise ShapeError(f"order mismatch: {am.shape[0]} vs {bm.shape[0]}")
     # Re tr(A B^*) equals the elementwise sum Re(sum A_jk conj(B_jk)).
@@ -95,7 +93,7 @@ def frobenius_inner(a, b) -> float:
 
 def frobenius_norm(a) -> float:
     """Frobenius norm sqrt(sum |a_jk|^2)."""
-    am = as_complex_matrix(a)
+    am = _as_complex_matrix(a)
     return float(np.sqrt(max(np.vdot(am, am).real, 0.0)))
 
 
@@ -118,9 +116,8 @@ class SpecialUnitary:
 
     def adjoint(self) -> "SpecialUnitary":
         # Q^* inherits the residuals: ||Q^*Q - I||_F = ||QQ^* - I||_F
-        # (same singular values) and |conj(det) - 1| = |det - 1|. The copy
-        # lays Q^* out row-major, as every other entries array is.
-        return SpecialUnitary(_frozen(self.entries.conj().T.copy()),
+        # (same singular values) and |conj(det) - 1| = |det - 1|.
+        return SpecialUnitary(_frozen(self.entries.conj().T),
                               self.unitarity_residual, self.det_residual, self.tols)
 
     def times(self, other: "SpecialUnitary") -> "SpecialUnitary":
@@ -154,27 +151,13 @@ class SkewHermitianTraceless:
         return SkewHermitianTraceless(_frozen(self.entries * float(t)), self.tols)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryEigenDecomposition:
-    """Q = U diag(eigenvalues) U^* with U unitary and unit-modulus
-    eigenvalues (projected onto the circle after the raw solve)."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    residual: float
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-
 def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
     """Check unitarity and unit determinant at ``tols.group`` (by default
     scaled from the order), returning the wrapped matrix carrying ``tols``.
 
     Raises ``NotUnitaryError`` or ``DeterminantError`` with the residual.
     """
-    arr = as_complex_matrix(a)
+    arr = _as_complex_matrix(a)
     n = arr.shape[0]
     tols = Tolerances.default(n) if tols is None else tols
     # Huge entries overflow the Gram product; its NaN residual is rejected.
@@ -195,7 +178,7 @@ def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianT
     A matrix passing both checks has purely imaginary eigenvalues up to the
     same tolerance. The result carries ``tols``, by default those for its order.
     """
-    arr = as_complex_matrix(x)
+    arr = _as_complex_matrix(x)
     tols = Tolerances.default(arr.shape[0]) if tols is None else tols
     NotSkewHermitianError.check(_frobenius(arr + arr.conj().T), tols.alg,
                                 "matrix is not skew-Hermitian")
@@ -203,8 +186,9 @@ def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianT
     return SkewHermitianTraceless(_frozen(arr.copy()), tols)
 
 
-def unitary_eig(q: SpecialUnitary) -> UnitaryEigenDecomposition:
-    """Eigendecomposition of a special unitary matrix via Hermitian solves.
+def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigendecomposition Q = U diag(eigenvalues) U^* of a special unitary
+    matrix via Hermitian solves, returned as (eigenvalues, U, residual).
 
     Diagonalizes the Hermitian part Q + Q^*, then, inside each degenerate
     eigenspace only, the projected skew part (Q - Q^*)/i; as Q is normal this
@@ -243,7 +227,7 @@ def unitary_eig(q: SpecialUnitary) -> UnitaryEigenDecomposition:
     recon -= a
     residual = ResidualExceededError.check(_frobenius(recon), q.tols.eig,
                                            "eigendecomposition reconstruction failed")
-    return UnitaryEigenDecomposition(_frozen(evals), _frozen(basis), residual)
+    return _frozen(evals), _frozen(basis), residual
 
 
 def _exp_in_basis(v: np.ndarray, w: np.ndarray, tols: Tolerances) -> SpecialUnitary:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ZeroInputError, ZetaNotIntegerError
+from .errors import ShapeError, ZetaNotIntegerError
 from .matrixcore import SpecialUnitary, _frozen, unitary_eig, validate_special_unitary
 from .tolerances import Tolerances
 
 __all__ = [
     "SpectralData",
     "AdmissibleTuple",
-    "principal_arg",
     "spectral_summary",
     "adjoint_spectrum",
 ]
@@ -30,16 +29,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def principal_arg(z: complex) -> float:
-    """Principal argument in (-pi, pi]; negative reals map to +pi exactly."""
-    zc = complex(z)
-    if zc == 0:
-        raise ZeroInputError("argument of zero is undefined")
-    ang = math.atan2(zc.imag, zc.real)
-    return math.pi if ang == -math.pi else ang
-
-
 def _principal_args(values: np.ndarray) -> np.ndarray:
+    """Principal arguments in (-pi, pi]; negative reals map to +pi exactly."""
     ang = np.arctan2(values.imag, values.real)
     ang[ang == -np.pi] = np.pi
     return ang
@@ -108,8 +99,8 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
     n = q.n
     ctol = q.tols.cluster
 
-    dec = unitary_eig(q)
-    ang = _principal_args(dec.eigenvalues)
+    eigenvalues, eigenbasis, _ = unitary_eig(q)
+    ang = _principal_args(eigenvalues)
     order = ang.argsort(kind="stable")
     ang_sorted = ang[order]
 
@@ -131,7 +122,7 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
         # Each cluster takes the phase of its circular mean (that of its sum)
         # or, on antipodal cancellation, unreachable at sane tolerances, its
         # lowest argument: that of its first member in index order.
-        vals = dec.eigenvalues[order]
+        vals = eigenvalues[order]
         sums = np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)
         lowest = np.full(len(sums), np.inf)
         np.minimum.at(lowest, labels, ang_sorted)
@@ -141,7 +132,7 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
 
     final = snapped.argsort(kind="stable")
     args = snapped[final]
-    basis = dec.basis.take(order[final], axis=1)
+    basis = eigenbasis.take(order[final], axis=1)
 
     s = int(np.count_nonzero(args == math.pi))
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,19 @@ class TestGeo:
         pt = np.array([[complex(re, im) for re, im in row]
                        for row in report["outputs"]["points"][0]["matrix"]])
         assert np.allclose(pt, np.diag([1j, -1j]), atol=1e-9)
+
+    def test_overflowing_phases_exit_2_with_one_json_line(self, files):
+        # A separate process, so that any numpy warning reaches stderr.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "sungeo.cli", "geo", files["I3"],
+                               files["w3"], "--t", "1e308"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2 and done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert json.loads(line)["error"] == "not_finite"
 
     def test_default_parameters_survive_earlier_requests(self, capsys, files):
         # The parser is built once per process, so its defaults are shared

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,15 @@ class TestGeodesicEval:
         for seg in (fam.canonical, fam.sample(random_unitary(2, seed=6))):
             with pytest.raises(NotFiniteError):
                 geodesic_eval(seg, t)
+
+    def test_overflowing_phases_are_rejected_without_warnings(self):
+        # t is finite, but t times the largest angle (4 pi / 3) is not.
+        fam = geodesic_family(I3, W3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e308, -1e308):
+                with pytest.raises(NotFiniteError):
+                    geodesic_eval(fam.canonical, t)
 
     TS = (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sungeo import (
     AdmissibleTuple,
     InfeasibleError,
-    LatticeProblem,
     NotFiniteError,
     NotUnitaryError,
     ResidualExceededError,
@@ -19,8 +18,8 @@ from sungeo import (
     brute_force_m,
     expm_skew,
     frobenius_norm,
+    grassmann_label,
     m_value,
-    min_log,
     plog_status,
     random_special_unitary,
     random_unitary,
@@ -83,6 +82,37 @@ def tie_heavy_spectra():
     return [(t.alphas, t.zeta) for t in map(AdmissibleTuple.from_args, spectra)]
 
 
+def boundary_args(n: int, zeta: int, nu1: int, nu2: int, beta: float = 2.25):
+    """beta repeated nu1 times below and nu2 times above index n - zeta; the
+    zeta - nu2 arguments above it spaced evenly up to pi, the rest spaced by
+    0.2 about the mean that makes the sum 2 pi zeta."""
+    upper, lower = zeta - nu2, n - zeta - nu1
+    hi = beta + (PI - beta) * np.arange(1, upper + 1) / (upper + 1)
+    mean = (TWO_PI * zeta - (nu1 + nu2) * beta - hi.sum()) / lower
+    lo = mean + 0.2 * (np.arange(lower) - (lower - 1) / 2)
+    return [*lo, *[beta] * (nu1 + nu2), *hi]
+
+
+def tied_spectra():
+    """Spectra of order at most 9 whose minimizers can tie, with the number
+    of minimizing tuples known from their construction: -I, omega I for each
+    root of unity omega off the real axis, a repeated value split by index
+    n - zeta (and its negation) and -1 repeated s times."""
+    spectra = [([PI] * n, math.comb(n, n // 2)) for n in (2, 4, 6, 8)]
+    spectra += [([sign * TWO_PI * k / n] * n, math.comb(n, k))
+                for n in (3, 5, 7) for k in range(1, n // 2 + 1) for sign in (1, -1)]
+    for n, zeta, nu1, nu2 in [(3, 1, 1, 1), (4, 1, 2, 1), (5, 1, 3, 1), (6, 1, 2, 1),
+                              (7, 2, 2, 2), (8, 2, 3, 1), (8, 2, 2, 2), (9, 2, 3, 2)]:
+        args = boundary_args(n, zeta, nu1, nu2)
+        spectra += [(args, math.comb(nu1 + nu2, nu2)),
+                    ([-a for a in args], math.comb(nu1 + nu2, nu2))]
+    for n, s, zeta in [(3, 1, 0), (3, 1, 1), (4, 2, 1), (5, 2, 2), (5, 3, 1), (6, 1, 2),
+                       (7, 1, -1), (8, 4, 2), (8, 2, 3), (9, 3, 1)]:
+        rest = (TWO_PI * zeta - s * PI) / (n - s) + 0.2 * (np.arange(n - s) - (n - s - 1) / 2)
+        spectra.append(([*rest, *[PI] * s], math.comb(s, zeta) if 0 <= zeta <= s else 1))
+    return spectra
+
+
 class TestMValue:
     def test_identity_is_zero(self):
         assert m_value(summary_of(np.eye(4))) == 0.0
@@ -138,14 +168,6 @@ class TestBruteForce:
         with pytest.raises(NotFiniteError):
             brute_force_m(args, 0)
 
-    def test_lattice_problem_psi_matches(self):
-        prob = LatticeProblem(args=(PI, PI), zeta=1)
-        assert prob.psi((-1, 0)) == pytest.approx(2 * PI**2, abs=1e-12)
-        assert prob.psi((0, -1)) == pytest.approx(2 * PI**2, abs=1e-12)
-        assert prob.spread((-1, 0)) == 1
-        best, mins = brute_force_m(prob.args, prob.zeta, K=3)
-        assert all(prob.psi(k) == pytest.approx(best, rel=1e-12) for k in mins)
-
     @pytest.mark.parametrize("K", [2, 3])
     def test_matches_literal_enumeration(self, K):
         haar = [spectral_summary(random_special_unitary(n, seed=50 * n + i))
@@ -157,6 +179,26 @@ class TestBruteForce:
             best, mins = brute_force_m(args, zeta, K=K)
             assert mins == ref_mins
             assert best == pytest.approx(ref, rel=1e-12)
+
+    def test_minimizer_count_is_the_grassmannian_euler_characteristic(self):
+        # The minimizing tuples are the torus-fixed points of the family
+        # Gr(nu2; C^(nu1 + nu2)), so they number C(nu1 + nu2, nu2), and
+        # C(s, zeta) when the family is that of plog, Gr(zeta; C^s).
+        counts = set()
+        for i, (args, count) in enumerate(tied_spectra()):
+            n = len(args)
+            u = random_unitary(n, seed=600 + i)
+            q = validate_special_unitary(u @ diag_su(args).entries @ u.conj().T)
+            sd = spectral_summary(q)
+            _, mins = brute_force_m(sd.args, sd.zeta, K=3, zeta_tol=sd.tols.zeta)
+            td = theta_descriptor(q)
+            assert len(mins) == count
+            assert count == (1 if td.is_singleton else math.comb(td.nu1 + td.nu2, td.nu2))
+            status = plog_status(sd)
+            if status.nonempty:
+                assert count == math.comb(status.grassmann_n, status.grassmann_k)
+            counts.add((count, status.nonempty))
+        assert {(1, True), (1, False), (70, True), (35, False), (6, True)} <= counts
 
     @given(n=st.integers(2, 9), seed=st.integers(0, 10**5))
     @settings(max_examples=40)
@@ -192,12 +234,12 @@ class TestBruteForce:
 
 class TestMinLog:
     def test_identity(self):
-        x = min_log(validate_special_unitary(np.eye(3)))
+        x = theta_descriptor(validate_special_unitary(np.eye(3))).base_log
         assert np.allclose(x.entries, 0.0)
 
     def test_minus_identity_2(self):
         q = validate_special_unitary(-np.eye(2))
-        x = min_log(q)
+        x = theta_descriptor(q).base_log
         eigs = sorted(np.linalg.eigvals(x.entries).imag)
         assert eigs == pytest.approx([-PI, PI], abs=1e-12)
         assert frobenius_norm(x.entries) == pytest.approx(PI * math.sqrt(2), abs=1e-12)
@@ -210,7 +252,7 @@ class TestMinLog:
         sd = spectral_summary(q)
         _, mins = brute_force_m(sd.args, sd.zeta, K=3)
         assert mins == [(0, 0)]
-        x = min_log(q)
+        x = theta_descriptor(q).base_log
         assert np.allclose(x.entries, np.diag([1j * PI / 2, -1j * PI / 2]), atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -218,7 +260,7 @@ class TestMinLog:
         for i in range(10):
             q = random_special_unitary(n, seed=400 + 10 * n + i)
             sd = spectral_summary(q)
-            x = min_log(q)
+            x = theta_descriptor(q).base_log
             assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-8 * n
             assert frobenius_norm(x.entries) ** 2 == pytest.approx(m_value(sd), abs=1e-9)
             assert abs(np.trace(x.entries)) <= 1e-9
@@ -228,7 +270,7 @@ class TestMinLog:
         q = validate_special_unitary(-1j * np.eye(4))  # winding -1
         sd = spectral_summary(q)
         assert sd.zeta == -1
-        x = min_log(q)
+        x = theta_descriptor(q).base_log
         assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-12
         assert frobenius_norm(x.entries) ** 2 == pytest.approx(m_value(sd), abs=1e-10)
 
@@ -238,12 +280,12 @@ class TestMinLog:
             sd = spectral_summary(q)
             sd_adj = spectral_summary(q.adjoint())
             assert m_value(sd_adj) == pytest.approx(m_value(sd), abs=1e-12)
-            x_adj = min_log(q.adjoint())
+            x_adj = theta_descriptor(q.adjoint()).base_log
             # Negating a minimal logarithm of Q^* gives one of Q.
             back = expm_skew(-x_adj)
             assert np.linalg.norm(back.entries - q.entries) <= 1e-10
             assert frobenius_norm(x_adj.entries) == pytest.approx(
-                frobenius_norm(min_log(q).entries), abs=1e-10)
+                frobenius_norm(theta_descriptor(q).base_log.entries), abs=1e-10)
 
 
 class TestThetaDescriptor:
@@ -302,9 +344,9 @@ class TestThetaDescriptor:
         td, tdc = theta_descriptor(q), theta_descriptor(qc)
         assert (td.zeta, td.is_singleton, td.nu1, td.nu2) == \
                (tdc.zeta, tdc.is_singleton, tdc.nu1, tdc.nu2)
-        x = min_log(qc)
+        x = theta_descriptor(qc).base_log
         assert frobenius_norm(x.entries) == pytest.approx(
-            frobenius_norm(min_log(q).entries), abs=1e-9)
+            frobenius_norm(theta_descriptor(q).base_log.entries), abs=1e-9)
         assert np.linalg.norm(expm_skew(x).entries - qc.entries) <= 1e-9
 
 
@@ -372,7 +414,7 @@ class TestThetaSample:
         sd = spectral_summary(q)
         _, mins = brute_force_m(sd.args, sd.zeta, K=3)
         assert len(mins) == 1
-        x = min_log(q)
+        x = theta_descriptor(q).base_log
         rng = np.random.default_rng(11)
         phases = np.exp(1j * rng.uniform(-PI, PI, size=3))
         d = sd.basis @ np.diag(phases) @ sd.basis.conj().T
@@ -494,6 +536,56 @@ class TestStackedSampler:
         assert str(exc.value) == f"expected a unitary of order 3, got shape {shape}"
 
 
+def u_generators(b: int) -> np.ndarray:
+    """A real basis of u(b) as a (b^2, b, b) stack: i E_jj at (j, j), and
+    for j < k, E_jk - E_kj at (j, k) and i (E_jk + E_kj) at (k, j)."""
+    gens = np.zeros((b, b, b, b), dtype=complex)
+    for j in range(b):
+        gens[j, j, j, j] = 1j
+        for k in range(j + 1, b):
+            gens[j, k, j, k], gens[j, k, k, j] = 1.0, -1.0
+            gens[k, j, j, k] = gens[k, j, k, j] = 1j
+    return gens.reshape(b * b, b, b)
+
+
+class TestFamilyDimension:
+    """The paper's third result on the sampled family: at r = I the orbit map
+    r -> X(r) of U(nu1 + nu2) has rank 2 nu1 nu2, the real dimension of
+    Gr(nu2; C^(nu1 + nu2)), and its kernel is the block-diagonal
+    u(nu1) + u(nu2), so it factors through U(nu1 + nu2) / (U(nu1) x U(nu2))."""
+
+    CASES = {"Gr(1;C^2)": [PI] * 2, "Gr(2;C^4)": [PI] * 4,
+             "Gr(3;C^4)": boundary_args(7, 3, 1, 3, beta=2.9),
+             "Gr(2;C^5)": boundary_args(6, 2, 3, 2)}
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_orbit_map_rank_and_kernel(self, label):
+        args = self.CASES[label]
+        n = len(args)
+        u = random_unitary(n, seed=700 + n)
+        q = validate_special_unitary(u @ diag_su(args).entries @ u.conj().T)
+        td = theta_descriptor(q)
+        assert grassmann_label(*td.grassmannian) == label
+        b, h = td.nu1 + td.nu2, 1e-5
+        gens = u_generators(b)
+        # exp(tG) = V diag(e^{i t w}) V^* from the eigh of the Hermitian -iG;
+        # the 2 b^2 steps exp(+-hG) go to the sampler as one stack.
+        w, v = np.linalg.eigh(-1j * gens)
+        steps = [(v * np.exp(1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+                 for t in (h, -h)]
+        xs = [x.entries.ravel() for x in theta_sample(td, q, np.concatenate(steps))]
+        jac = (np.array(xs[:b * b]) - np.array(xs[b * b:])).T / (2 * h)
+        jac = np.concatenate([jac.real, jac.imag])
+        sv = np.linalg.svd(jac, compute_uv=False)
+        assert np.count_nonzero(sv > 1e-6 * sv[0]) == 2 * td.nu1 * td.nu2
+        # The nu1^2 + nu2^2 block-diagonal generators map to zero; with the
+        # rank above they span the whole kernel.
+        side = np.arange(b) < td.nu1
+        block_diagonal = (side[:, None] == side[None, :]).ravel()
+        assert np.count_nonzero(block_diagonal) == b * b - 2 * td.nu1 * td.nu2
+        assert np.abs(jac[:, block_diagonal]).max() <= 1e-6 * sv[0]
+
+
 class TestConjugatedMultiplicities:
     # Repeated-eigenvalue patterns pushed through a Haar conjugation stress
     # the whole chain: eigenspace grouping, circular clustering, snapping,
@@ -516,7 +608,7 @@ class TestConjugatedMultiplicities:
             td = theta_descriptor(q)
             assert (td.zeta, td.is_singleton, td.nu1, td.nu2) == \
                    (td_plain.zeta, td_plain.is_singleton, td_plain.nu1, td_plain.nu2)
-            x = min_log(q)
+            x = theta_descriptor(q).base_log
             assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-8
             assert frobenius_norm(x.entries) ** 2 == pytest.approx(
                 m_value(spectral_summary(q)), abs=1e-9)
