@@ -30,7 +30,6 @@ from .matrixcore import (
     SpecialUnitary,
     _exp_in_basis,
     _frozen,
-    frobenius_norm,
     unitary_product,
 )
 from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral, _sample,
@@ -92,9 +91,10 @@ class GeodesicSegment:
 def _segment(p: SpecialUnitary, x: SkewHermitianTraceless, sd: SpectralData,
              basis: np.ndarray) -> GeodesicSegment:
     """Segment from P with velocity X, built in ``basis`` from the oriented
-    spectrum ``sd`` (``canonical_log`` or a sample of the family)."""
-    return GeodesicSegment(p, x, frobenius_norm(x.entries), basis,
-                           _frozen(sd.sign * _canonical_angles(sd)))
+    spectrum ``sd`` (``canonical_log`` or a sample of the family); its length
+    is ``frobenius_norm``'s formula, without re-coercing the checked entries."""
+    length = math.sqrt(max(np.vdot(x.entries, x.entries).real, 0.0))
+    return GeodesicSegment(p, x, length, basis, _frozen(sd.sign * _canonical_angles(sd)))
 
 
 @dataclass(frozen=True, eq=False)

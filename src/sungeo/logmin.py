@@ -49,7 +49,7 @@ from .matrixcore import (
     _frobenius,
     _frozen,
     _skew_eigh,
-    validate_skew_traceless,
+    _skew_traceless,
 )
 from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
@@ -211,7 +211,7 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     if sd.zeta < 0:
         raise ValueError("canonical form requires a nonnegative winding; "
                          "orient through the adjoint first")
-    return validate_skew_traceless(_log_in_basis(sd, sd.basis), sd.tols)
+    return _skew_traceless(_log_in_basis(sd, sd.basis), sd.tols)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +329,8 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary,
     start = sd.n - td.zeta - td.nu1
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _signed(_log_in_basis(sd, u), sd)
-    outs = tuple(validate_skew_traceless(xi, sd.tols) for xi in x)
+    x = _frozen(_signed(_log_in_basis(sd, u), sd))
+    outs = tuple(_skew_traceless(xi, sd.tols) for xi in x)
     w, v = _skew_eigh(x)
     resids = tuple(
         ResidualExceededError.check(

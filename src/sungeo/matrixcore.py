@@ -11,9 +11,11 @@ exponential) inherit them, and each later check reads them off the value.
 
 All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The validators copy the
-caller's array once, at the boundary; every other array a value holds is
-built fresh for it and frozen in place (marked read-only, not copied). The
-only randomness is the caller-owned generator passed to the samplers.
+caller's array once, at the boundary; a gate kernel (``_special_unitary``,
+``_skew_traceless``) checks it, or a matrix the library has just built, and
+freezes it in place (marked read-only, not copied). LAPACK ``eigh`` and
+``det`` are reached only through ``_eigh`` and ``_det``, the gufuncs that
+``numpy.linalg`` wraps. The only randomness is the caller-owned generator.
 """
 
 from __future__ import annotations
@@ -61,6 +63,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark a freshly built array read-only in place; nothing else may hold it."""
     arr.setflags(write=False)
     return arr
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg``'s ``eigh`` of a complex Hermitian matrix or stack without
+    the wrapper: the same gufunc and errstate, so a solve that does not converge
+    (a non-finite input too) raises ``EigenFailedError`` and warns nothing."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return np.linalg._umath_linalg.eigh_lo(h, signature="D->dD")
+    except FloatingPointError as exc:
+        raise EigenFailedError("hermitian eigensolver failed: "
+                               "Eigenvalues did not converge") from exc
+
+
+def _det(a: np.ndarray) -> complex:
+    """``numpy.linalg``'s ``det`` of a complex matrix without the wrapper."""
+    return np.linalg._umath_linalg.det(a, signature="D->D")
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -151,25 +170,37 @@ class SkewHermitianTraceless:
         return SkewHermitianTraceless(_frozen(self.entries * float(t)), self.tols)
 
 
+def _special_unitary(arr: np.ndarray, tols: Tolerances, gate: float) -> SpecialUnitary:
+    """Gate kernel: Gram and determinant residuals of a matrix its caller has just
+    built, checked at ``gate``; the array is frozen in place and carries ``tols``."""
+    gram = (arr @ arr.conj().T).ravel()
+    gram[::arr.shape[0] + 1] -= 1.0
+    u_res = NotUnitaryError.check(_frobenius(gram), gate, "matrix is not unitary")
+    d_res = DeterminantError.check(float(abs(_det(arr) - 1.0)), gate,
+                                   "determinant is not one")
+    return SpecialUnitary(_frozen(arr), u_res, d_res, tols)
+
+
 def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
     """Check unitarity and unit determinant at ``tols.group`` (by default
     scaled from the order), returning the wrapped matrix carrying ``tols``.
 
     Raises ``NotUnitaryError`` or ``DeterminantError`` with the residual.
     """
-    arr = _as_complex_matrix(a)
-    n = arr.shape[0]
-    tols = Tolerances.default(n) if tols is None else tols
+    arr = _as_complex_matrix(a).copy()
+    tols = Tolerances.default(arr.shape[0]) if tols is None else tols
     # Huge entries overflow the Gram product; its NaN residual is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = (arr @ arr.conj().T).ravel()
-        diagonal = gram[::n + 1]
-        diagonal -= 1.0
-        gram_res = _frobenius(gram)
-    u_res = NotUnitaryError.check(gram_res, tols.group, "matrix is not unitary")
-    d_res = DeterminantError.check(float(abs(np.linalg.det(arr) - 1.0)), tols.group,
-                                   "determinant is not one")
-    return SpecialUnitary(_frozen(arr.copy()), u_res, d_res, tols)
+        return _special_unitary(arr, tols, tols.group)
+
+
+def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless:
+    """Gate kernel: X + X^* = 0 and tr(X) = 0 at ``tols.alg`` for a square
+    complex array its caller has just built, which is frozen in place."""
+    NotSkewHermitianError.check(_frobenius(arr + arr.conj().T), tols.alg,
+                                "matrix is not skew-Hermitian")
+    TraceNotZeroError.check(float(abs(arr.trace())), tols.alg, "trace is not zero")
+    return SkewHermitianTraceless(_frozen(arr), tols)
 
 
 def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianTraceless:
@@ -178,12 +209,8 @@ def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianT
     A matrix passing both checks has purely imaginary eigenvalues up to the
     same tolerance. The result carries ``tols``, by default those for its order.
     """
-    arr = _as_complex_matrix(x)
-    tols = Tolerances.default(arr.shape[0]) if tols is None else tols
-    NotSkewHermitianError.check(_frobenius(arr + arr.conj().T), tols.alg,
-                                "matrix is not skew-Hermitian")
-    TraceNotZeroError.check(float(abs(arr.trace())), tols.alg, "trace is not zero")
-    return SkewHermitianTraceless(_frozen(arr.copy()), tols)
+    arr = _as_complex_matrix(x).copy()
+    return _skew_traceless(arr, Tolerances.default(arr.shape[0]) if tols is None else tols)
 
 
 def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
@@ -198,10 +225,7 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     """
     a = q.entries
     n = q.n
-    try:
-        w, basis = np.linalg.eigh(a + a.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
+    w, basis = _eigh(a + a.conj().T)
     close = w[1:] - w[:-1] <= _HERM_GAP_TOL * max(n, 2)
     if close.any():
         # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
@@ -213,10 +237,7 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
             cols = basis[:, lo:hi]
             proj = cols.conj().T @ skew @ cols
             proj = (proj + proj.conj().T) / 2.0
-            try:
-                _, rot = np.linalg.eigh(proj)
-            except np.linalg.LinAlgError as exc:
-                raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
+            _, rot = _eigh(proj)
             basis[:, lo:hi] = cols @ rot
     raw = np.einsum("ji,ji->i", basis.conj(), a @ basis)
     mags = np.abs(raw)
@@ -231,9 +252,9 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _exp_in_basis(v: np.ndarray, w: np.ndarray, tols: Tolerances) -> SpecialUnitary:
-    """V diag(e^{i w}) V^* for a unitary V and real w, validated as special
+    """V diag(e^{i w}) V^* for a unitary V and real w, checked as special
     unitary at ``tols``: the exponential of V diag(i w) V^*."""
-    return validate_special_unitary((v * np.exp(1j * w)) @ v.conj().T, tols)
+    return _special_unitary((v * np.exp(1j * w)) @ v.conj().T, tols, tols.group)
 
 
 def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +263,7 @@ def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exp(X) = V diag(e^{i w}) V^*."""
     herm = -1j * x
     herm = (herm + np.swapaxes(herm.conj(), -1, -2)) / 2.0
-    try:
-        return np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailedError(f"hermitian eigensolver failed: {exc}") from exc
+    return _eigh(herm)
 
 
 def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
@@ -295,8 +313,9 @@ def random_special_unitary(n: int, seed) -> SpecialUnitary:
     then divides the first column by the determinant to land in SU(n).
     """
     qmat = random_unitary(n, seed)
-    qmat[:, 0] /= np.linalg.det(qmat)
-    return validate_special_unitary(qmat)
+    qmat[:, 0] /= _det(qmat)
+    tols = Tolerances.default(n)
+    return _special_unitary(qmat, tols, tols.group)
 
 
 def unitary_product(p: SpecialUnitary, q: SpecialUnitary) -> SpecialUnitary:
@@ -306,6 +325,6 @@ def unitary_product(p: SpecialUnitary, q: SpecialUnitary) -> SpecialUnitary:
     could spuriously reject products of matrices that each barely pass
     validation. The product carries P's tolerances.
     """
-    wide = Tolerances(10.0 * p.tols.group, p.tols.zeta)
-    pq = validate_special_unitary(p.times(q).entries, wide)
-    return SpecialUnitary(pq.entries, pq.unitarity_residual, pq.det_residual, p.tols)
+    if p.n != q.n:
+        raise ShapeError(f"order mismatch: {p.n} vs {q.n}")
+    return _special_unitary(p.entries @ q.entries, p.tols, 10.0 * p.tols.group)

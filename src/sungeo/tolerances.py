@@ -14,6 +14,7 @@ it: validated matrices, the values derived from them and their spectra carry
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 BASE_TOL_COEFF = 1e-8  # base tolerance per unit of matrix order
 ZETA_TOL = 1e-6        # rounding residual of the winding integer
@@ -28,6 +29,7 @@ class Tolerances:
     zeta: float = ZETA_TOL
 
     @classmethod
+    @lru_cache(maxsize=256)
     def default(cls, n: int) -> "Tolerances":
         return cls(group=BASE_TOL_COEFF * n)
 

@@ -1,4 +1,4 @@
-"""Per-request call counts of the public pipeline stages.
+"""Per-request call counts of the pipeline stages.
 
 Each request should decompose each matrix once and validate only what a
 caller or a file supplies, plus the checks that guard exponentials and the
@@ -7,10 +7,11 @@ segment was built from, so it costs two checks and no ``expm_skew`` or
 eigensolve; ``expm_skew`` runs only for the independent round-trip checks
 of ``log`` and of ``theta``'s base logarithm. Family samples are built as
 one stack and their round trips solved as one stack, so they call no
-``expm_skew``, while each exponential is still validated. The counts are
-taken by wrapping the public names in every ``sungeo`` module namespace,
-the way a tracer sees them, and the LAPACK-backed ``numpy.linalg`` solves
-the library calls.
+``expm_skew``, while each exponential is still checked. The counts are
+taken by wrapping the names in every ``sungeo`` module namespace: the
+special-unitary gate kernel, which every group check runs, whether of a
+caller's matrix or of one the library built, and the two entry points
+through which the library reaches LAPACK's ``eigh`` and ``det``.
 """
 
 import sys
@@ -19,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import sungeo
+import sungeo.matrixcore
 from sungeo import (
     distance,
     geodesic_eval,
@@ -31,16 +32,15 @@ from sungeo import (
 )
 from sungeo.cli import MatrixFile, main
 
-COUNTED = ("spectral_summary", "validate_special_unitary", "expm_skew")
+COUNTED = ("spectral_summary", "_special_unitary", "expm_skew")
 
 
-@pytest.fixture
-def counts(monkeypatch):
+def _count(monkeypatch, names):
     tally = Counter()
     modules = [m for k, m in list(sys.modules.items())
                if k == "sungeo" or k.startswith("sungeo.")]
-    for name in COUNTED:
-        original = getattr(sungeo, name)
+    for name in names:
+        original = getattr(sungeo.matrixcore, name, None) or getattr(sungeo, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             tally[_name] += 1
@@ -51,6 +51,11 @@ def counts(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
     return tally
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    return _count(monkeypatch, COUNTED)
 
 
 @pytest.fixture
@@ -68,7 +73,7 @@ def files(tmp_path, pair):
     return paths
 
 
-# (spectral_summary, validate_special_unitary, expm_skew) per request
+# (spectral_summary, _special_unitary, expm_skew) per request
 CLI_TARGETS = {
     "dist P Q": (["dist", "P", "Q"], (1, 2, 0)),
     "log P Q": (["log", "P", "Q"], (1, 3, 1)),
@@ -110,15 +115,16 @@ def test_sampled_segment_counts(counts):
     assert tuple(counts[name] for name in COUNTED) == (0, 3, 0)
 
 
-LAPACK = ("eigh", "det")
+LAPACK = ("_eigh", "_det")
 
 
 @pytest.fixture
 def lapack(monkeypatch):
-    tally = Counter()
-    for name in LAPACK:
+    # The numpy.linalg wrappers are counted too: the library must not call them.
+    tally = _count(monkeypatch, LAPACK)
+    for name in ("eigh", "det"):
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            tally[_name] += 1
+            tally[f"np.linalg.{_name}"] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -136,6 +142,7 @@ def test_library_lapack_counts(call, target, pair, lapack):
     lapack.clear()
     call(*pair)
     assert tuple(lapack[name] for name in LAPACK) == target
+    assert lapack["np.linalg.eigh"] == lapack["np.linalg.det"] == 0
 
 
 def test_cli_geo_eigh_count(files, lapack, capsys):
@@ -144,4 +151,5 @@ def test_cli_geo_eigh_count(files, lapack, capsys):
     lapack.clear()
     assert main(argv) == 0
     capsys.readouterr()
-    assert lapack["eigh"] == 1
+    assert lapack["_eigh"] == 1
+    assert lapack["np.linalg.eigh"] == lapack["np.linalg.det"] == 0

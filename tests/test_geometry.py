@@ -23,8 +23,11 @@ from sungeo import (
     random_unitary,
     relative_spectrum,
     spectral_summary,
+    unitary_product,
+    validate_skew_traceless,
     validate_special_unitary,
 )
+from conftest import random_skew_traceless
 
 PI = math.pi
 
@@ -337,6 +340,21 @@ class TestDiametralPoints:
     def test_too_small(self):
         with pytest.raises(UnsupportedOrderError):
             diametral_points(su(np.eye(1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_partners_are_strict_local_maxima(self, n):
+        # Each partner C lies in the cut locus of P, so moving it to
+        # C exp(eps Y) along any unit Y in su(n) lowers the distance from P
+        # linearly in eps.
+        rng = np.random.default_rng(4100 + n)
+        p = random_special_unitary(n, rng)
+        ys = [validate_skew_traceless(random_skew_traceless(n, rng)) for _ in range(50)]
+        top = diameter(n)
+        for c in diametral_points(p).points:
+            for y in ys:
+                for eps in (1e-2, 1e-3):
+                    moved = unitary_product(c, expm_skew(y.scaled(eps)))
+                    assert distance(p, moved) < top - 0.25 * eps
 
 
 def test_family_orientation_when_windings_differ():

@@ -18,6 +18,7 @@ from sungeo import (
     brute_force_m,
     expm_skew,
     frobenius_norm,
+    geodesic_family,
     grassmann_label,
     m_value,
     plog_status,
@@ -584,6 +585,23 @@ class TestFamilyDimension:
         block_diagonal = (side[:, None] == side[None, :]).ravel()
         assert np.count_nonzero(block_diagonal) == b * b - 2 * td.nu1 * td.nu2
         assert np.abs(jac[:, block_diagonal]).max() <= 1e-6 * sv[0]
+
+    def test_samples_agree_iff_the_rotation_is_block_diagonal(self):
+        # Gr(2;C^4) from I to -I: X(r1) = X(r2) when r1^* r2 lies in
+        # U(2) x U(2), and not when it mixes the two blocks.
+        fam = geodesic_family(validate_special_unitary(np.eye(4)),
+                              validate_special_unitary(-np.eye(4)))
+        assert fam.theta.grassmannian == (2, 4)
+        r1 = random_unitary(4, seed=711)
+        block = np.zeros((4, 4), dtype=complex)
+        block[:2, :2], block[2:, 2:] = random_unitary(2, seed=712), random_unitary(2, seed=713)
+        cos, sin = math.cos(0.3), math.sin(0.3)
+        mix = np.eye(4, dtype=complex)
+        mix[1:3, 1:3] = [[cos, -sin], [sin, cos]]
+        x1, same, mixed = (seg.X.entries for seg in fam.sample(
+            np.stack([r1, r1 @ block, r1 @ mix])))
+        assert np.linalg.norm(same - x1) <= 1e-12
+        assert np.linalg.norm(mixed - x1) > 1e-3
 
 
 class TestConjugatedMultiplicities:

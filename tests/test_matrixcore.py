@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sungeo import (
     DeterminantError,
+    EigenFailedError,
     NotUnitaryError,
     ShapeError,
     Tolerances,
@@ -20,6 +22,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
+from sungeo.matrixcore import _det, _eigh
 from conftest import random_skew_traceless
 
 
@@ -225,6 +228,8 @@ def test_unitary_product_and_adjoint():
     assert np.allclose(prod.entries, p.entries @ q.entries)
     back = unitary_product(p.adjoint(), prod)
     assert np.linalg.norm(back.entries - q.entries) < 1e-13
+    with pytest.raises(ShapeError, match="order mismatch: 4 vs 3"):
+        unitary_product(p, random_special_unitary(3, seed=3))
 
 
 def _near_the_gate(u, tol, rng):
@@ -320,3 +325,42 @@ class TestFreshArraysAreFrozen:
             "unitary_product": unitary_product(p, q).entries,
         }
         assert [k for k, arr in arrays.items() if arr.flags.writeable] == []
+
+
+class TestLapackEntryPoints:
+    """``_eigh`` and ``_det`` call the gufuncs behind numpy.linalg's ``eigh``
+    and ``det`` without the wrappers, and fail as the wrapper did."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4, 4)])
+    def test_non_finite_hermitian_input_raises_eigen_failed(self, shape):
+        h = np.full(shape, np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            np.linalg.eigh(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenFailedError) as exc:
+                _eigh(h)
+        assert str(exc.value) == f"hermitian eigensolver failed: {ref.value}"
+        assert str(exc.value) == "hermitian eigensolver failed: Eigenvalues did not converge"
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_same_bits_as_numpy_linalg(self, n):
+        a = random_unitary(n, seed=40 + n)
+        h = a + a.conj().T
+        w, v = _eigh(h)
+        ref_w, ref_v = np.linalg.eigh(h)
+        assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+        assert _det(a) == np.linalg.det(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 33])
+    def test_library_built_matrices_carry_the_validators_residuals(self, n):
+        # unitary_product and expm_skew gate the matrix they build in place;
+        # the residuals they record are bit for bit the boundary validator's.
+        for seed in range(3):
+            p = random_special_unitary(n, seed=2 * seed)
+            q = random_special_unitary(n, seed=2 * seed + 1)
+            x = validate_skew_traceless(random_skew_traceless(n, seed=seed, scale=2.0))
+            for built in (unitary_product(p, q), expm_skew(x)):
+                ref = validate_special_unitary(built.entries)
+                assert built.unitarity_residual == ref.unitarity_residual
+                assert built.det_residual == ref.det_residual
