@@ -32,8 +32,8 @@ from .matrixcore import (
     _frozen,
     unitary_product,
 )
-from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral, _sample,
-                     _signed, canonical_log, m_value)
+from .logmin import (_TWO_PI, ThetaDescriptor, _canonical_angles, _descriptor_from_spectral,
+                     _sample, _signed, canonical_log, m_value)
 from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 
 __all__ = [
@@ -167,12 +167,20 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
     basis, validated at X's tolerances as ``expm_skew`` validates its
     result; ``unitary_product`` checks the point at 10x. A ``t`` that is not
     finite, or whose phases t * angles overflow, raises ``NotFiniteError``.
+    Any other ``t`` gives a point in SU(n): the phases are reduced modulo
+    2 pi and the excess of their sum over the nearest multiple of 2 pi is
+    spread evenly over them.
     """
     t = float(t)
     # Python floats overflow to inf without the warning numpy would give.
     if not math.isfinite(t * float(np.abs(seg.angles).max())):
         raise NotFiniteError(f"curve parameter {t!r} gives non-finite phases")
-    return unitary_product(seg.P, _exp_in_basis(seg.basis, t * seg.angles, seg.X.tols))
+    # The rounding of t * angles grows with |t| and moves the phase sum, which
+    # is 0 for a traceless X, off a multiple of 2 pi, and det(exp(tX)) off 1.
+    phases = np.fmod(t * seg.angles, _TWO_PI)
+    total = float(phases.sum())
+    phases -= (total - _TWO_PI * round(total / _TWO_PI)) / len(phases)
+    return unitary_product(seg.P, _exp_in_basis(seg.basis, phases, seg.X.tols))
 
 
 def diameter(n: int) -> float:

@@ -197,7 +197,9 @@ def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
     """U diag(i angles) U^* for the canonical angles of ``sd``, symmetrized to
     its skew part, for one basis U or a stack of them; not yet checked."""
     x = (u * (1j * _canonical_angles(sd))) @ np.swapaxes(u.conj(), -1, -2)
-    return (x - np.swapaxes(x.conj(), -1, -2)) / 2.0
+    x -= np.swapaxes(x.conj(), -1, -2)
+    x /= 2.0
+    return x
 
 
 def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:

@@ -1,9 +1,10 @@
 """Dense complex matrix core for SU(n).
 
 Validated group and algebra element types, the Frobenius inner product, a
-unitary eigendecomposition built entirely from Hermitian solves, the
-skew-Hermitian matrix exponential, and Haar-distributed random sampling,
-of one matrix or of a stack drawn as successive single draws.
+unitary eigendecomposition built entirely from Hermitian solves and checked
+by its eigen-residual ||QU - U diag(eigenvalues)||_F, the skew-Hermitian matrix
+exponential, and Haar-distributed random sampling, of one matrix or of a
+stack drawn as successive single draws.
 
 Tolerances are chosen once, by the two validators. The validated value carries
 them as ``tols``, values derived from it (adjoint, product, multiple,
@@ -197,8 +198,11 @@ def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitar
 def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless:
     """Gate kernel: X + X^* = 0 and tr(X) = 0 at ``tols.alg`` for a square
     complex array its caller has just built, which is frozen in place."""
-    NotSkewHermitianError.check(_frobenius(arr + arr.conj().T), tols.alg,
-                                "matrix is not skew-Hermitian")
+    # conj(X) + X^T, one buffer, is (X + X^*)^T; X + X^* is Hermitian entry for
+    # entry, so this is its conjugate and the residual is the same, bit for bit.
+    herm = arr.conj()
+    herm += arr.T
+    NotSkewHermitianError.check(_frobenius(herm), tols.alg, "matrix is not skew-Hermitian")
     TraceNotZeroError.check(float(abs(arr.trace())), tols.alg, "trace is not zero")
     return SkewHermitianTraceless(_frozen(arr), tols)
 
@@ -221,11 +225,18 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     eigenspace only, the projected skew part (Q - Q^*)/i; as Q is normal this
     gives a simultaneous unitary eigenbasis U. The raw eigenvalues, diag(U^* Q U),
     take one matrix product Q U and a column-wise dot; they are rescaled to modulus one.
-    The reconstruction residual is gated at ``q.tols.eig``.
+
+    The residual is the eigen-residual ||QU - U diag(eigenvalues)||_F, read off the
+    same product Q U and gated at ``q.tols.eig``. For unitary U it is the
+    reconstruction residual, ||U diag(eigenvalues) U^* - Q||_F =
+    ||(U diag(eigenvalues) - QU) U^*||_F, and ``eigh`` returns U unitary to O(n eps),
+    so the two agree to rounding without a second n^3 product.
     """
     a = q.entries
     n = q.n
-    w, basis = _eigh(a + a.conj().T)
+    herm = a.conj().T
+    herm += a
+    w, basis = _eigh(herm)
     close = w[1:] - w[:-1] <= _HERM_GAP_TOL * max(n, 2)
     if close.any():
         # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
@@ -239,14 +250,16 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
             proj = (proj + proj.conj().T) / 2.0
             _, rot = _eigh(proj)
             basis[:, lo:hi] = cols @ rot
-    raw = np.einsum("ji,ji->i", basis.conj(), a @ basis)
+    qu = a @ basis
+    # conj(U) for the column-wise dot, then reused for U diag(evals).
+    buf = basis.conj()
+    raw = np.einsum("ji,ji->i", buf, qu)
     mags = np.abs(raw)
     if (mags < 0.5).any():
         raise EigenFailedError("eigenvalue collapsed away from the unit circle")
     evals = raw / mags
-    recon = (basis * evals) @ basis.conj().T
-    recon -= a
-    residual = ResidualExceededError.check(_frobenius(recon), q.tols.eig,
+    qu -= np.multiply(basis, evals, out=buf)
+    residual = ResidualExceededError.check(_frobenius(qu), q.tols.eig,
                                            "eigendecomposition reconstruction failed")
     return _frozen(evals), _frozen(basis), residual
 

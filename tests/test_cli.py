@@ -147,6 +147,17 @@ class TestGeo:
         [line] = done.stderr.splitlines()
         assert json.loads(line)["error"] == "not_finite"
 
+    def test_large_finite_parameter_gives_a_point_in_the_group(self, capsys, tmp_path):
+        p = write_matrix(tmp_path, "P3.json", random_special_unitary(3, seed=10).entries)
+        q = write_matrix(tmp_path, "Q3.json", random_special_unitary(3, seed=20).entries)
+        code, report, err = run_cli(capsys, "geo", p, q, "--t", "1e10")
+        assert code == 0 and err == ""
+        [key] = [k for k in report["residuals"] if k.startswith("gamma(")]
+        assert report["residuals"][key] <= report["inputs"]["tol"]
+        [point] = report["outputs"]["points"]
+        g = np.array([[complex(re, im) for re, im in row] for row in point["matrix"]])
+        assert abs(np.linalg.det(g) - 1.0) <= report["inputs"]["tol"]
+
     def test_default_parameters_survive_earlier_requests(self, capsys, files):
         # The parser is built once per process, so its defaults are shared
         # by every request.

@@ -260,6 +260,22 @@ class TestGeodesicEval:
                 with pytest.raises(NotFiniteError):
                     geodesic_eval(fam.canonical, t)
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_large_finite_parameters_stay_in_the_group(self, n):
+        # t * angles carries a rounding error that grows with |t|; the phases
+        # are reduced modulo 2 pi with their sum moved onto a multiple of
+        # 2 pi, so the point passes the group gates at any finite t.
+        for i in range(3):
+            p = random_special_unitary(n, seed=10 + i)
+            q = random_special_unitary(n, seed=20 + i)
+            seg = geodesic_family(p, q).canonical
+            for t in (1e8, 1e10, 1e12, -1e12):
+                g = geodesic_eval(seg, t)
+                assert g.unitarity_residual <= p.tols.group
+                assert g.det_residual <= p.tols.group
+                assert np.linalg.norm(g.entries @ g.entries.conj().T - np.eye(n)) <= 1e-13 * n
+                assert abs(np.linalg.det(g.entries) - 1.0) <= 1e-13 * n
+
     TS = (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0)
 
     def assert_agrees_with_expm_skew(self, seg, q):

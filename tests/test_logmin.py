@@ -16,6 +16,7 @@ from sungeo import (
     SingletonThetaError,
     adjoint_spectrum,
     brute_force_m,
+    canonical_log,
     expm_skew,
     frobenius_norm,
     geodesic_family,
@@ -30,7 +31,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
-from sungeo.logmin import _sample
+from sungeo.logmin import _log_in_basis, _sample
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -287,6 +288,36 @@ class TestMinLog:
             assert np.linalg.norm(back.entries - q.entries) <= 1e-10
             assert frobenius_norm(x_adj.entries) == pytest.approx(
                 frobenius_norm(theta_descriptor(q).base_log.entries), abs=1e-10)
+
+
+class TestExactSkewness:
+    """The logarithm is symmetrized in place to (X - X^*) / 2, so it is
+    skew-Hermitian entry for entry, as one matrix and as a stack."""
+
+    @staticmethod
+    def assert_exactly_skew(x):
+        assert np.array_equal(x, -np.swapaxes(x.conj(), -1, -2))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+    def test_single_and_stacked_haar(self, n):
+        q = random_special_unitary(n, seed=500 + n)
+        sd = theta_descriptor(q).spectral
+        self.assert_exactly_skew(_log_in_basis(sd, sd.basis))
+        stack = sd.basis @ random_unitary(n, seed=600 + n, count=4)
+        xs = _log_in_basis(sd, stack)
+        assert xs.shape == (4, n, n)
+        self.assert_exactly_skew(xs)
+        x = canonical_log(sd).entries
+        assert np.linalg.norm(x + x.conj().T) == 0.0
+
+    @pytest.mark.parametrize("kind, n", [("diametral", 3), ("boundary", 5),
+                                         ("minus_one", 6), ("boundary_adjoint", 4)])
+    def test_family_samples(self, kind, n):
+        q, td = conjugated_family(kind, n)
+        self.assert_exactly_skew(td.base_log.entries)
+        xs, _, _ = _sample(td, q, random_unitary(td.nu1 + td.nu2, seed=n, count=3))
+        for x in xs:
+            self.assert_exactly_skew(x.entries)
 
 
 class TestThetaDescriptor:

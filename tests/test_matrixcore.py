@@ -10,6 +10,7 @@ from sungeo import (
     DeterminantError,
     EigenFailedError,
     NotUnitaryError,
+    ResidualExceededError,
     ShapeError,
     Tolerances,
     expm_skew,
@@ -147,6 +148,78 @@ class TestUnitaryEig:
         q = validate_special_unitary(u @ d @ u.conj().T)
         residual = unitary_eig(q)[2]
         assert residual <= 1e-12
+
+
+def _with_args(args, seed):
+    """W diag(e^{i args}) W^* for a Haar unitary W."""
+    w = random_unitary(len(args), seed=seed)
+    return (w * np.exp(1j * np.asarray(args))) @ w.conj().T
+
+
+def _reconstruction_residual(q, vals, basis):
+    """||U diag(vals) U^* - Q||_F, the residual the eigen-residual stands for."""
+    return np.linalg.norm((basis * vals) @ basis.conj().T - q.entries)
+
+
+# Repeated eigenvalues put Q + Q^* through the degenerate-block path.
+_DEGENERATE = {
+    "minus_identity": -np.eye(4),
+    "omega_identity": np.exp(2j * math.pi / 3) * np.eye(3),
+    "boundary": _with_args([0.5, math.pi - 0.25, math.pi - 0.25], seed=41),
+    "boundary_block": _with_args([-1.0, -1.0, 0.4, 0.8, 0.8], seed=42),
+    "minus_one": _with_args([math.pi, math.pi, 0.3, -0.3], seed=43),
+    "minus_one_odd": _with_args([math.pi, math.pi, math.pi, 1.2, math.pi - 1.2], seed=44),
+}
+
+
+class TestEigenResidual:
+    """``unitary_eig`` gates ||QU - U diag(vals)||_F, read off the product QU
+    that the eigenvalues come from; for unitary U it is the reconstruction
+    residual ||U diag(vals) U^* - Q||_F."""
+
+    @staticmethod
+    def assert_matches_reconstruction(q):
+        vals, basis, residual = unitary_eig(q)
+        recon = _reconstruction_residual(q, vals, basis)
+        assert abs(residual - recon) <= 4 * q.n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [2, 5, 32, 128])
+    def test_haar(self, n):
+        for i in range(3):
+            self.assert_matches_reconstruction(random_special_unitary(n, seed=[n, i]))
+
+    @pytest.mark.parametrize("name", sorted(_DEGENERATE))
+    def test_degenerate_spectra(self, name):
+        self.assert_matches_reconstruction(validate_special_unitary(_DEGENERATE[name]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_noisy_inputs_are_gated_as_by_the_reconstruction(self, n):
+        # Each noisy input is validated at the least tolerance that accepts it,
+        # which puts its eigen-residual on either side of the eig gate.
+        rng = np.random.default_rng(900 + n)
+        outcomes = set()
+        for _ in range(60):
+            u = random_special_unitary(n, rng).entries
+            e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = u + e * (10.0 ** rng.uniform(-11, -7) / np.linalg.norm(e))
+            loose = validate_special_unitary(a, Tolerances(1.0))
+            try:
+                vals, basis, _ = unitary_eig(loose)
+            except EigenFailedError:
+                continue
+            recon = _reconstruction_residual(loose, vals, basis)
+            q = validate_special_unitary(
+                a, Tolerances(1.01 * max(loose.unitarity_residual, loose.det_residual)))
+            accepted = recon <= q.tols.eig
+            outcomes.add(accepted)
+            if not accepted:
+                with pytest.raises(ResidualExceededError,
+                                   match="eigendecomposition reconstruction failed"):
+                    unitary_eig(q)
+                continue
+            assert unitary_eig(q)[1].tobytes() == basis.tobytes()
+            self.assert_matches_reconstruction(q)
+        assert outcomes == {True, False}
 
 
 class TestExpmSkew:
