@@ -33,13 +33,12 @@ import numpy as np
 from .errors import (NonFiniteResultError, ParseError, ShapeError, SungeoError,
                      UnsupportedOrderError)
 from .geometry import (
-    _distance,
-    _relative,
     diameter,
     diametral_points,
     distance,
     geodesic_eval,
     geodesic_family,
+    relative_spectrum,
 )
 from .logmin import (_sample, brute_force_m, grassmann_label, m_value, plog_status,
                      theta_descriptor)
@@ -261,16 +260,17 @@ class _ReportEncoder(json.JSONEncoder):
 
 def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
     p, q = _load(tol, path_p, path_q)
-    sd, oriented = _relative(p, q)
+    sd = relative_spectrum(p, q)
+    m = m_value(sd)
     return {
         "command": "dist",
         "inputs": {"P": path_p, "Q": path_q, "tol": p.tols.group},
         "outputs": {
-            "distance": _distance(oriented),
+            "distance": math.sqrt(m),
             "zeta": sd.zeta,
             "s": sd.s,
             "args": [float(a) for a in sd.args],
-            "m": m_value(sd),
+            "m": m,
         },
         "residuals": {**_unitary_residuals("P", p), **_unitary_residuals("Q", q)},
     }

@@ -4,14 +4,14 @@ Distances come from spectra of the relative matrix P^*Q: the squared
 distance is the minimal squared norm of an su(n)-logarithm of P^*Q, and
 geodesics are the one-parameter curves t -> P exp(tX).
 
-Orientation: the pair policy in ``_relative`` keeps whichever of P^*Q and
-Q^*P has the larger winding (flip when zeta < s - zeta), so both endpoints
-induce the same oriented spectrum, which makes the distance numerically
-symmetric and the uniqueness classification well defined. Like the
-single-matrix policy of ``logmin`` (flip when zeta < 0), it flips through
-``spectral.adjoint_spectrum``, the one function that flips a spectrum; the
-flipped spectrum carries ``sign = -1``, and ``log_map`` and
-``geodesic_family`` read the sign from it.
+Orientation: the distance is read off the spectrum of P^*Q as it is
+(``m_value`` takes either sign of zeta). Only a logarithm needs an oriented
+spectrum: ``log_map`` and ``geodesic_family`` read whichever of P^*Q and
+Q^*P has the larger winding (``_oriented``: flip when zeta < s - zeta), so
+that both endpoints induce the same family and its classification is well
+defined. The flip goes through ``spectral.adjoint_spectrum``, which marks
+the spectrum with ``sign = -1``, and the logarithms ``logmin`` builds on it
+are still those of P^*Q.
 
 No function here takes a tolerance: P^*Q, its spectrum, its logarithms and the
 points of a geodesic carry P's (``unitary_product`` checks points at 10x).
@@ -33,7 +33,7 @@ from .matrixcore import (
     unitary_product,
 )
 from .logmin import (_TWO_PI, ThetaDescriptor, _canonical_angles, _descriptor_from_spectral,
-                     _sample, _signed, canonical_log, m_value)
+                     _sample, canonical_log, m_value)
 from .spectral import SpectralData, adjoint_spectrum, spectral_summary
 
 __all__ = [
@@ -56,16 +56,9 @@ def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary) -> SpectralData:
     return spectral_summary(p.adjoint().times(q))
 
 
-def _relative(p: SpecialUnitary, q: SpecialUnitary) -> tuple[SpectralData, SpectralData]:
-    """Spectrum of P^*Q, and that spectrum oriented by the pair policy. The
-    larger of zeta and s - zeta is never negative, so the closed forms apply
-    directly to the oriented spectrum."""
-    sd = relative_spectrum(p, q)
-    return sd, adjoint_spectrum(sd) if sd.zeta < sd.s - sd.zeta else sd
-
-
-def _distance(oriented: SpectralData) -> float:
-    return math.sqrt(max(m_value(oriented), 0.0))
+def _oriented(sd: SpectralData) -> SpectralData:
+    """The pair policy: P^*Q's spectrum, or Q^*P's when its winding is larger."""
+    return adjoint_spectrum(sd) if sd.zeta < sd.s - sd.zeta else sd
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +129,13 @@ class DiametralReport:
 
 
 def distance(p: SpecialUnitary, q: SpecialUnitary) -> float:
-    """Geodesic distance induced by the Frobenius metric."""
-    return _distance(_relative(p, q)[1])
+    """Geodesic distance induced by the Frobenius metric: sqrt(m(P^*Q))."""
+    return math.sqrt(m_value(relative_spectrum(p, q)))
 
 
 def log_map(p: SpecialUnitary, q: SpecialUnitary) -> SkewHermitianTraceless:
     """Canonical velocity X with P exp(X) = Q and ||X|| = d(P, Q)."""
-    _, sd = _relative(p, q)
-    return _signed(canonical_log(sd), sd)
+    return canonical_log(_oriented(relative_spectrum(p, q)))
 
 
 def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
@@ -154,10 +146,11 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     shifted boundary; otherwise the family is a complex Grassmannian
     recorded in the descriptor.
     """
-    td = _descriptor_from_spectral(_relative(p, q)[1])
+    sd = relative_spectrum(p, q)
+    td = _descriptor_from_spectral(_oriented(sd))
     seg = _segment(p, td.base_log, td.spectral, td.spectral.basis)
     return GeodesicFamily(P=p, Q=q, unique=td.is_singleton, canonical=seg,
-                          theta=td, distance=_distance(td.spectral))
+                          theta=td, distance=math.sqrt(m_value(sd)))
 
 
 def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
@@ -184,12 +177,17 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
 
 
 def diameter(n: int) -> float:
-    """Diameter of SU(n): pi sqrt(n) for even n, pi sqrt(n - 1/n) for odd."""
+    """Diameter of SU(n): pi sqrt(n) for even n, pi sqrt(n - 1/n) for odd.
+    An order too large for a float raises ``UnsupportedOrderError``."""
     if n < 2:
         raise UnsupportedOrderError("diameter requires order at least 2")
+    try:
+        x = float(n)
+    except OverflowError:
+        raise UnsupportedOrderError("order too large to convert to a float") from None
     if n % 2 == 0:
-        return math.pi * math.sqrt(n)
-    return math.pi * math.sqrt(n - 1.0 / n)
+        return math.pi * math.sqrt(x)
+    return math.pi * math.sqrt(x - 1.0 / x)
 
 
 def diametral_points(p: SpecialUnitary) -> DiametralReport:

@@ -6,24 +6,25 @@ squared norm of a minimal logarithm is
 
     m(Q) = min { sum_j (arg(mu_j) + 2 pi k_j)^2 : sum_j k_j = -zeta(Q) }.
 
-This module provides the closed form for m(Q) (assuming zeta >= 0), the
-canonical minimizing logarithm, the descriptor of the full solution set
-Theta(Q) together with a sampler of its Grassmannian family, the classifier
-for generalized principal logarithms, and an independent lattice oracle: a
-dynamic program over positions that minimizes exactly over the box
-[-K, K]^n, lists every tuple within a relative ``tie_tol`` of the minimum
-and rejects boxes of more than 1e8 tuples.
+This module provides the closed form for m(Q), the canonical minimizing
+logarithm, the descriptor of the full solution set Theta(Q) together with a
+sampler of its Grassmannian family, the classifier for generalized principal
+logarithms, and an independent lattice oracle: a dynamic program over
+positions that minimizes exactly over the box [-K, K]^n, lists every tuple
+within a relative ``_TIE_TOL`` (1e-9) of the minimum and rejects boxes of
+more than 1e8 tuples.
 
 The sampler takes one sampling unitary or a (k, b, b) stack of them, with
 the batch axis first as in geomstats. A stack is built and its round trips
 are solved in one pass, each member bit for bit what its slice gives alone;
 then each member goes through the checks a single sample passes.
 
-Orientation: a single matrix with a negative winding is handled through its
-adjoint (policy: flip when zeta < 0, in ``_nonnegative``). The pair policy
-of ``geometry`` (flip when zeta < s - zeta) and this one both flip through
-``spectral.adjoint_spectrum``, which marks the flipped spectrum with
-``sign = -1``; ``_signed`` reads that sign to map a logarithm back to Q.
+Orientation: the closed form reads a spectrum as it is, for either sign of
+zeta. A logarithm needs a nonnegative winding: ``theta_descriptor`` flips Q
+when zeta < 0, and the pair policy of ``geometry`` when zeta < s - zeta,
+both through ``spectral.adjoint_spectrum`` (``sign = -1``). ``_log_in_basis``
+negates what it builds on a flipped spectrum, so every logarithm here is one
+of the matrix the spectrum stands for.
 """
 
 from __future__ import annotations
@@ -67,23 +68,12 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_TIE_TOL = 1e-9  # relative slack of a tie in ``brute_force_m``
 
 
 def grassmann_label(k: int, m: int) -> str:
     """Complex Grassmannian of k-planes in C^m, as a report label."""
     return f"Gr({k};C^{m})"
-
-
-def _nonnegative(sd: SpectralData) -> SpectralData:
-    """Single-matrix orientation: Q^* when Q has a negative winding."""
-    return adjoint_spectrum(sd) if sd.zeta < 0 else sd
-
-
-def _signed(x, sd: SpectralData):
-    """Map a logarithm read off ``sd`` (or a stack of their entries) back to
-    one of Q through ``sd.sign``. By negation: a complex product by -1
-    changes the signs of zero entries."""
-    return -x if sd.sign < 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -93,26 +83,24 @@ def _signed(x, sd: SpectralData):
 def m_value(sd: SpectralData) -> float:
     """Squared Frobenius norm of a minimal su(n)-logarithm.
 
-    For zeta = 0 this is sum(args^2). For zeta >= 1 the last zeta sorted
-    arguments contribute (2 pi - arg)^2 instead, which corresponds to the
-    integer assignment with zeta entries -1 at the top of the spectrum.
-    Negative windings are evaluated on the adjoint spectrum; the minimum is
-    invariant under conjugation of Q.
+    The minimizing integers are -1 on the top zeta sorted arguments for
+    zeta >= 0, which then contribute (2 pi - arg)^2, and +1 on the bottom
+    -zeta for zeta < 0, which contribute (arg + 2 pi)^2; the others
+    contribute arg^2. For zeta = 0 this is sum(args^2).
     """
-    sd = _nonnegative(sd)
-    args = sd.args
-    if sd.zeta == 0:
-        return float(args @ args)
-    head = args[:sd.n - sd.zeta]
-    tail = _TWO_PI - args[sd.n - sd.zeta:]
-    return float(head @ head + tail @ tail)
+    args, zeta = sd.args, sd.zeta
+    if zeta >= 0:
+        kept, moved = args[:sd.n - zeta], _TWO_PI - args[sd.n - zeta:]
+    else:
+        kept, moved = args[-zeta:], args[:-zeta] + _TWO_PI
+    return float(kept @ kept + moved @ moved)
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_m(args, zeta: int, K: int = 3, tie_tol: float = 1e-9,
+def brute_force_m(args, zeta: int, K: int = 3,
                   zeta_tol: float = ZETA_TOL) -> tuple[float, list[tuple[int, ...]]]:
     """Exact minimization of psi(k) = sum_j (args_j + 2 pi k_j)^2 over the
     integer tuples k in the box [-K, K]^n with sum(k) = -zeta.
@@ -120,7 +108,7 @@ def brute_force_m(args, zeta: int, K: int = 3, tie_tol: float = 1e-9,
     A dynamic program over positions with the partial sum of k as state:
     ``rest[j][t]`` is the least cost of positions j..n-1 whose k sum to t,
     and the minimum is ``rest[0][-zeta]``. A depth-first walk lists, in
-    lexicographic order, every tuple whose psi is within ``tie_tol``
+    lexicographic order, every tuple whose psi is within ``_TIE_TOL``
     relative to the minimum (exact ties can differ by a few ulps). Boxes of
     more than 1e8 tuples, (2K + 1)^n, are rejected.
 
@@ -167,7 +155,7 @@ def brute_force_m(args, zeta: int, K: int = 3, tie_tol: float = 1e-9,
                 if c + tail < row.get(t + k, math.inf):
                     row[t + k] = c + tail
     best = rest[0][-int(zeta)]
-    cutoff = best + tie_tol * max(1.0, best)
+    cutoff = best + _TIE_TOL * max(1.0, best)
     minimizers = []
 
     def walk(j: int, t: int, prefix: float, head: tuple[int, ...]) -> None:
@@ -195,10 +183,14 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
 
 def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
     """U diag(i angles) U^* for the canonical angles of ``sd``, symmetrized to
-    its skew part, for one basis U or a stack of them; not yet checked."""
+    its skew part and negated when ``sd`` is flipped, so that it is a logarithm
+    of the matrix ``sd`` stands for; for one basis U or a stack of them, not
+    yet checked."""
     x = (u * (1j * _canonical_angles(sd))) @ np.swapaxes(u.conj(), -1, -2)
     x -= np.swapaxes(x.conj(), -1, -2)
     x /= 2.0
+    if sd.sign < 0:
+        np.negative(x, out=x)  # not a product by -1, which moves signed zeros
     return x
 
 
@@ -206,8 +198,10 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with zeta >= 0.
 
     Keeps the first n - zeta sorted arguments, shifts the last zeta by -2 pi
-    and conjugates back through the eigenbasis. If the kept/shifted boundary
-    splits a cluster, rounding orders the basis columns inside it: this is one
+    and conjugates back through the eigenbasis. The result is a logarithm of
+    the matrix the spectrum stands for: of Q when ``sd`` is the spectrum of
+    Q^* that ``adjoint_spectrum`` made from Q's (``sign = -1``). If the
+    kept/shifted boundary splits a cluster, rounding orders the basis columns inside it: this is one
     member of the family Gr(nu2; C^(nu1+nu2)), and rounding may pick another.
     """
     if sd.zeta < 0:
@@ -230,7 +224,8 @@ class ThetaDescriptor:
     boundary eigenvalue on each side, and ``base_log`` is the member that
     rounding picks (see ``canonical_log``). ``spectral`` keeps the oriented
     spectral data so sampling reuses the exact basis of ``base_log``; its
-    ``sign`` maps logarithms read off it back to those of Q.
+    ``sign`` is -1 when that is Q^*'s, and the logarithms built on it are
+    still those of Q.
     """
 
     n: int
@@ -257,7 +252,7 @@ class ThetaDescriptor:
 
 def _descriptor_from_spectral(sd: SpectralData) -> ThetaDescriptor:
     """Descriptor from an oriented spectrum (zeta >= 0)."""
-    base = _signed(canonical_log(sd), sd)
+    base = canonical_log(sd)
     n, zeta, args = sd.n, sd.zeta, sd.args
     # The set is a family when the boundary between kept and shifted
     # arguments splits a cluster; sorted, so each side's part is contiguous.
@@ -277,7 +272,8 @@ def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
     family structure is unchanged by that because negation maps the
     solution set of Q^* onto that of Q.
     """
-    return _descriptor_from_spectral(_nonnegative(spectral_summary(q)))
+    sd = spectral_summary(q)
+    return _descriptor_from_spectral(adjoint_spectrum(sd) if sd.zeta < 0 else sd)
 
 
 def theta_sample(td: ThetaDescriptor, q: SpecialUnitary,
@@ -331,7 +327,7 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary,
     start = sd.n - td.zeta - td.nu1
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _frozen(_signed(_log_in_basis(sd, u), sd))
+    x = _frozen(_log_in_basis(sd, u))
     outs = tuple(_skew_traceless(xi, sd.tols) for xi in x)
     w, v = _skew_eigh(x)
     resids = tuple(

@@ -28,6 +28,7 @@ from sungeo import (
     log_map,
     random_special_unitary,
     random_unitary,
+    relative_spectrum,
     validate_special_unitary,
 )
 from sungeo.cli import MatrixFile, main
@@ -113,6 +114,39 @@ def test_sampled_segment_counts(counts):
     counts.clear()
     fam.sample(r).at(0.5)
     assert tuple(counts[name] for name in COUNTED) == (0, 3, 0)
+
+
+def _pair_with_relative_spectrum(args, seed):
+    args = np.array(args)
+    n = len(args)
+    u = random_unitary(n, seed=[seed, 0])
+    p = random_special_unitary(n, seed=[seed, 1])
+    return p, validate_special_unitary(p.entries @ (u * np.exp(1j * args)) @ u.conj().T)
+
+
+# P^*Q with zeta = -1, s = 0, and with -1 eigenvalues and 0 <= zeta < s - zeta
+# (zeta = 0, s = 1 and zeta = 1, s = 3): the pair policy flips each of them.
+FLIPPED_PAIRS = {
+    "negative-winding": ([-2.5, -2.5, 5.0 - 2 * np.pi], 11),
+    "minus-one-s1": ([-1.7, 1.7 - np.pi, np.pi], 12),
+    "minus-one-s3": ([-np.pi / 2 - 0.3, -np.pi / 2 + 0.3, np.pi, np.pi, np.pi], 13),
+}
+
+
+# The distance reads the spectrum as it is; only a logarithm flips it.
+@pytest.mark.parametrize("case", sorted(FLIPPED_PAIRS))
+@pytest.mark.parametrize("call, target", [
+    (lambda p, q: distance(p, q), 0),
+    (lambda p, q: log_map(p, q), 1),
+    (lambda p, q: geodesic_family(p, q), 1),
+], ids=["distance", "log_map", "geodesic_family"])
+def test_adjoint_spectrum_counts(call, target, case, monkeypatch):
+    p, q = _pair_with_relative_spectrum(*FLIPPED_PAIRS[case])
+    sd = relative_spectrum(p, q)
+    assert sd.zeta < sd.s - sd.zeta
+    tally = _count(monkeypatch, ("adjoint_spectrum",))
+    call(p, q)
+    assert tally["adjoint_spectrum"] == target
 
 
 LAPACK = ("_eigh", "_det")

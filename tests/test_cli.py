@@ -427,6 +427,16 @@ def test_random_rejects_orders_too_large_to_allocate(capsys):
     assert json.loads(lines[0])["error"] == "unsupported_n"
 
 
+def test_diam_order_beyond_float_range_exits_2(capsys):
+    assert main(["diam", str(10 ** 400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "unsupported_n"
+
+
 # Each of these also fails at once and touches no memory: numpy raises
 # MemoryError for 1e15 stacked 2 x 2 samples (57 PiB), and ValueError for
 # 1e10 x 1e10 doubles or 1e30 samples, sizes beyond its size type.

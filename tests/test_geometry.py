@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
+from sungeo.cli import MatrixFile, main
 from conftest import random_skew_traceless
 
 PI = math.pi
@@ -221,6 +223,29 @@ class TestGeodesicFamily:
             x = geodesic_family(p, q).canonical.X
             assert log_map(p, q).entries.tobytes() == x.entries.tobytes()
 
+    def test_distance_is_the_root_of_m_on_both_orientations(self, tmp_path, capsys):
+        # The distance is read off P^*Q's spectrum as it is, so the dist
+        # report's distance is sqrt of its m exactly, and the family's distance
+        # is distance(p, q), whether or not the pair policy flips the spectrum.
+        # The last pair has P^*Q with spectrum (-1.7, 1.7 - pi, pi): s = 1 and
+        # zeta = 0, which the pair policy flips. Summed on the flipped
+        # spectrum, its m rounds to a distance 1 ulp larger than this one.
+        u = random_unitary(3, seed=[0, 0])
+        p3 = random_special_unitary(3, seed=[0, 1])
+        minus_one = su(p3.entries @ (u * np.exp(1j * np.array([-1.7, 1.7 - PI, PI])))
+                       @ u.conj().T)
+        sd = relative_spectrum(p3, minus_one)
+        assert (sd.zeta, sd.s) == (0, 1)
+        for p, q in [*self.orientation_pairs(), (p3, minus_one)]:
+            paths = []
+            for name, m in (("P", p), ("Q", q)):
+                paths.append(str(tmp_path / f"{name}.json"))
+                MatrixFile.from_entries(m.entries).dump(paths[-1])
+            assert main(["dist", *paths]) == 0
+            out = json.loads(capsys.readouterr().out)["outputs"]
+            assert out["distance"] == math.sqrt(out["m"]) == distance(p, q)
+            assert distance(p, q) == geodesic_family(p, q).distance
+
 
 class TestGeodesicEval:
     def test_endpoints(self):
@@ -326,6 +351,11 @@ class TestDiameter:
     def test_too_small(self):
         with pytest.raises(UnsupportedOrderError):
             diameter(1)
+
+    @pytest.mark.parametrize("n", [10 ** 400, 10 ** 400 + 1], ids=["even", "odd"])
+    def test_order_beyond_float_range_is_unsupported(self, n):
+        with pytest.raises(UnsupportedOrderError):
+            diameter(n)
 
 
 class TestDiametralPoints:
