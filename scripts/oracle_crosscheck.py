@@ -3,9 +3,9 @@
 Sweeps Haar-random matrices, compares m(Q) from the two-block formula with
 the integer-lattice minimum that ``brute_force_m`` finds by dynamic
 programming over the box [-K, K]^n (never from the closed form), and tallies
-the structure of the minimizers it lists (spread at most 1; for nonnegative
-winding, exactly zeta entries equal to -1). Boxes of more than 1e8 tuples
-are rejected, so with K = 3 the orders stop at 9.
+the structure of the minimizers it lists (exactly |zeta| entries equal to -1
+for zeta >= 0, to +1 for zeta < 0, the rest 0). Boxes of more than 1e8
+tuples are rejected, so with K = 3 the orders stop at 9.
 """
 
 import argparse
@@ -35,11 +35,10 @@ def main():
             brute, minimizers = brute_force_m(sd.args, sd.zeta, K=args.box)
             worst = max(worst, abs(closed - brute) / max(1.0, closed))
             zetas[sd.zeta] = zetas.get(sd.zeta, 0) + 1
-            for k in minimizers:
-                if max(k) - min(k) > 1:
-                    structure_violations += 1
-                if sd.zeta >= 0 and k.count(-1) != sd.zeta:
-                    structure_violations += 1
+            step = -1 if sd.zeta >= 0 else 1
+            structure_violations += sum(
+                not (set(k) <= {0, step} and k.count(step) == abs(sd.zeta))
+                for k in minimizers)
         grand_worst = max(grand_worst, worst)
         print(f"n={n}: worst relative gap {worst:.2e}, "
               f"winding counts {dict(sorted(zetas.items()))}, "

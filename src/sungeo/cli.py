@@ -282,7 +282,7 @@ def cmd_log(path_p: str, path_q: str, tol: float | None,
     fam = geodesic_family(p, q)
     x = fam.canonical.X
     e = expm_skew(x)
-    roundtrip = float(np.linalg.norm(p.entries @ e.entries - q.entries))
+    roundtrip = frobenius_norm(p.entries @ e.entries - q.entries)
     if out is not None:
         MatrixFile.from_entries(x.entries).dump(out)
     return {
@@ -318,7 +318,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
             end = g
     if end is None:
         end = geodesic_eval(fam.canonical, 1.0)
-    residuals["endpoint"] = float(np.linalg.norm(end.entries - q.entries))
+    residuals["endpoint"] = frobenius_norm(end.entries - q.entries)
     outputs = {
         "unique": fam.unique,
         "distance": fam.distance,
@@ -412,7 +412,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
         outputs["grassmannian"] = grassmann_label(*td.grassmannian)
     residuals = _unitary_residuals("Q", q)
     base_exp = expm_skew(td.base_log)
-    residuals["base_exp_roundtrip"] = float(np.linalg.norm(base_exp.entries - q.entries))
+    residuals["base_exp_roundtrip"] = frobenius_norm(base_exp.entries - q.entries)
     if samples > 0:
         if td.is_singleton:
             outputs["samples"] = []
@@ -442,12 +442,10 @@ def cmd_oracle(path_q: str, tol: float | None) -> dict:
     closed = m_value(sd)
     brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3, zeta_tol=sd.tols.zeta)
     gap = abs(closed - brute)
-    structure_ok = all(max(k) - min(k) <= 1 for k in minimizers)
-    if sd.zeta >= 0:
-        structure_ok = structure_ok and all(
-            sorted(set(k)) in ([0], [-1, 0], [-1]) and k.count(-1) == sd.zeta
-            for k in minimizers
-        )
+    # A minimizer moves |zeta| arguments one turn: down when zeta >= 0, up when zeta < 0.
+    step = -1 if sd.zeta >= 0 else 1
+    structure_ok = all(set(k) <= {0, step} and k.count(step) == abs(sd.zeta)
+                       for k in minimizers)
     return {
         "command": "oracle",
         "inputs": {"Q": path_q, "K": 3, "tol": q.tols.group},

@@ -5,13 +5,13 @@ distance is the minimal squared norm of an su(n)-logarithm of P^*Q, and
 geodesics are the one-parameter curves t -> P exp(tX).
 
 Orientation: the distance is read off the spectrum of P^*Q as it is
-(``m_value`` takes either sign of zeta). Only a logarithm needs an oriented
-spectrum: ``log_map`` and ``geodesic_family`` read whichever of P^*Q and
-Q^*P has the larger winding (``_oriented``: flip when zeta < s - zeta), so
-that both endpoints induce the same family and its classification is well
-defined. The flip goes through ``spectral.adjoint_spectrum``, which marks
-the spectrum with ``sign = -1``, and the logarithms ``logmin`` builds on it
-are still those of P^*Q.
+(``m_value`` takes either sign of zeta). Orientation picks the reported
+member and label: ``log_map`` and ``geodesic_family`` read whichever of P^*Q
+and Q^*P has the larger winding (``_oriented``: flip when zeta < s - zeta),
+so that both endpoints induce the same family and its classification is
+well defined. The flip goes through ``spectral.adjoint_spectrum``, which
+marks the spectrum with ``sign = -1``, and the logarithms ``logmin`` builds
+on it are still those of P^*Q.
 
 No function here takes a tolerance: P^*Q, its spectrum, its logarithms and the
 points of a geodesic carry P's (``unitary_product`` checks points at 10x).
@@ -29,12 +29,13 @@ from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
     _exp_in_basis,
+    _frobenius,
     _frozen,
     unitary_product,
 )
-from .logmin import (_TWO_PI, ThetaDescriptor, _canonical_angles, _descriptor_from_spectral,
-                     _sample, canonical_log, m_value)
-from .spectral import SpectralData, adjoint_spectrum, spectral_summary
+from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral, _sample,
+                     canonical_log, m_value)
+from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
 
 __all__ = [
     "GeodesicSegment",
@@ -84,10 +85,9 @@ class GeodesicSegment:
 def _segment(p: SpecialUnitary, x: SkewHermitianTraceless, sd: SpectralData,
              basis: np.ndarray) -> GeodesicSegment:
     """Segment from P with velocity X, built in ``basis`` from the oriented
-    spectrum ``sd`` (``canonical_log`` or a sample of the family); its length
-    is ``frobenius_norm``'s formula, without re-coercing the checked entries."""
-    length = math.sqrt(max(np.vdot(x.entries, x.entries).real, 0.0))
-    return GeodesicSegment(p, x, length, basis, _frozen(sd.sign * _canonical_angles(sd)))
+    spectrum ``sd`` (``canonical_log`` or a sample of the family)."""
+    return GeodesicSegment(p, x, _frobenius(x.entries), basis,
+                           _frozen(sd.sign * _canonical_angles(sd)))
 
 
 @dataclass(frozen=True, eq=False)

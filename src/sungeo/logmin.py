@@ -19,12 +19,13 @@ the batch axis first as in geomstats. A stack is built and its round trips
 are solved in one pass, each member bit for bit what its slice gives alone;
 then each member goes through the checks a single sample passes.
 
-Orientation: the closed form reads a spectrum as it is, for either sign of
-zeta. A logarithm needs a nonnegative winding: ``theta_descriptor`` flips Q
-when zeta < 0, and the pair policy of ``geometry`` when zeta < s - zeta,
-both through ``spectral.adjoint_spectrum`` (``sign = -1``). ``_log_in_basis``
-negates what it builds on a flipped spectrum, so every logarithm here is one
-of the matrix the spectrum stands for.
+Orientation: the minimizing shift (``_canonical_angles``), the closed form
+and the canonical logarithm read a spectrum as it is, for either sign of
+zeta. Orientation picks the reported member and label: ``theta_descriptor``
+flips Q when zeta < 0, and the pair policy of ``geometry`` when
+zeta < s - zeta, both through ``spectral.adjoint_spectrum`` (``sign = -1``).
+``_log_in_basis`` negates what it builds on a flipped spectrum, so every
+logarithm here is one of the matrix the spectrum stands for.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .matrixcore import (
     _skew_eigh,
     _skew_traceless,
 )
-from .spectral import SpectralData, adjoint_spectrum, spectral_summary
+from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
@@ -67,7 +68,6 @@ __all__ = [
     "grassmann_label",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _TIE_TOL = 1e-9  # relative slack of a tie in ``brute_force_m``
 
 
@@ -80,20 +80,23 @@ def grassmann_label(k: int, m: int) -> str:
 # closed form
 # ---------------------------------------------------------------------------
 
-def m_value(sd: SpectralData) -> float:
-    """Squared Frobenius norm of a minimal su(n)-logarithm.
+def _canonical_angles(sd: SpectralData) -> np.ndarray:
+    """The sorted arguments plus 2 pi times the minimizing integers: -1 on the
+    top zeta for zeta > 0, +1 on the bottom -zeta for zeta < 0, 0 elsewhere.
+    Only the moved slice is touched: adding 0.0 would turn -0.0 into +0.0."""
+    angles = np.array(sd.args, dtype=float)
+    if sd.zeta > 0:
+        angles[sd.n - sd.zeta:] -= _TWO_PI
+    elif sd.zeta < 0:
+        angles[:-sd.zeta] += _TWO_PI
+    return angles
 
-    The minimizing integers are -1 on the top zeta sorted arguments for
-    zeta >= 0, which then contribute (2 pi - arg)^2, and +1 on the bottom
-    -zeta for zeta < 0, which contribute (arg + 2 pi)^2; the others
-    contribute arg^2. For zeta = 0 this is sum(args^2).
-    """
-    args, zeta = sd.args, sd.zeta
-    if zeta >= 0:
-        kept, moved = args[:sd.n - zeta], _TWO_PI - args[sd.n - zeta:]
-    else:
-        kept, moved = args[-zeta:], args[:-zeta] + _TWO_PI
-    return float(kept @ kept + moved @ moved)
+
+def m_value(sd: SpectralData) -> float:
+    """Squared Frobenius norm of a minimal su(n)-logarithm: that of the
+    canonical angles, for either sign of zeta; sum(args^2) when zeta = 0."""
+    angles = _canonical_angles(sd)
+    return float(angles @ angles)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +177,6 @@ def brute_force_m(args, zeta: int, K: int = 3,
 # canonical minimizing logarithm
 # ---------------------------------------------------------------------------
 
-def _canonical_angles(sd: SpectralData) -> np.ndarray:
-    angles = np.array(sd.args, dtype=float)
-    if sd.zeta > 0:
-        angles[sd.n - sd.zeta:] -= _TWO_PI
-    return angles
-
-
 def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
     """U diag(i angles) U^* for the canonical angles of ``sd``, symmetrized to
     its skew part and negated when ``sd`` is flipped, so that it is a logarithm
@@ -195,18 +191,15 @@ def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
 
 
 def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
-    """Canonical minimal logarithm from spectral data with zeta >= 0.
+    """Canonical minimal logarithm from spectral data with any winding.
 
-    Keeps the first n - zeta sorted arguments, shifts the last zeta by -2 pi
-    and conjugates back through the eigenbasis. The result is a logarithm of
-    the matrix the spectrum stands for: of Q when ``sd`` is the spectrum of
-    Q^* that ``adjoint_spectrum`` made from Q's (``sign = -1``). If the
-    kept/shifted boundary splits a cluster, rounding orders the basis columns inside it: this is one
-    member of the family Gr(nu2; C^(nu1+nu2)), and rounding may pick another.
+    Conjugates the canonical angles (``_canonical_angles``) back through the
+    eigenbasis. The result is a logarithm of the matrix the spectrum stands
+    for: of Q when ``sd`` is the spectrum of Q^* that ``adjoint_spectrum``
+    made from Q's (``sign = -1``). If the kept/shifted boundary splits a
+    cluster, rounding orders the basis columns inside it: this is one member
+    of the family of minimal logarithms, and rounding may pick another.
     """
-    if sd.zeta < 0:
-        raise ValueError("canonical form requires a nonnegative winding; "
-                         "orient through the adjoint first")
     return _skew_traceless(_log_in_basis(sd, sd.basis), sd.tols)
 
 

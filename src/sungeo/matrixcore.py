@@ -84,8 +84,8 @@ def _det(a: np.ndarray) -> complex:
 
 
 def _frobenius(arr: np.ndarray) -> float:
-    """||arr||_F by the formula of ``np.linalg.norm``, sqrt(re.re + im.im) over
-    the raveled array, so residuals are bit for bit what it reports."""
+    """||arr||_F as ``numpy.linalg``'s ``norm`` forms it, sqrt(re.re + im.im)
+    over the raveled array, so residuals are bit for bit what it reports."""
     flat = arr.ravel()
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
@@ -112,9 +112,8 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum |a_jk|^2)."""
-    am = _as_complex_matrix(a)
-    return float(np.sqrt(max(np.vdot(am, am).real, 0.0)))
+    """Frobenius norm sqrt(sum |a_jk|^2), by ``_frobenius``."""
+    return _frobenius(_as_complex_matrix(a))
 
 
 @dataclass(frozen=True, eq=False)

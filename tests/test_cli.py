@@ -292,6 +292,16 @@ class TestOracle:
         assert code == 0
         assert report["outputs"]["agreement"] is True
 
+    def test_negative_winding_minimizers_move_up(self, capsys, files):
+        # e^{-2 pi i/3} I ties three minimizers; Haar SU(5) seed 108 winds -1.
+        entries = [np.exp(-2j * PI / 3) * np.eye(3), random_special_unitary(5, seed=108).entries]
+        for i, a in enumerate(entries):
+            code, report, _ = run_cli(capsys, "oracle", write_matrix(files["tmp"], f"neg{i}.json", a))
+            assert code == 0
+            out = report["outputs"]
+            assert out["zeta"] == -1
+            assert out["minimizers"] and out["minimizer_structure_ok"] is True
+
 
 class TestContract:
     def test_usage_error_exits_4(self):

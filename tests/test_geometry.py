@@ -130,6 +130,19 @@ class TestGeodesicFamily:
         assert abs(fam.canonical.length - distance(p, q)) <= 1e-9
         assert abs(frobenius_norm(fam.canonical.X.entries) - fam.canonical.length) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    def test_length_is_the_frobenius_norm(self, n):
+        pairs = [(random_special_unitary(n, seed=[23, n, i]),
+                  random_special_unitary(n, seed=[24, n, i])) for i in range(4)]
+        pairs.append((su(np.eye(n)), su(np.exp(2j * PI / n) * np.eye(n))))
+        for p, q in pairs:
+            fam = geodesic_family(p, q)
+            segs = [fam.canonical]
+            if not fam.unique:
+                segs.append(fam.sample(random_unitary(fam.theta.nu1 + fam.theta.nu2, seed=n)))
+            for seg in segs:
+                assert seg.length == frobenius_norm(seg.X.entries)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 32])
     def test_family_distance_is_the_distance(self, n):
         pairs = [(random_special_unitary(n, seed=900 + 2 * i),

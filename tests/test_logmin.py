@@ -234,6 +234,33 @@ class TestBruteForce:
                             assert k.count(-1) == zeta
 
 
+def haar_with_negative_winding(n: int, count: int) -> list:
+    """The first ``count`` Haar SU(n) draws from seed 700 n on whose winding
+    is negative (SU(2) has none: its windings are 0 and 1)."""
+    found = []
+    for seed in itertools.count(700 * n):
+        q = random_special_unitary(n, seed=seed)
+        if spectral_summary(q).zeta < 0:
+            found.append(q)
+            if len(found) == count:
+                return found
+
+
+def negative_winding_spectra():
+    """Argument tuples with zeta < 0, as (args, zeta): constructed across the
+    reachable windings, the tied spectra and Haar draws."""
+    rng = np.random.default_rng(271)
+    spectra = [(random_args_with_winding(n, zeta, rng), zeta)
+               for n in range(2, 8) for zeta in range(-((n - 1) // 2), 0) for _ in range(4)]
+    for args, _ in tied_spectra():
+        t = AdmissibleTuple.from_args(args)
+        spectra.append((t.alphas, t.zeta))
+    spectra += tie_heavy_spectra()
+    spectra += [(tuple(sd.args), sd.zeta) for sd in
+                (spectral_summary(q) for n in range(3, 9) for q in haar_with_negative_winding(n, 2))]
+    return [(args, zeta) for args, zeta in spectra if zeta < 0]
+
+
 class TestMinLog:
     def test_identity(self):
         x = theta_descriptor(validate_special_unitary(np.eye(3))).base_log
@@ -288,6 +315,47 @@ class TestMinLog:
             assert np.linalg.norm(back.entries - q.entries) <= 1e-10
             assert frobenius_norm(x_adj.entries) == pytest.approx(
                 frobenius_norm(theta_descriptor(q).base_log.entries), abs=1e-10)
+
+
+class TestNegativeWinding:
+    """The minimizing shift read off a spectrum of negative winding as it is:
+    the bottom -zeta arguments move up by 2 pi."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_canonical_log_of_haar(self, n):
+        for q in haar_with_negative_winding(n, 3):
+            self.assert_canonical_log(q)
+
+    def test_canonical_log_of_a_family(self):
+        # The negative-winding spectrum of the call-count tests: the boundary
+        # splits the cluster at -2.5, so this is one member of a family.
+        u = random_unitary(3, seed=11)
+        args = np.array([-2.5, -2.5, 5.0 - TWO_PI])
+        q = validate_special_unitary(u @ np.diag(np.exp(1j * args)) @ u.conj().T)
+        assert not theta_descriptor(q).is_singleton
+        self.assert_canonical_log(q)
+
+    @staticmethod
+    def assert_canonical_log(q):
+        sd = spectral_summary(q)
+        assert sd.zeta < 0
+        x = canonical_log(sd)
+        validate_skew_traceless(x.entries, sd.tols)
+        assert frobenius_norm(expm_skew(x).entries - q.entries) <= sd.tols.eig
+        m = m_value(sd)
+        assert abs(frobenius_norm(x.entries) ** 2 - m) <= 1e-12 * max(1.0, m)
+        td = theta_descriptor(q)
+        if td.is_singleton:
+            assert frobenius_norm(x.entries - td.base_log.entries) <= 1e-12
+
+    def test_brute_force_minimizers_move_the_bottom_up(self):
+        spectra = negative_winding_spectra()
+        assert len(spectra) >= 40
+        assert {zeta for _, zeta in spectra} >= {-1, -2, -3}
+        for args, zeta in spectra:
+            _, mins = brute_force_m(args, zeta, K=3)
+            for k in mins:
+                assert set(k) <= {0, 1} and k.count(1) == -zeta
 
 
 class TestExactSkewness:

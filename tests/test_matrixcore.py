@@ -67,6 +67,17 @@ class TestFrobenius:
         rhs = -np.trace(x @ x).real
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 33])
+    def test_norm_is_numpys_bit_for_bit(self, n):
+        haar = random_unitary(n, seed=n)
+        skew = random_skew_traceless(n, seed=n)
+        signed = np.full((n, n), complex(-0.0, -0.0))
+        upper = np.triu_indices(n, 1)
+        signed[upper] = haar[upper]
+        for a in (haar, skew, signed):
+            assert a.flags.c_contiguous
+            assert frobenius_norm(a) == np.linalg.norm(a)
+
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
     @settings(max_examples=40)
     def test_norm_squared_equals_inner(self, seed, n):
