@@ -1,8 +1,9 @@
 """Tabulate the diameter of SU(n) and verify it through the full pipeline.
 
 For each order the closed form is compared against the eigendecomposition
-path evaluated at the known extremal pair, and the reported diametral
-points of a random base point are checked to sit at the diameter.
+path evaluated at the deep hole e^{2 pi i a / n} I, a = n // 2, of the
+lattice 2 pi A_{n-1}, and the reported diametral points of a random base
+point are checked to sit at the diameter.
 """
 
 import argparse
@@ -29,10 +30,7 @@ def main():
     for n in range(2, args.max_order + 1):
         delta = diameter(n)
         identity = validate_special_unitary(np.eye(n))
-        if n % 2 == 0:
-            far = validate_special_unitary(-np.eye(n))
-        else:
-            far = validate_special_unitary(np.exp(1j * (n - 1) * math.pi / n) * np.eye(n))
+        far = validate_special_unitary(np.exp(2j * math.pi * (n // 2) / n) * np.eye(n))
         pipeline = distance(identity, far)
 
         base = random_special_unitary(n, seed=args.seed + n)

@@ -396,7 +396,7 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
 def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
     [q] = _load(tol, path_q)
     td = theta_descriptor(q)
-    m = frobenius_norm(td.base_log.entries) ** 2
+    m = m_value(td.spectral)
     outputs = {
         "zeta": td.zeta,
         "singleton": td.is_singleton,
@@ -425,8 +425,7 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             xs, roundtrips, _ = _sample(td, q, rs)
             for i, (x, roundtrip) in enumerate(zip(xs, roundtrips)):
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
-                residuals[f"sample{i}_norm_vs_m"] = \
-                    abs(frobenius_norm(x.entries) ** 2 - m)
+                residuals[f"sample{i}_norm_vs_m"] = abs(frobenius_norm(x.entries) ** 2 - m)
             outputs["samples"] = [x.entries for x in xs]
     return {
         "command": "theta",

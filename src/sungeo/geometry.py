@@ -4,6 +4,12 @@ Distances come from spectra of the relative matrix P^*Q: the squared
 distance is the minimal squared norm of an su(n)-logarithm of P^*Q, and
 geodesics are the one-parameter curves t -> P exp(tX).
 
+Lattice reading: the zero-sum lifts of P^*Q's arguments differ by points of
+2 pi A_{n-1}, and m(P^*Q) is the squared distance from a lift to that lattice.
+So the diameter is 2 pi times its covering radius, 2 pi sqrt(a (n - a) / n)
+with a = n // 2, reached only at the deep holes e^{+-2 pi i a / n} I (Conway &
+Sloane, *Sphere Packings, Lattices and Groups*, ch. 4 sec. 6.1).
+
 Orientation: the distance is read off the spectrum of P^*Q as it is
 (``m_value`` takes either sign of zeta). Orientation picks the reported
 member and label: ``log_map`` and ``geodesic_family`` read whichever of P^*Q
@@ -177,35 +183,29 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
 
 
 def diameter(n: int) -> float:
-    """Diameter of SU(n): pi sqrt(n) for even n, pi sqrt(n - 1/n) for odd.
-    An order too large for a float raises ``UnsupportedOrderError``."""
+    """Diameter of SU(n): 2 pi sqrt(a (n - a) / n) with a = n // 2. An order
+    too large for a float raises ``UnsupportedOrderError``."""
     if n < 2:
         raise UnsupportedOrderError("diameter requires order at least 2")
+    a = n // 2
     try:
-        x = float(n)
+        return _TWO_PI * math.sqrt(a * (n - a) / n)
     except OverflowError:
         raise UnsupportedOrderError("order too large to convert to a float") from None
-    if n % 2 == 0:
-        return math.pi * math.sqrt(x)
-    return math.pi * math.sqrt(x - 1.0 / x)
 
 
 def diametral_points(p: SpecialUnitary) -> DiametralReport:
-    """Points at maximal distance from P.
-
-    For even n the unique diametral partner is -P; for odd n there are
-    exactly two, e^{+-(n-1) pi i / n} P. Each partner c P has |c| = 1 and
-    c^n = 1, so it keeps P's residuals and tolerances, as
-    ``SpecialUnitary.adjoint`` does, and needs no check.
-    """
+    """Points at maximal distance from P: the distinct members of
+    e^{+-2 pi i a / n} P = -e^{-+i pi (n - 2a) / n} P, a = n // 2. Each
+    partner c P has |c| = 1 and c^n = 1, so it keeps P's residuals and
+    tolerances, as ``SpecialUnitary.adjoint`` does, and needs no check."""
     n = p.n
     if n < 2:
         raise UnsupportedOrderError("diametral points require order at least 2")
-    if n % 2 == 0:
-        entries = (-p.entries,)
-    else:
-        phase = (n - 1) * math.pi / n
-        entries = (np.exp(1j * phase) * p.entries, np.exp(-1j * phase) * p.entries)
-    points = tuple(SpecialUnitary(_frozen(e), p.unitarity_residual, p.det_residual,
-                                  p.tols) for e in entries)
+    a = n // 2
+    # n - 2a = 0 for even n gives -P exactly; negating the product, not P,
+    # keeps the signed zeros of -I.
+    points = tuple(SpecialUnitary(_frozen(-(np.exp(1j * math.pi * k / n) * p.entries)),
+                                  p.unitarity_residual, p.det_residual, p.tols)
+                   for k in dict.fromkeys((2 * a - n, n - 2 * a)))
     return DiametralReport(n=n, diameter=diameter(n), points=points)

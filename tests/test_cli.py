@@ -277,6 +277,17 @@ class TestTheta:
         assert report["outputs"]["samples"] == []
         assert "samples_skipped" in report["outputs"]
 
+    def test_m_is_the_oracle_closed_form(self, capsys, files):
+        # One formula for m: on an unoriented spectrum theta's m is oracle's
+        # m_value to the bit; ||base_log||_F^2 reads ...415 here.
+        path = str(files["tmp"] / "q.json")
+        assert run_cli(capsys, "random", "5", "--seed", "1", "--out", path)[0] == 0
+        code, theta, _ = run_cli(capsys, "theta", path)
+        assert code == 0 and not theta["outputs"]["oriented"]
+        code, oracle, _ = run_cli(capsys, "oracle", path)
+        assert code == 0
+        assert theta["outputs"]["m"] == oracle["outputs"]["m_closed_form"] == 21.28927978558416
+
 
 class TestOracle:
     def test_agreement(self, capsys, files):

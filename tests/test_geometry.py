@@ -416,6 +416,45 @@ class TestDiametralPoints:
                     assert distance(p, moved) < top - 0.25 * eps
 
 
+HOLE_ORDERS = [*range(2, 17), 33, 128, 255, 256]
+
+
+def hole_classes(n):
+    """Every class a = 1..n-1 up to n = 16; above it the classes next to the
+    lattice points (1, 2, n-1) and the deep ones (floor and ceil of n/2)."""
+    return range(1, n) if n <= 16 else sorted({1, 2, n // 2, n - n // 2, n - 1})
+
+
+class TestLatticeHoles:
+    """P^*Q = e^{2 pi i a / n} I is the hole of class a of 2 pi A_{n-1}: at
+    squared distance 4 pi^2 a (n - a) / n from the lattice, with its C(n, a)
+    nearest points spanning the family Gr(min(a, n - a); C^n). The classes
+    floor(n/2) and ceil(n/2) are the deep holes, which give the diameter."""
+
+    @pytest.mark.parametrize("n", HOLE_ORDERS)
+    def test_distance_and_family_at_every_class(self, n):
+        p = random_special_unitary(n, seed=[5200, n])
+        for a in hole_classes(n):
+            q = su(np.exp(2j * PI * a / n) * p.entries)
+            expected = 2 * PI * math.sqrt(a * (n - a) / n)
+            d = distance(p, q)
+            assert abs(d - expected) <= 1e-14 * expected
+            if a in (n // 2, n - n // 2):
+                assert abs(d - diameter(n)) <= 1e-14 * expected
+            assert geodesic_family(p, q).theta.grassmannian == (min(a, n - a), n)
+
+    @pytest.mark.parametrize("n", HOLE_ORDERS)
+    def test_diametral_points_are_the_deep_holes(self, n):
+        p = random_special_unitary(n, seed=[5300, n])
+        holes = [np.exp(2j * PI * a / n) * p.entries for a in dict.fromkeys((n // 2, n - n // 2))]
+        points = diametral_points(p).points
+        assert len(points) == len(holes)
+        for pt, hole in zip(points, holes):
+            assert np.abs(pt.entries - hole).max() <= 1e-15
+        if len(points) == 1:
+            assert (points[0].entries == -p.entries).all()
+
+
 def test_family_orientation_when_windings_differ():
     # Relative spectrum (-pi/2 - 0.3, -pi/2 + 0.3, pi, pi, pi) has winding 1
     # while its adjoint has winding 2, so the family must be classified on

@@ -97,12 +97,13 @@ def boundary_args(n: int, zeta: int, nu1: int, nu2: int, beta: float = 2.25):
 
 def tied_spectra():
     """Spectra of order at most 9 whose minimizers can tie, with the number
-    of minimizing tuples known from their construction: -I, omega I for each
-    root of unity omega off the real axis, a repeated value split by index
-    n - zeta (and its negation) and -1 repeated s times."""
-    spectra = [([PI] * n, math.comb(n, n // 2)) for n in (2, 4, 6, 8)]
-    spectra += [([sign * TWO_PI * k / n] * n, math.comb(n, k))
-                for n in (3, 5, 7) for k in range(1, n // 2 + 1) for sign in (1, -1)]
+    of minimizing tuples known from their construction: the hole of class a
+    of 2 pi A_{n-1}, e^{2 pi i a / n} I, with its C(n, a) nearest lattice
+    points, a repeated value split by index n - zeta (and its negation) and
+    -1 repeated s times."""
+    # math.remainder takes 2 pi a / n into (-pi, pi]: -2 pi (n - a) / n for a > n / 2.
+    spectra = [([math.remainder(TWO_PI * a / n, TWO_PI)] * n, math.comb(n, a))
+               for n in range(2, 10) for a in range(1, n)]
     for n, zeta, nu1, nu2 in [(3, 1, 1, 1), (4, 1, 2, 1), (5, 1, 3, 1), (6, 1, 2, 1),
                               (7, 2, 2, 2), (8, 2, 3, 1), (8, 2, 2, 2), (9, 2, 3, 2)]:
         args = boundary_args(n, zeta, nu1, nu2)
