@@ -52,12 +52,17 @@ __all__ = [
     "unitary_product",
 ]
 
-# Gap threshold for splitting the spectrum of Q + Q^*: far above the
+# Gap threshold for splitting the spectrum of the turned Hermitian part
+# e^{-i}Q + e^{i}Q^*, whose eigenvalues 2cos(theta_j - 1) collide only when
+# theta_j = theta_k or theta_j + theta_k = 2 (mod 2 pi): far above the
 # eigensolver jitter on a degenerate eigenvalue (~n*eps*||.||), far below any
 # genuinely separate eigenvalue pair at desk scale. Over-grouping is harmless
 # (the second Hermitian solve still produces an eigenbasis within the group);
 # under-grouping a true eigenspace is what must be avoided.
 _HERM_GAP_TOL = 1e-11
+
+# The turn e^{-i}; in Q + Q^* every conjugate pair, so every SU(2) spectrum, collides.
+_TURN = complex(math.cos(1.0), -math.sin(1.0))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -220,10 +225,14 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition Q = U diag(eigenvalues) U^* of a special unitary
     matrix via Hermitian solves, returned as (eigenvalues, U, residual).
 
-    Diagonalizes the Hermitian part Q + Q^*, then, inside each degenerate
-    eigenspace only, the projected skew part (Q - Q^*)/i; as Q is normal this
-    gives a simultaneous unitary eigenbasis U. The raw eigenvalues, diag(U^* Q U),
-    take one matrix product Q U and a column-wise dot; they are rescaled to modulus one.
+    Diagonalizes the turned Hermitian part e^{-i}Q + e^{i}Q^*, then, inside each
+    degenerate eigenspace only, the projected turned skew part
+    (e^{-i}Q - e^{i}Q^*)/i; as Q is normal this gives a simultaneous unitary
+    eigenbasis U. The Hermitian part's eigenvalues 2cos(theta_j - 1) collide
+    only when theta_j = theta_k or theta_j + theta_k = 2 (mod 2 pi), so no
+    conjugate pair e^{+-i theta} does, and an SU(2) spectrum other than +-I
+    takes one solve. The raw eigenvalues, diag(U^* Q U), take one matrix
+    product Q U and a column-wise dot; they are rescaled to modulus one.
 
     The residual is the eigen-residual ||QU - U diag(eigenvalues)||_F, read off the
     same product Q U and gated at ``q.tols.eig``. For unitary U it is the
@@ -233,8 +242,10 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     """
     a = q.entries
     n = q.n
-    herm = a.conj().T
-    herm += a
+    turned = a * _TURN
+    herm = turned.conj().T
+    herm += turned
+    del turned  # no second n x n array alive across the solve
     w, basis = _eigh(herm)
     close = w[1:] - w[:-1] <= _HERM_GAP_TOL * max(n, 2)
     if close.any():
@@ -242,7 +253,8 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
         near = np.zeros(n + 1, dtype=bool)
         near[1:n] = close
         edges = np.flatnonzero(near[1:] != near[:-1])
-        skew = (a - a.conj().T) / 1j
+        turned = a * _TURN
+        skew = (turned - turned.conj().T) / 1j
         for lo, hi in zip(edges[::2], edges[1::2] + 1):
             cols = basis[:, lo:hi]
             proj = cols.conj().T @ skew @ cols

@@ -179,6 +179,16 @@ def test_library_lapack_counts(call, target, pair, lapack):
     assert lapack["np.linalg.eigh"] == lapack["np.linalg.det"] == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_haar_distance_is_one_solve(n, lapack):
+    # The turned Hermitian part separates a conjugate pair, so a Haar SU(2)
+    # spectrum needs no second, in-block solve.
+    p, q = random_special_unitary(n, seed=[n, 1]), random_special_unitary(n, seed=[n, 2])
+    lapack.clear()
+    distance(p, q)
+    assert lapack["_eigh"] == 1
+
+
 def test_cli_geo_eigh_count(files, lapack, capsys):
     # One solve for the relative spectrum; the three points need none.
     argv = ["geo", files["P"], files["Q"], "--t", "0,0.5,1"]

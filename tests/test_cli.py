@@ -198,6 +198,23 @@ class TestPlog:
         assert report["outputs"]["singleton"] is True
 
 
+@pytest.mark.parametrize("command", ["dist", "geo", "plog"])
+def test_noisy_su2_input_within_tolerance_exits_0(capsys, tmp_path, command):
+    # 1e-10 on one entry of a random SU(2) matrix passes validation, so every
+    # stage after it must succeed.
+    p, q = str(tmp_path / "p2.json"), str(tmp_path / "q2.json")
+    assert main(["random", "2", "--seed", "3", "--out", p]) == 0
+    assert main(["random", "2", "--seed", "4", "--out", q]) == 0
+    capsys.readouterr()
+    entries = MatrixFile.load(q).matrix.copy()
+    entries[0, 0] += 1e-10
+    noisy = write_matrix(tmp_path, "q2n.json", entries)
+    argv = {"dist": ["dist", p, noisy], "geo": ["geo", p, noisy, "--t", "0.5"],
+            "plog": ["plog", noisy]}[command]
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["command"] == command
+
+
 class TestDiam:
     def test_even(self, capsys):
         code, report, _ = run_cli(capsys, "diam", "4")

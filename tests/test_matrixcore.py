@@ -151,14 +151,27 @@ class TestUnitaryEig:
         gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(n)) <= 1e-12
 
-    def test_near_degenerate_hermitian_part(self):
-        # Conjugate eigenvalue pairs collide in Q + Q^*; the skew part must
-        # separate them.
-        d = np.diag(np.exp(1j * np.array([0.7, -0.7, 0.0])))
+    @pytest.mark.parametrize("args, solves", [
+        ((0.7, -0.7, 0.0), 1),
+        ((1.7, 0.3, -2.0), 2),
+    ], ids=["conjugate_pair", "turned_collision"])
+    def test_near_degenerate_hermitian_part(self, args, solves, monkeypatch):
+        # e^{i a} and e^{i b} collide in the turned Hermitian part
+        # e^{-i}Q + e^{i}Q^* when a + b = 2 (mod 2 pi), and the turned skew
+        # part must separate them; a conjugate pair does not collide there.
+        calls = []
+
+        def counted(h):
+            calls.append(h.shape)
+            return _eigh(h)
+
+        monkeypatch.setattr("sungeo.matrixcore._eigh", counted)
+        d = np.diag(np.exp(1j * np.array(args)))
         u = random_unitary(3, seed=8)
         q = validate_special_unitary(u @ d @ u.conj().T)
         residual = unitary_eig(q)[2]
         assert residual <= 1e-12
+        assert len(calls) == solves
 
 
 def _with_args(args, seed):
@@ -172,7 +185,8 @@ def _reconstruction_residual(q, vals, basis):
     return np.linalg.norm((basis * vals) @ basis.conj().T - q.entries)
 
 
-# Repeated eigenvalues put Q + Q^* through the degenerate-block path.
+# Repeated eigenvalues put the turned Hermitian part e^{-i}Q + e^{i}Q^* through
+# the degenerate-block path.
 _DEGENERATE = {
     "minus_identity": -np.eye(4),
     "omega_identity": np.exp(2j * math.pi / 3) * np.eye(3),
@@ -230,7 +244,9 @@ class TestEigenResidual:
                 continue
             assert unitary_eig(q)[1].tobytes() == basis.tobytes()
             self.assert_matches_reconstruction(q)
-        assert outcomes == {True, False}
+        # No SU(2) spectrum but +-I collides in the turned Hermitian part, so
+        # every noisy SU(2) draw is accepted.
+        assert outcomes == ({True} if n == 2 else {True, False})
 
 
 class TestExpmSkew:

@@ -306,15 +306,16 @@ class TestAgainstLoopReference:
             self.check(with_spectrum(self.CRAFTED[name], seed=seed), self.C)
 
     def test_exact_one_with_negative_zero_imaginary_part(self, monkeypatch):
-        # A real rotation has the eigenvalue exactly 1; its imaginary part is
-        # set to -0.0 as a solve could round it. A singleton's argument is
-        # then +0.0, the phase of its cluster sum 0.0 + z.
+        # A real rotation has the eigenvalue 1; the solved eigenvalue nearest
+        # it is set to exactly 1 with imaginary part -0.0, as a solve could
+        # round it. A singleton's argument is then +0.0, the phase of its
+        # cluster sum 0.0 + z.
         solve = unitary_eig
 
         def signed_zero(q):
             vals, basis, residual = solve(q)
             vals = vals.copy()
-            vals[vals == 1] = complex(1.0, -0.0)
+            vals[np.argmin(np.abs(vals - 1))] = complex(1.0, -0.0)
             return vals, basis, residual
 
         monkeypatch.setattr("sungeo.spectral.unitary_eig", signed_zero)

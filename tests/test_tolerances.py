@@ -57,7 +57,7 @@ def noisy(a, rng):
     return a + e * (NOISE / np.linalg.norm(e))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_matrices_accepted_at_loose_tolerances_pass_every_stage(n):
     # Noise 1e-7 passes validation at 1e-4 but not the default gates after
     # it. The relative spectrum P^*Q and the spectrum of Q keep 10 cluster
@@ -85,6 +85,24 @@ def test_matrices_accepted_at_loose_tolerances_pass_every_stage(n):
         assert abs(frobenius_norm(x.entries) - d) <= 1e-12 * n
         assert np.linalg.norm(end.entries - q.entries) <= LOOSE.eig
         assert np.linalg.norm(expm_skew(td.base_log).entries - q.entries) <= LOOSE.eig
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-9])
+def test_noisy_su2_pairs_pass_every_stage(eps):
+    # Haar pairs with complex noise of Frobenius size eps on Q, accepted at the
+    # default tolerances. No SU(2) spectrum but +-I collides in the turned
+    # Hermitian part that unitary_eig solves, so no stage may fail, and the
+    # distance stays within the order of the noise.
+    rng = np.random.default_rng(42)
+    for _ in range(300):
+        p = random_special_unitary(2, rng)
+        q_exact = random_special_unitary(2, rng)
+        e = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q = validate_special_unitary(q_exact.entries + e * (eps / np.linalg.norm(e)))
+        d = distance(p, q)
+        log_map(p, q)
+        geodesic_eval(geodesic_family(p, q).canonical, 0.5)
+        assert abs(d - distance(p, q_exact)) <= 10 * eps
 
 
 def test_derived_values_carry_their_source_tolerances():
