@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Matrices travel as JSON documents {"n": N, "matrix": [[[re, im], ...], ...]}
-written with 17 significant digits, which round-trips IEEE doubles exactly.
+Matrices travel as JSON documents {"n": N, "matrix": [[[re, im], ...], ...]},
+one row per line, written like the matrices in reports: one format string over
+the float view, each float in its shortest round-trip form.
 A document is checked in a few bulk passes and converted by one array call;
 a malformed one is reported at its first bad row or entry in row-major order.
 ``theta --samples k`` draws its k sampling unitaries as one stack and builds
@@ -63,12 +64,18 @@ EXIT_USAGE = 4
 # matrix files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    out = format(float(x), ".17g")
-    # Keep a decimal point so JSON readers parse a float and -0.0 survives.
-    if out.lstrip("-").isdigit():
-        out += ".0"
-    return out
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _float_values(entries: np.ndarray) -> list[float]:
+    """The float view of a complex matrix (row-major, re before im) as a
+    list; a NaN or infinity raises the stdlib's ValueError."""
+    values = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
+    flat = values.ravel().tolist()
+    if not np.isfinite(values).all():
+        raise _non_finite(next(v for v in flat if not math.isfinite(v)))
+    return flat
 
 
 # JSON true and false load as bool, a subclass of int: not numbers here.
@@ -153,16 +160,16 @@ class MatrixFile:
         return cls.loads(text)
 
     def dumps(self) -> str:
-        rows = ",\n    ".join(
-            "[" + ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in row) + "]"
-            for row in self.matrix
-        )
-        return '{\n  "n": %d,\n  "matrix": [\n    %s\n  ]\n}\n' % (self.n, rows)
+        row = "[" + ", ".join(["[%r, %r]"] * self.n) + "]"
+        template = ('{\n  "n": %d,\n  "matrix": [\n    '
+                    + ",\n    ".join([row] * self.n) + "\n  ]\n}\n")
+        return template % (self.n, *_float_values(self.matrix))
 
     def dump(self, path: str) -> None:
+        text = self.dumps()  # before the file is opened: a bad matrix writes nothing
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.dumps())
+                fh.write(text)
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -189,17 +196,9 @@ def _unitary_residuals(tag: str, u: SpecialUnitary) -> dict:
 # report writer
 # ---------------------------------------------------------------------------
 
-def _non_finite(value: float) -> ValueError:
-    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
 def _matrix_text(entries: np.ndarray, newline: str, step: str) -> str:
     """A complex matrix as nested [re, im] lists, written with one format
     string over its float view (row-major, re before im)."""
-    values = np.ascontiguousarray(entries, dtype=np.complex128).view(np.float64)
-    flat = values.ravel().tolist()
-    if not np.isfinite(values).all():
-        raise _non_finite(next(v for v in flat if not math.isfinite(v)))
     rows, cols = entries.shape
     row_nl = newline + step
     pair_nl = row_nl + step
@@ -207,7 +206,7 @@ def _matrix_text(entries: np.ndarray, newline: str, step: str) -> str:
     pair = "[" + value_nl + "%r," + value_nl + "%r" + pair_nl + "]"
     row = "[" + pair_nl + ("," + pair_nl).join([pair] * cols) + row_nl + "]"
     template = "[" + row_nl + ("," + row_nl).join([row] * rows) + newline + "]"
-    return template % tuple(flat)
+    return template % tuple(_float_values(entries))
 
 
 def _text(o, newline: str, step: str) -> str:
@@ -313,7 +312,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
     for t in t_list:
         g = geodesic_eval(fam.canonical, t)
         points.append({"t": t, "matrix": g.entries})
-        residuals[f"gamma({_fmt(t)})_unitarity"] = g.unitarity_residual
+        residuals[f"gamma({float(t)!r})_unitarity"] = g.unitarity_residual
         if t == 1.0:
             end = g
     if end is None:

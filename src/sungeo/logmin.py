@@ -94,8 +94,14 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
 
 def m_value(sd: SpectralData) -> float:
     """Squared Frobenius norm of a minimal su(n)-logarithm: that of the
-    canonical angles, for either sign of zeta; sum(args^2) when zeta = 0."""
+    canonical angles, for either sign of zeta; sum(args^2) when zeta = 0.
+    A flipped spectrum sums its angles in its source's order (the first
+    n - s reversed), so Q and Q^* give the same bits: negation and the
+    2 pi shifts round symmetrically."""
     angles = _canonical_angles(sd)
+    if sd.sign < 0:
+        k = sd.n - sd.s
+        angles[:k] = angles[:k][::-1]
     return float(angles @ angles)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sungeo import ParseError, random_special_unitary
+from sungeo import ParseError, random_special_unitary, spectral_summary
 from sungeo.cli import MatrixFile, main
 
 PI = math.pi
@@ -49,6 +49,30 @@ class TestMatrixFile:
         MatrixFile.from_entries(entries).dump(str(path))
         back = MatrixFile.load(str(path)).matrix
         assert back.tobytes() == entries.tobytes()
+
+    @pytest.mark.parametrize("rows, text", [
+        ([[complex(-0.0, 5e-324)]], "[[-0.0, 5e-324]]"),
+        ([[complex(0.1, -0.0), complex(1e16, 1.0)], [complex(5e-324, 0.1), complex(-1e16, -0.0)]],
+         "[[0.1, -0.0], [1e+16, 1.0]],\n    [[5e-324, 0.1], [-1e+16, -0.0]]"),
+    ], ids=["n1", "n2"])
+    def test_rows_per_line_in_shortest_form(self, rows, text):
+        entries = np.array(rows, dtype=complex)
+        doc = MatrixFile(entries).dumps()
+        assert doc == '{\n  "n": %d,\n  "matrix": [\n    %s\n  ]\n}\n' % (len(rows), text)
+        assert MatrixFile.loads(doc).matrix.tobytes() == entries.tobytes()
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                       complex(-math.inf, math.nan)])
+    def test_non_finite_entry_raises_and_writes_nothing(self, tmp_path, value):
+        entries = np.eye(2, dtype=complex)
+        entries[1, 0] = value
+        first = next(v for v in (value.real, value.imag) if not math.isfinite(v))
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError) as exc:
+            MatrixFile.from_entries(entries).dump(str(path))
+        # The indented stdlib encoder's text, as for a report.
+        assert str(exc.value) == f"Out of range float values are not JSON compliant: {first!r}"
+        assert not path.exists()
 
     def test_rejects_ragged_document(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -157,6 +181,14 @@ class TestGeo:
         [point] = report["outputs"]["points"]
         g = np.array([[complex(re, im) for re, im in row] for row in point["matrix"]])
         assert abs(np.linalg.det(g) - 1.0) <= report["inputs"]["tol"]
+
+    def test_residual_keys_name_the_echoed_parameters(self, capsys, files):
+        code, report, _ = run_cli(capsys, "geo", files["I2"], files["mI2"],
+                                  "--t", "0.1,1e16,5e-324,-0.0,3")
+        assert code == 0
+        keys = [k for k in report["residuals"] if k.startswith("gamma(")]
+        assert keys == [f"gamma({t!r})_unitarity" for t in report["inputs"]["t"]]
+        assert keys[1] == "gamma(1e+16)_unitarity"
 
     def test_default_parameters_survive_earlier_requests(self, capsys, files):
         # The parser is built once per process, so its defaults are shared
@@ -304,6 +336,20 @@ class TestTheta:
         code, oracle, _ = run_cli(capsys, "oracle", path)
         assert code == 0
         assert theta["outputs"]["m"] == oracle["outputs"]["m_closed_form"] == 21.28927978558416
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_m_is_the_oracle_closed_form_on_negative_winding(self, capsys, files, n):
+        # theta reads m off the spectrum of Q^* here, oracle off that of Q.
+        qs = [q for q in (random_special_unitary(n, seed=700 * n + i) for i in range(400))
+              if spectral_summary(q).zeta < 0][:8]
+        assert len(qs) == 8
+        for i, q in enumerate(qs):
+            path = write_matrix(files["tmp"], f"neg{i}.json", q.entries)
+            code, theta, _ = run_cli(capsys, "theta", path)
+            assert code == 0 and theta["outputs"]["oriented"]
+            code, oracle, _ = run_cli(capsys, "oracle", path)
+            assert code == 0
+            assert theta["outputs"]["m"] == oracle["outputs"]["m_closed_form"]
 
 
 class TestOracle:

@@ -140,6 +140,25 @@ class TestMValue:
         assert sd.zeta == -1
         assert m_value(sd) == pytest.approx(8 * PI**2 / 3, abs=1e-12)
 
+    def test_flipped_spectrum_gives_the_same_bits(self):
+        # Negation, re-sorting and the 2 pi shifts all round symmetrically, so
+        # the spectra of Q and Q^* sum the same squares in the same order.
+        rng = np.random.default_rng(19)
+        qs = [random_special_unitary(n, seed=seed) for n in range(2, 9) for seed in range(40)]
+        for n in range(3, 9):
+            for s in range(1, n):
+                for zeta in range(-n // 2, n // 2 + 1):
+                    # s arguments at pi, the others spread about their mean.
+                    mean = (TWO_PI * zeta - s * PI) / (n - s)
+                    if abs(mean) < PI - 0.3:
+                        e = rng.uniform(-1, 1, n - s) * (PI - abs(mean)) / 3
+                        args = np.append(mean + e - e.mean(), [PI] * s)
+                        u = random_unitary(n, seed=int(rng.integers(2**31)))
+                        qs.append(validate_special_unitary((u * np.exp(1j * args)) @ u.conj().T))
+        sds = [spectral_summary(q) for q in qs]
+        assert {sd.zeta < 0 for sd in sds if sd.s} == {True, False}
+        assert [m_value(adjoint_spectrum(sd)) for sd in sds] == [m_value(sd) for sd in sds]
+
 
 class TestBruteForce:
     def test_zero_tuple(self):

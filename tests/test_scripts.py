@@ -1,6 +1,9 @@
-"""The scripts under ``scripts/`` run end to end against the library."""
+"""The scripts under ``scripts/`` and README's library quick start run end
+to end against the library."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,14 +20,26 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_runs(name):
-    script, *args = SCRIPTS[name]
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_runs(name):
+    script, *args = SCRIPTS[name]
+    done = run_python(str(ROOT / "scripts" / script), *args)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.splitlines()[0]) == math.pi * math.sqrt(2)
