@@ -188,8 +188,8 @@ def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
     its skew part and negated when ``sd`` is flipped, so that it is a logarithm
     of the matrix ``sd`` stands for; for one basis U or a stack of them, not
     yet checked."""
-    x = (u * (1j * _canonical_angles(sd))) @ np.swapaxes(u.conj(), -1, -2)
-    x -= np.swapaxes(x.conj(), -1, -2)
+    x = (u * (1j * _canonical_angles(sd))) @ u.conj().swapaxes(-1, -2)
+    x -= x.conj().swapaxes(-1, -2)
     x /= 2.0
     if sd.sign < 0:
         np.negative(x, out=x)  # not a product by -1, which moves signed zeros

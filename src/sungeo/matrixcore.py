@@ -14,9 +14,14 @@ All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The validators copy the
 caller's array once, at the boundary; a gate kernel (``_special_unitary``,
 ``_skew_traceless``) checks it, or a matrix the library has just built, and
-freezes it in place (marked read-only, not copied). LAPACK ``eigh`` and
-``det`` are reached only through ``_eigh`` and ``_det``, the gufuncs that
-``numpy.linalg`` wraps. The only randomness is the caller-owned generator.
+freezes it in place (marked read-only, not copied). A caller's matrix with
+every real and imaginary part within +-``_BOUND`` is gated as it is, with no
+errstate. Past the bound, or behind a gate so loose that the determinant could
+overflow, a NaN or infinite entry raises ``NotFiniteError`` and the gates run
+under an errstate, so huge entries are rejected with an inf or NaN residual and
+nothing warns. LAPACK ``eigh`` and ``det`` are reached only through
+``_eigh`` and ``_det``, the gufuncs that ``numpy.linalg`` wraps. The only
+randomness is the caller-owned generator.
 """
 
 from __future__ import annotations
@@ -64,6 +69,15 @@ _HERM_GAP_TOL = 1e-11
 # The turn e^{-i}; in Q + Q^* every conjugate pair, so every SU(2) spectrum, collides.
 _TURN = complex(math.cos(1.0), -math.sin(1.0))
 
+# Real and imaginary parts within +-_BOUND keep every Gram entry below
+# 2n _BOUND^2 and every entry of X + X^* below 2 _BOUND, and the squared
+# Frobenius norms of both below 4n^4 _BOUND^4 + O(n^2): nothing overflows at
+# any order that fits in memory.
+_BOUND = 1e60
+# Within the unitarity gate g, |det Q| <= (1 + g)^{n/2}, which stays finite
+# while n log1p(g) < 2 log(DBL_MAX) ~ 1419.6.
+_LOG_DET_MAX = 1400.0
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark a freshly built array read-only in place; nothing else may hold it."""
@@ -77,7 +91,7 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (a non-finite input too) raises ``EigenFailedError`` and warns nothing."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return np.linalg._umath_linalg.eigh_lo(h, signature="D->dD")
+            return np.linalg._umath_linalg.eigh_lo(h)
     except FloatingPointError as exc:
         raise EigenFailedError("hermitian eigensolver failed: "
                                "Eigenvalues did not converge") from exc
@@ -85,7 +99,7 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _det(a: np.ndarray) -> complex:
     """``numpy.linalg``'s ``det`` of a complex matrix without the wrapper."""
-    return np.linalg._umath_linalg.det(a, signature="D->D")
+    return np.linalg._umath_linalg.det(a)
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -96,14 +110,38 @@ def _frobenius(arr: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix with finite entries."""
+def _square(a) -> np.ndarray:
+    """Coerce to a square complex128 matrix."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NotFiniteError("matrix entries must be finite")
     return arr
+
+
+def _as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a square complex128 matrix with finite entries."""
+    return _finite(_square(a))
+
+
+def _boundary_copy(a) -> tuple[np.ndarray, bool]:
+    """The caller's square matrix, copied once, and whether every real and
+    imaginary part lies within +-``_BOUND`` (a NaN does not)."""
+    arr = _square(a).copy()
+    return arr, bool(np.abs(arr.view(np.float64)).max() <= _BOUND)
+
+
+def _past_bound(kernel, arr: np.ndarray, *args):
+    """A gate kernel on a matrix past ``_BOUND``: finite entries only, and
+    residuals that overflow to inf or NaN, which the gates reject, warn nothing."""
+    _finite(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kernel(arr, *args)
 
 
 def frobenius_inner(a, b) -> float:
@@ -192,11 +230,12 @@ def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitar
 
     Raises ``NotUnitaryError`` or ``DeterminantError`` with the residual.
     """
-    arr = _as_complex_matrix(a).copy()
-    tols = Tolerances.default(arr.shape[0]) if tols is None else tols
-    # Huge entries overflow the Gram product; its NaN residual is rejected.
-    with np.errstate(over="ignore", invalid="ignore"):
+    arr, bounded = _boundary_copy(a)
+    n = arr.shape[0]
+    tols = Tolerances.default(n) if tols is None else tols
+    if bounded and n * math.log1p(tols.group) < _LOG_DET_MAX:
         return _special_unitary(arr, tols, tols.group)
+    return _past_bound(_special_unitary, arr, tols, tols.group)
 
 
 def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless:
@@ -217,8 +256,9 @@ def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianT
     A matrix passing both checks has purely imaginary eigenvalues up to the
     same tolerance. The result carries ``tols``, by default those for its order.
     """
-    arr = _as_complex_matrix(x).copy()
-    return _skew_traceless(arr, Tolerances.default(arr.shape[0]) if tols is None else tols)
+    arr, bounded = _boundary_copy(x)
+    tols = Tolerances.default(arr.shape[0]) if tols is None else tols
+    return _skew_traceless(arr, tols) if bounded else _past_bound(_skew_traceless, arr, tols)
 
 
 def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
@@ -286,7 +326,7 @@ def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     skew-Hermitian X or a stack of them (one solve per slice), so that
     exp(X) = V diag(e^{i w}) V^*."""
     herm = -1j * x
-    herm = (herm + np.swapaxes(herm.conj(), -1, -2)) / 2.0
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2.0
     return _eigh(herm)
 
 

@@ -6,6 +6,11 @@ zeta = (1/2pi) sum arg(mu_j), and the multiplicity s of the eigenvalue -1,
 together with a tolerance-based clustering of the spectrum. The snapped
 cluster arguments make downstream equality tests between eigenvalues exact,
 which the minimizing-logarithm classification depends on.
+
+A generic spectrum, whose sorted arguments have every gap above the cluster
+tolerance and both ends at least that far from +-pi, is read off from its
+two ends and its gaps: each eigenvalue is its own cluster, nothing snaps and
+s = 0. Only the other spectra are clustered and snapped.
 """
 
 from __future__ import annotations
@@ -74,13 +79,57 @@ class SpectralData:
         n = len(self.args)
         if self.basis.shape != (n, n):
             raise ShapeError("basis order does not match argument count")
-        if (self.args[1:] < self.args[:-1]).any():
+        args = self.args.tolist()
+        if any(b < a for a, b in zip(args, args[1:])):
             raise ValueError("arguments must be sorted ascending")
-        if not (-math.pi < self.args[0] and self.args[-1] <= math.pi):
+        if not (-math.pi < args[0] and args[-1] <= math.pi):
             raise ValueError("arguments must lie in (-pi, pi]")
         half = n // 2
         if not (self.s - half <= self.zeta <= half):
             raise ValueError("winding integer outside its admissible range")
+
+
+def _generic(ang: list[float], ctol: float) -> bool:
+    """Whether sorted arguments need no merge and no snap: both ends at least
+    ``ctol`` from +-pi (every other argument is nearer 0 than one of them, and
+    none is -pi) and every gap above ``ctol``. Nothing can then wrap across
+    the cut: the wrap gap lo + 2 pi - hi is the ends' two distances from -1.
+    The gap scan stops at the first small gap."""
+    lo, hi = ang[0], ang[-1]
+    if math.pi - abs(lo) < ctol or math.pi - abs(hi) < ctol:
+        return False
+    return all(b - a > ctol for a, b in zip(ang, ang[1:]))
+
+
+def _clustered(vals: np.ndarray, ang: np.ndarray, order: np.ndarray,
+               ctol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Snapped arguments of ``vals`` in ascending order, and the order of
+    ``vals`` they come in, from their arctan2 arguments ``ang`` (overwritten)
+    and the stable order that sorts them."""
+    if ang[order[0]] == -math.pi:
+        # Principal arguments: -1 has +pi, which sorts last.
+        ang[ang == -math.pi] = math.pi
+        order = ang.argsort(kind="stable")
+    ang_sorted = ang[order]
+    labels = np.zeros(len(ang), dtype=int)
+    labels[1:] = np.cumsum(ang_sorted[1:] - ang_sorted[:-1] > ctol)
+    # Merge across the branch cut: -pi + eps and pi - eps are the same
+    # eigenvalue cluster on the circle. Labels stay 0..k with none missing.
+    if labels[-1] > 0 and ang_sorted[0] + _TWO_PI - ang_sorted[-1] < ctol:
+        labels[labels == labels[-1]] = 0
+    # Each cluster takes the phase of its circular mean (that of its sum, so a
+    # singleton's own argument, with -0.0 made +0.0) or, on antipodal
+    # cancellation, unreachable at sane tolerances, its lowest argument: that of
+    # its first member in index order.
+    vals = vals[order]
+    sums = np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)
+    lowest = np.full(len(sums), np.inf)
+    np.minimum.at(lowest, labels, ang_sorted)
+    cancelled = np.abs(sums) < 1e-9 * np.bincount(labels)
+    snapped = np.where(cancelled, lowest, _principal_args(sums))[labels]
+    snapped[math.pi - np.abs(snapped) < ctol] = math.pi
+    final = snapped.argsort(kind="stable")
+    return snapped[final], order[final]
 
 
 def spectral_summary(q: SpecialUnitary) -> SpectralData:
@@ -91,50 +140,26 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
     snapped to the phase of the cluster's circular mean, and any cluster
     whose mean lies within ``tols.cluster`` of -1 is snapped to exactly pi.
     Clustering is circular, so eigenvalues straddling the -pi/pi boundary
-    are never split. The winding integer is the rounded value of
-    sum(args)/2pi; a rounding residual above ``tols.zeta`` signals a broken
-    input and raises ``ZetaNotIntegerError``. ``tols.eig`` caps the
-    eigendecomposition reconstruction residual.
+    are never split. A generic spectrum, whose sorted arguments have every
+    gap above ``tols.cluster`` and both ends at least ``tols.cluster`` from
+    +-pi, is read off from its ends and gaps alone: its arguments are their
+    own cluster phases and s = 0. The winding integer is
+    the rounded value of sum(args)/2pi; a rounding residual above
+    ``tols.zeta`` signals a broken input and raises ``ZetaNotIntegerError``.
+    ``tols.eig`` caps the eigendecomposition reconstruction residual.
     """
-    n = q.n
     ctol = q.tols.cluster
-
     eigenvalues, eigenbasis, _ = unitary_eig(q)
-    ang = _principal_args(eigenvalues)
+    ang = np.arctan2(eigenvalues.imag, eigenvalues.real)
     order = ang.argsort(kind="stable")
     ang_sorted = ang[order]
-
-    splits = ang_sorted[1:] - ang_sorted[:-1] > ctol
-    # Merge across the branch cut: -pi + eps and pi - eps are the same
-    # eigenvalue cluster on the circle.
-    wraps = ang_sorted[0] + _TWO_PI - ang_sorted[-1] < ctol
-    if not wraps and splits.all():
-        # All singletons: each centre is the eigenvalue's own argument, taken
-        # as that of vals + 0.0, so an imaginary part of -0.0 gives +0.0, as
-        # the cluster sum below does.
-        snapped = ang_sorted + 0.0
+    if _generic(ang_sorted.tolist(), ctol):
+        # + 0.0: an imaginary part of -0.0 gives +0.0, as a cluster sum does.
+        args, s = ang_sorted + 0.0, 0
     else:
-        labels = np.zeros(n, dtype=int)
-        labels[1:] = np.cumsum(splits)
-        # Labels stay 0..k with none missing.
-        if labels[-1] > 0 and wraps:
-            labels[labels == labels[-1]] = 0
-        # Each cluster takes the phase of its circular mean (that of its sum)
-        # or, on antipodal cancellation, unreachable at sane tolerances, its
-        # lowest argument: that of its first member in index order.
-        vals = eigenvalues[order]
-        sums = np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)
-        lowest = np.full(len(sums), np.inf)
-        np.minimum.at(lowest, labels, ang_sorted)
-        cancelled = np.abs(sums) < 1e-9 * np.bincount(labels)
-        snapped = np.where(cancelled, lowest, _principal_args(sums))[labels]
-    snapped[math.pi - np.abs(snapped) < ctol] = math.pi
-
-    final = snapped.argsort(kind="stable")
-    args = snapped[final]
-    basis = eigenbasis.take(order[final], axis=1)
-
-    s = int(np.count_nonzero(args == math.pi))
+        args, order = _clustered(eigenvalues, ang, order, ctol)
+        s = int(np.count_nonzero(args == math.pi))
+    basis = eigenbasis.take(order, axis=1)
 
     total = float(args.sum())
     zeta = int(round(total / _TWO_PI))

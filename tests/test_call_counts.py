@@ -10,8 +10,9 @@ one stack and their round trips solved as one stack, so they call no
 ``expm_skew``, while each exponential is still checked. The counts are
 taken by wrapping the names in every ``sungeo`` module namespace: the
 special-unitary gate kernel, which every group check runs, whether of a
-caller's matrix or of one the library built, and the two entry points
-through which the library reaches LAPACK's ``eigh`` and ``det``.
+caller's matrix or of one the library built, the two entry points
+through which the library reaches LAPACK's ``eigh`` and ``det``, and the
+clustering path of the spectrum, which a generic spectrum never takes.
 """
 
 import sys
@@ -21,7 +22,9 @@ import numpy as np
 import pytest
 
 import sungeo.matrixcore
+import sungeo.spectral
 from sungeo import (
+    NotUnitaryError,
     distance,
     geodesic_eval,
     geodesic_family,
@@ -41,7 +44,8 @@ def _count(monkeypatch, names):
     modules = [m for k, m in list(sys.modules.items())
                if k == "sungeo" or k.startswith("sungeo.")]
     for name in names:
-        original = getattr(sungeo.matrixcore, name, None) or getattr(sungeo, name)
+        original = next(vars(m)[name] for m in (sungeo.matrixcore, sungeo.spectral, sungeo)
+                        if name in vars(m))
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             tally[_name] += 1
@@ -197,3 +201,39 @@ def test_cli_geo_eigh_count(files, lapack, capsys):
     capsys.readouterr()
     assert lapack["_eigh"] == 1
     assert lapack["np.linalg.eigh"] == lapack["np.linalg.det"] == 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_haar_distance_takes_the_generic_path(n, monkeypatch):
+    tally = _count(monkeypatch, ("_clustered",))
+    for seed in range(10):
+        distance(random_special_unitary(n, seed=[n, seed, 1]),
+                 random_special_unitary(n, seed=[n, seed, 2]))
+    assert tally["_clustered"] == 0
+    # An eigenvalue -1 of P^*Q is snapped, on the clustering path.
+    p, q = _pair_with_relative_spectrum(*FLIPPED_PAIRS["minus-one-s1"])
+    distance(p, q)
+    assert tally["_clustered"] == 1
+
+
+@pytest.fixture
+def errstates(monkeypatch):
+    tally = Counter()
+    original = np.errstate
+
+    def counted(*args, **kwargs):
+        tally["errstate"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    return tally
+
+
+def test_validating_a_unitary_matrix_enters_no_errstate(pair, errstates):
+    validate_special_unitary(pair[0].entries)
+    validate_special_unitary(np.eye(3))
+    assert errstates["errstate"] == 0
+    # Entries past the bound are checked as before, under one errstate.
+    with pytest.raises(NotUnitaryError):
+        validate_special_unitary(np.diag([1e200, 1.0]))
+    assert errstates["errstate"] == 1

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sungeo import (
     DeterminantError,
     EigenFailedError,
+    NotFiniteError,
+    NotSkewHermitianError,
     NotUnitaryError,
     ResidualExceededError,
     ShapeError,
@@ -116,6 +118,103 @@ class TestValidation:
         assert x.n == 3
         with pytest.raises(Exception):
             validate_skew_traceless(np.eye(3))
+
+
+def _eye_with(n, j, k, z):
+    a = np.eye(n, dtype=complex)
+    a[j, k] = z
+    return a
+
+
+_BOUND = 1e60  # matrixcore._BOUND
+
+# (input, tolerances) -> (error class, message, residual) as the validator
+# reported them when every input went through an errstate; the residual of a
+# Gram product that overflows is inf or NaN.
+REJECTED = {
+    "nan real": ((_eye_with(2, 0, 0, complex(np.nan, 0.0)), None),
+                 (NotFiniteError, "matrix entries must be finite", None)),
+    "nan imaginary": ((_eye_with(2, 1, 0, complex(0.0, np.nan)), None),
+                      (NotFiniteError, "matrix entries must be finite", None)),
+    "+inf real": ((_eye_with(3, 0, 1, complex(np.inf, 0.0)), None),
+                  (NotFiniteError, "matrix entries must be finite", None)),
+    "-inf real": ((_eye_with(3, 2, 2, complex(-np.inf, 0.0)), None),
+                  (NotFiniteError, "matrix entries must be finite", None)),
+    "+inf imaginary": ((_eye_with(2, 0, 0, complex(1.0, np.inf)), None),
+                       (NotFiniteError, "matrix entries must be finite", None)),
+    "-inf imaginary": ((_eye_with(2, 1, 1, complex(0.0, -np.inf)), None),
+                       (NotFiniteError, "matrix entries must be finite", None)),
+    "at the bound": ((np.diag([_BOUND, 1 / _BOUND]), None),
+                     (NotUnitaryError, "matrix is not unitary (residual 1.000e+120, "
+                      "tolerance 2.000e-08)", 9.999999999999998e+119)),
+    "minus the bound, imaginary": ((_eye_with(3, 0, 2, complex(0.0, -_BOUND)), None),
+                                   (NotUnitaryError, "matrix is not unitary (residual "
+                                    "1.000e+120, tolerance 3.000e-08)", 9.999999999999998e+119)),
+    "every entry at the bound": ((np.full((4, 4), complex(_BOUND, -_BOUND)), None),
+                                 (NotUnitaryError, "matrix is not unitary (residual "
+                                  "3.200e+121, tolerance 4.000e-08)", 3.1999999999999995e+121)),
+    "just above the bound": ((np.diag([np.nextafter(_BOUND, np.inf), 1.0]), None),
+                             (NotUnitaryError, "matrix is not unitary (residual 1.000e+120, "
+                              "tolerance 2.000e-08)", 1.0000000000000003e+120)),
+    "1e150": ((np.diag([1e150, 1e-150]), None),
+              (NotUnitaryError, "matrix is not unitary (residual inf, tolerance 2.000e-08)",
+               math.inf)),
+    "-1e150 imaginary": ((_eye_with(2, 1, 0, complex(0.0, -1e150)), None),
+                         (NotUnitaryError, "matrix is not unitary (residual inf, "
+                          "tolerance 2.000e-08)", math.inf)),
+    "1e151": ((np.diag([1e151, 1.0, 1.0]), None),
+              (NotUnitaryError, "matrix is not unitary (residual inf, tolerance 3.000e-08)",
+               math.inf)),
+    "1e300": ((np.full((2, 2), 1e300), None),
+              (NotUnitaryError, "matrix is not unitary (residual nan, tolerance 2.000e-08)",
+               math.nan)),
+    "1e300 and 1e-300": ((np.array([[1e300, 1e-300], [-1e-300, 1e300j]]), None),
+                         (NotUnitaryError, "matrix is not unitary (residual nan, "
+                          "tolerance 2.000e-08)", math.nan)),
+    # Inside the entry bound, but a gate this loose lets 1e10 I through to a
+    # determinant of 1e400.
+    "determinant beyond float range": ((1e10 * np.eye(40), Tolerances(group=1e300)),
+                                       (DeterminantError, "determinant is not one (residual "
+                                        "inf, tolerance 1.000e+300)", math.inf)),
+    "non-square": ((np.ones((2, 3)), None),
+                   (ShapeError, "expected a square matrix, got shape (2, 3)", None)),
+}
+
+
+class TestValidatorBoundary:
+    """Every input the validator rejects is rejected with the same class,
+    message and residual wherever it lies against the entry bound, and
+    nothing warns."""
+
+    @pytest.mark.parametrize("name", REJECTED)
+    def test_rejected(self, name):
+        (a, tols), (cls, message, residual) = REJECTED[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(cls) as exc:
+                validate_special_unitary(a, tols)
+        assert caught == []
+        assert type(exc.value) is cls and str(exc.value) == message
+        got = exc.value.residual
+        assert got == residual or (math.isnan(got) and math.isnan(residual))
+
+    def test_accepted(self):
+        # Entries of 1e-300 beside the unit ones are within the bound.
+        a = np.array([[1e-300j, 1.0, 0.0], [-1.0, 1e-300, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            q = validate_special_unitary(a)
+        assert caught == []
+        assert q.unitarity_residual < 1e-15 and q.det_residual < 1e-15
+
+    def test_skew_validator_overflow_is_rejected_quietly(self):
+        # X + X^* overflows; the residual is inf, as it is for the group gate.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotSkewHermitianError) as exc:
+                validate_skew_traceless(np.diag([1e308, -1e308]))
+        assert caught == []
+        assert exc.value.residual == math.inf
 
 
 class TestUnitaryEig:

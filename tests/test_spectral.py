@@ -287,6 +287,29 @@ class TestAgainstLoopReference:
         "singletons snapped across the cut": det_one([PI - 0.6 * C, -PI + 0.6 * C,
                                                       1.0, -2.5]),
         "singletons and one pair": det_one([0.3, 0.3 + 0.4 * C, -1.5, 2.0]),
+        # The edges of the generic spectrum, up to the solver's rounding:
+        # ends ctol from -1 or just inside that, a gap of ctol, and a wrap gap
+        # lo + 2 pi - hi of ctol.
+        "singleton ends ctol from -1": [-PI + C, -0.5, 0.5, PI - C],
+        "singleton ends just inside ctol of -1": [-PI + 0.99 * C, -0.5, 0.5, PI - 0.99 * C],
+        "gap of ctol": det_one([0.2, 0.2 + C, -1.0]),
+        "wrap gap of ctol": [-PI + C / 2, -0.3, 0.3, PI - C / 2],
+    }
+
+    # The same edges hit exactly: the solved eigenvalues are replaced by unit
+    # numbers whose np.arctan2 is exactly each argument (or by the complex
+    # value given). E = 10 * 2^-13 is the cluster tolerance of Tolerances(2^-13)
+    # exactly, and pi - E, pi - E/2 and 0.25 + E are exact in floating point.
+    E = 10 * 2.0**-13
+    EXACT = {
+        "singleton ends exactly ctol from -1": [-PI + E, -0.5, 0.5, PI - E],
+        "singleton ends an ulp inside ctol of -1": [-PI + E - 2.0**-51, -0.5, 0.5,
+                                                    PI - E + 2.0**-51],
+        "gap of exactly ctol": [-0.5 - E, 0.25, 0.25 + E],
+        "wrap gap of exactly ctol": [-PI + E / 2, -0.3, 0.3, PI - E / 2],
+        # arctan2 gives -pi, which the principal argument moves to +pi.
+        "-1 with imaginary part -0.0": [PI / 2, PI / 2, complex(-1.0, -0.0)],
+        "1 with imaginary part -0.0": [complex(1.0, -0.0), -1.0, 1.0],
     }
 
     def check(self, q, ctol):
@@ -330,6 +353,37 @@ class TestAgainstLoopReference:
         sd = spectral_summary(q)
         assert np.count_nonzero(sd.args == 0.0) == 1
         assert not np.signbit(sd.args[sd.args == 0.0]).any()
+
+    @staticmethod
+    def unit(a):
+        """A unit complex number whose np.arctan2 is exactly ``a``."""
+        t = a
+        for _ in range(8):
+            z = complex(math.cos(t), math.sin(t))
+            got = float(np.arctan2(z.imag, z.real))
+            if got == a:
+                return z
+            t += a - got
+        raise AssertionError(f"no unit number has the argument {a!r}")
+
+    @pytest.mark.parametrize("name", EXACT)
+    def test_exact(self, name, monkeypatch):
+        values = np.array([z if isinstance(z, complex) else self.unit(z)
+                           for z in self.EXACT[name]])
+        solve = unitary_eig
+
+        def pinned(q):
+            vals, basis, residual = solve(q)
+            # Each solved eigenvalue becomes the nearest pinned value.
+            near = np.abs(vals[:, None] - values[None, :]).argmin(axis=1)
+            return values[near], basis, residual
+
+        monkeypatch.setattr("sungeo.spectral.unitary_eig", pinned)
+        monkeypatch.setitem(globals(), "unitary_eig", pinned)
+        for seed in range(3):
+            q = with_spectrum(np.angle(values), seed=seed)
+            assert sorted(pinned(q)[0].tolist(), key=repr) == sorted(values.tolist(), key=repr)
+            self.check(q, self.E)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 32])
     def test_haar(self, n):
