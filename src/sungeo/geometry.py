@@ -39,8 +39,8 @@ from .matrixcore import (
     _frozen,
     unitary_product,
 )
-from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral, _sample,
-                     canonical_log, m_value)
+from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral,
+                     _family_angles, _sample, canonical_log, m_value)
 from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
 
 __all__ = [
@@ -74,8 +74,9 @@ class GeodesicSegment:
 
     The segment carries the spectral form X was built from,
     X = U diag(i angles) U^* with U = ``basis`` and real ``angles`` (the
-    kept/shifted arguments of the oriented relative spectrum, times its
-    sign), so a point on it is one product in that basis and no eigensolve.
+    kept/shifted arguments of the oriented relative spectrum, or
+    ``_family_angles`` for a sample, times its sign), so a point on it is
+    one product in that basis and no eigensolve.
     """
 
     P: SpecialUnitary
@@ -89,11 +90,10 @@ class GeodesicSegment:
 
 
 def _segment(p: SpecialUnitary, x: SkewHermitianTraceless, sd: SpectralData,
-             basis: np.ndarray) -> GeodesicSegment:
-    """Segment from P with velocity X, built in ``basis`` from the oriented
-    spectrum ``sd`` (``canonical_log`` or a sample of the family)."""
-    return GeodesicSegment(p, x, _frobenius(x.entries), basis,
-                           _frozen(sd.sign * _canonical_angles(sd)))
+             basis: np.ndarray, angles: np.ndarray) -> GeodesicSegment:
+    """Segment from P with velocity X, built in ``basis`` from ``angles`` on
+    the oriented spectrum ``sd`` (``canonical_log`` or a sample of the family)."""
+    return GeodesicSegment(p, x, _frobenius(x.entries), basis, _frozen(sd.sign * angles))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +120,8 @@ class GeodesicFamily:
         them gives a tuple of k segments, built together (``theta_sample``);
         P^*Q, which their round-trip checks need, is formed once per call."""
         xs, _, bases = _sample(self.theta, self.P.adjoint().times(self.Q), r)
-        segs = tuple(_segment(self.P, x, self.theta.spectral, basis)
+        angles = _family_angles(self.theta)
+        segs = tuple(_segment(self.P, x, self.theta.spectral, basis, angles)
                      for x, basis in zip(xs, bases))
         return segs if np.ndim(r) == 3 else segs[0]
 
@@ -154,7 +155,7 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     """
     sd = relative_spectrum(p, q)
     td = _descriptor_from_spectral(_oriented(sd))
-    seg = _segment(p, td.base_log, td.spectral, td.spectral.basis)
+    seg = _segment(p, td.base_log, td.spectral, td.spectral.basis, _canonical_angles(td.spectral))
     return GeodesicFamily(P=p, Q=q, unique=td.is_singleton, canonical=seg,
                           theta=td, distance=math.sqrt(m_value(sd)))
 

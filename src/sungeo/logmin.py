@@ -31,7 +31,9 @@ logarithm here is one of the matrix the spectrum stands for.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .matrixcore import (
     _skew_eigh,
     _skew_traceless,
 )
-from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
+from .spectral import _TWO_PI, SpectralData, _flip_order, adjoint_spectrum, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
@@ -95,13 +97,12 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
 def m_value(sd: SpectralData) -> float:
     """Squared Frobenius norm of a minimal su(n)-logarithm: that of the
     canonical angles, for either sign of zeta; sum(args^2) when zeta = 0.
-    A flipped spectrum sums its angles in its source's order (the first
-    n - s reversed), so Q and Q^* give the same bits: negation and the
-    2 pi shifts round symmetrically."""
+    A flipped spectrum sums its angles in its source's order
+    (``_flip_order``), so Q and Q^* give the same bits: negation, the map
+    a -> 2 pi - a and the 2 pi shifts round symmetrically."""
     angles = _canonical_angles(sd)
     if sd.sign < 0:
-        k = sd.n - sd.s
-        angles[:k] = angles[:k][::-1]
+        angles = angles[_flip_order(sd.n, sd.s)]
     return float(angles @ angles)
 
 
@@ -183,12 +184,13 @@ def brute_force_m(args, zeta: int, K: int = 3,
 # canonical minimizing logarithm
 # ---------------------------------------------------------------------------
 
-def _log_in_basis(sd: SpectralData, u: np.ndarray) -> np.ndarray:
-    """U diag(i angles) U^* for the canonical angles of ``sd``, symmetrized to
-    its skew part and negated when ``sd`` is flipped, so that it is a logarithm
-    of the matrix ``sd`` stands for; for one basis U or a stack of them, not
-    yet checked."""
-    x = (u * (1j * _canonical_angles(sd))) @ u.conj().swapaxes(-1, -2)
+def _log_in_basis(sd: SpectralData, u: np.ndarray, angles: np.ndarray | None = None) -> np.ndarray:
+    """U diag(i angles) U^* for ``angles``, by default the canonical angles of
+    ``sd``, symmetrized to its skew part and negated when ``sd`` is flipped,
+    so that it is a logarithm of the matrix ``sd`` stands for; for one basis U
+    or a stack of them, not yet checked."""
+    angles = _canonical_angles(sd) if angles is None else angles
+    x = (u * (1j * angles)) @ u.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
     x /= 2.0
     if sd.sign < 0:
@@ -217,11 +219,12 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
 class ThetaDescriptor:
     """Structure of the set of minimal logarithms of Q.
 
-    The set is a single point unless zeta >= 1 and mu_{n-zeta} = mu_{n-zeta+1}
-    (the kept/shifted boundary splits a cluster); then it is diffeomorphic to
-    the complex Grassmannian Gr(nu2; C^(nu1+nu2)), nu1 and nu2 counting the
-    boundary eigenvalue on each side, and ``base_log`` is the member that
-    rounding picks (see ``canonical_log``). ``spectral`` keeps the oriented
+    The set is a single point unless zeta >= 1 and the kept/shifted boundary
+    splits a cluster (mu_{n-zeta} = mu_{n-zeta+1} up to the cluster
+    tolerance); then it is diffeomorphic to the complex Grassmannian
+    Gr(nu2; C^(nu1+nu2)), nu1 and nu2 counting the cluster on each side, and
+    ``base_log`` is the member that rounding picks (see ``canonical_log``).
+    ``beta_arg`` is the argument of mu_{n-zeta}. ``spectral`` keeps the oriented
     spectral data so sampling reuses the exact basis of ``base_log``; its
     ``sign`` is -1 when that is Q^*'s, and the logarithms built on it are
     still those of Q.
@@ -251,17 +254,15 @@ class ThetaDescriptor:
 
 def _descriptor_from_spectral(sd: SpectralData) -> ThetaDescriptor:
     """Descriptor from an oriented spectrum (zeta >= 0)."""
-    base = canonical_log(sd)
-    n, zeta, args = sd.n, sd.zeta, sd.args
-    # The set is a family when the boundary between kept and shifted
-    # arguments splits a cluster; sorted, so each side's part is contiguous.
-    beta = float(args[n - zeta - 1]) if zeta > 0 else None
-    family = zeta > 0 and args[n - zeta] == beta
-    return ThetaDescriptor(n=n, zeta=zeta, is_singleton=not family, base_log=base,
-                           beta_arg=beta,
-                           nu1=int(np.sum(args[:n - zeta] == beta)) if family else None,
-                           nu2=int(np.sum(args[n - zeta:] == beta)) if family else None,
-                           spectral=sd)
+    n, cut = sd.n, sd.n - sd.zeta
+    # A family when the kept/shifted boundary splits a cluster: none ends there.
+    edges = list(accumulate(sd.sizes, initial=0))
+    i = bisect(edges, cut)
+    family = sd.zeta > 0 and edges[i - 1] != cut
+    return ThetaDescriptor(n=n, zeta=sd.zeta, is_singleton=not family, base_log=canonical_log(sd),
+                           beta_arg=float(sd.args[cut - 1]) if sd.zeta > 0 else None,
+                           nu1=cut - edges[i - 1] if family else None,
+                           nu2=edges[i] - cut if family else None, spectral=sd)
 
 
 def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
@@ -279,11 +280,11 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary,
                  r) -> SkewHermitianTraceless | tuple[SkewHermitianTraceless, ...]:
     """Sample the Grassmannian family of minimal logarithms.
 
-    Rotates the basis columns of the boundary eigenvalue's eigenblock by the
-    unitary ``r`` of order nu1 + nu2 (the other columns stay: only block
-    unitaries commute with the block-scalar diagonal) and builds the
-    canonical diagonal logarithm in the rotated basis. Every output
-    exponentiates to Q and has squared norm m(Q); distinct cosets of r give
+    Rotates the basis columns of the boundary cluster by the unitary ``r``
+    of order nu1 + nu2 (the other columns stay: only block unitaries commute
+    with the block-scalar diagonal of ``_family_angles``) and builds the
+    logarithm in the rotated basis. Every output exponentiates to Q and has
+    squared norm m(Q), up to the cluster's spread; distinct cosets of r give
     distinct logarithms, though the orbit map is not injective.
 
     ``r`` may also be a (k, nu1 + nu2, nu1 + nu2) stack, as
@@ -293,6 +294,16 @@ def theta_sample(td: ThetaDescriptor, q: SpecialUnitary,
     """
     xs = _sample(td, q, r)[0]
     return xs if np.ndim(r) == 3 else xs[0]
+
+
+def _family_angles(td: ThetaDescriptor) -> np.ndarray:
+    """Canonical angles of a family's spectrum with the boundary cluster's
+    arguments set to their mean, which keeps their sum: block-scalar there."""
+    sd, cut = td.spectral, td.n - td.zeta
+    mean = float(sd.args[cut - td.nu1:cut + td.nu2].mean())
+    angles = _canonical_angles(sd)
+    angles[cut - td.nu1:cut], angles[cut:cut + td.nu2] = mean, mean - _TWO_PI
+    return angles
 
 
 def _sample(td: ThetaDescriptor, q: SpecialUnitary,
@@ -326,7 +337,7 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary,
     start = sd.n - td.zeta - td.nu1
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _frozen(_log_in_basis(sd, u))
+    x = _frozen(_log_in_basis(sd, u, _family_angles(td)))
     outs = tuple(_skew_traceless(xi, sd.tols) for xi in x)
     w, v = _skew_eigh(x)
     resids = tuple(

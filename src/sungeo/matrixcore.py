@@ -155,8 +155,11 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum |a_jk|^2), by ``_frobenius``."""
-    return _frobenius(_as_complex_matrix(a))
+    """Frobenius norm sqrt(sum |a_jk|^2), by ``_frobenius``; past ``_BOUND``,
+    where the squares could overflow, by that of A / c, times c = max |a_jk|."""
+    arr, bounded = _boundary_copy(a)
+    top = 1.0 if bounded else float(np.abs(_finite(arr)).max())
+    return top * _frobenius(arr / top)
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,7 +210,7 @@ def test_haar_distance_takes_the_generic_path(n, monkeypatch):
         distance(random_special_unitary(n, seed=[n, seed, 1]),
                  random_special_unitary(n, seed=[n, seed, 2]))
     assert tally["_clustered"] == 0
-    # An eigenvalue -1 of P^*Q is snapped, on the clustering path.
+    # An eigenvalue -1 of P^*Q is clustered and read as -1, on the clustering path.
     p, q = _pair_with_relative_spectrum(*FLIPPED_PAIRS["minus-one-s1"])
     distance(p, q)
     assert tally["_clustered"] == 1

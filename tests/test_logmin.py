@@ -586,13 +586,15 @@ def conjugated_family(kind: str, n: int):
 
 
 def sample_reference(td, q, r):
-    """One member of the family computed on its own, step by step: rotate the
-    block, build U diag(i angles) U^*, take its skew part, map it back to Q
-    and check exp(X) against Q."""
+    """One member of the family computed on its own, step by step: set the
+    block's arguments to their mean, rotate the block, build
+    U diag(i angles) U^*, take its skew part, map it back to Q and check
+    exp(X) against Q."""
     sd = td.spectral
-    angles = np.array(sd.args, dtype=float)
-    angles[sd.n - sd.zeta:] -= TWO_PI
     start, block = sd.n - td.zeta - td.nu1, td.nu1 + td.nu2
+    angles = np.array(sd.args, dtype=float)
+    angles[start:start + block] = float(angles[start:start + block].mean())
+    angles[sd.n - sd.zeta:] -= TWO_PI
     u = sd.basis.copy()
     u[:, start:start + block] = u[:, start:start + block] @ r
     x = (u * (1j * angles)) @ u.conj().T
@@ -725,7 +727,7 @@ class TestFamilyDimension:
 
 class TestConjugatedMultiplicities:
     # Repeated-eigenvalue patterns pushed through a Haar conjugation stress
-    # the whole chain: eigenspace grouping, circular clustering, snapping,
+    # the whole chain: eigenspace grouping, circular clustering, lifting,
     # and the boundary-run extraction.
     PATTERNS = [
         [2 * PI - 6.0, 2.0, 2.0, 2.0],           # zeta 1, block in the middle

@@ -80,6 +80,15 @@ class TestFrobenius:
             assert a.flags.c_contiguous
             assert frobenius_norm(a) == np.linalg.norm(a)
 
+    @pytest.mark.parametrize("a, norm", [
+        (np.diag([1e200, 1.0]), 1e200),
+        (np.full((2, 2), -1e300j), 2e300),
+        (np.array([[1e61, 1e-300], [0.0, 1e61]]).T, math.sqrt(2) * 1e61),
+    ], ids=["1e200", "1e300", "transposed 1e61"])
+    def test_norm_past_the_bound_is_finite_and_quiet(self, a, norm):
+        # Squaring these parts overflows; warnings are errors in the suite.
+        assert frobenius_norm(a) == pytest.approx(norm, rel=1e-15)
+
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
     @settings(max_examples=40)
     def test_norm_squared_equals_inner(self, seed, n):

@@ -10,15 +10,17 @@ from sungeo import (
     Tolerances,
     adjoint_spectrum,
     distance,
+    expm_skew,
+    geodesic_eval,
     geodesic_family,
     log_map,
     random_special_unitary,
     random_unitary,
+    relative_spectrum,
     spectral_summary,
     unitary_eig,
     validate_special_unitary,
 )
-from sungeo.spectral import _runs_of_equal
 
 PI = math.pi
 
@@ -28,7 +30,7 @@ class TestSpectralSummary:
         sd = spectral_summary(validate_special_unitary(np.eye(3)))
         assert np.array_equal(sd.args, np.zeros(3))
         assert sd.zeta == 0 and sd.s == 0
-        assert sd.clusters == ((0, 1, 2),)
+        assert sd.sizes == (3,)
 
     def test_minus_identity_2(self):
         sd = spectral_summary(validate_special_unitary(-np.eye(2)))
@@ -40,15 +42,16 @@ class TestSpectralSummary:
         sd = spectral_summary(q)
         assert np.allclose(sd.args, [0.0, 0.0, PI, PI], atol=1e-14)
         assert sd.zeta == 1 and sd.s == 2
-        assert sd.clusters == ((0, 1), (2, 3))
+        assert sd.sizes == (2, 2)
 
     def test_branch_cut_cluster_is_not_split(self):
-        # Eigenvalues just on either side of -1 must land in one cluster at pi.
+        # Eigenvalues just on either side of -1 must land in one cluster,
+        # read next to pi: the one at -pi + eps is lifted to pi + eps.
         eps = 1e-9
         q = validate_special_unitary(np.diag(np.exp(1j * np.array([PI - eps, -PI + eps]))))
         sd = spectral_summary(q)
-        assert np.array_equal(sd.args, np.array([PI, PI]))
-        assert sd.s == 2 and sd.zeta == 1
+        assert np.abs(sd.args - PI).max() <= 2e-9
+        assert sd.s == 2 and sd.zeta == 1 and sd.sizes == (2,)
 
     def test_basis_reconstructs_input(self):
         q = random_special_unitary(6, seed=77)
@@ -220,7 +223,7 @@ class TestAgainstZgeev:
 
 
 def reference_runs(args):
-    """Loop form of ``_runs_of_equal``, kept as its reference."""
+    """Contiguous runs of exactly equal entries in a sorted sequence."""
     clusters = []
     start = 0
     for i in range(1, len(args) + 1):
@@ -230,11 +233,14 @@ def reference_runs(args):
     return tuple(clusters)
 
 
-def reference_summary(q, ctol):
-    """Snapping and clustering of ``spectral_summary`` in the per-cluster
-    loop form it replaced, on the same decomposition; kept as its reference.
-    Returns (args, zeta, s, clusters, basis)."""
-    vals, basis, _ = unitary_eig(q)
+def reference_summary(q, ctol, solve=None):
+    """Clustering of the spectrum in a per-cluster loop form, on the
+    decomposition ``solve`` gives (by default ``unitary_eig``): each
+    cluster's members snapped to the phase of their circular mean, or to pi
+    within ``ctol`` of -1, and the clusters read off as runs of equal
+    snapped phases. Returns (snapped, zeta, s, clusters, basis, raw), with
+    ``raw`` the unsnapped arguments in the same order."""
+    vals, basis, _ = (solve or unitary_eig)(q)
     ang = np.angle(vals)
     ang[ang == -PI] = PI
     order = np.argsort(ang, kind="stable")
@@ -263,13 +269,13 @@ def reference_summary(q, ctol):
     clusters = reference_runs(args)
     s = len(clusters[-1]) if args[-1] == PI else 0
     zeta = int(round(float(args.sum()) / (2 * PI)))
-    return args, zeta, s, clusters, basis[:, order][:, final]
+    return args, zeta, s, clusters, basis[:, order][:, final], ang_sorted[final]
 
 
 class TestAgainstLoopReference:
-    """The array form of snapping and clustering gives the loop form's
-    answers. Cluster means are summed in another order, and np.angle and
-    math.atan2 differ by an ulp, so args may differ by at most 2 ulp of pi."""
+    """``spectral_summary`` decides zeta, s and the partition as the loop
+    form of snapping does, while its arguments are the raw ones, each lifted
+    by whole turns to the turn of its cluster's snapped phase."""
 
     C = 1e-3  # cluster tolerance of the crafted cases; their gaps scale with it
     CRAFTED = {
@@ -283,7 +289,7 @@ class TestAgainstLoopReference:
         "all equal at -1": [PI] * 4,
         "all singleton": det_one([-2.5, -1.0, 0.1, 1.2, 2.9]),
         # Singletons on either side of -1, each within ctol of it but not of
-        # each other: both snap to pi, which moves the first one last.
+        # each other: both are read as -1, which lifts the first one a turn.
         "singletons snapped across the cut": det_one([PI - 0.6 * C, -PI + 0.6 * C,
                                                       1.0, -2.5]),
         "singletons and one pair": det_one([0.3, 0.3 + 0.4 * C, -1.5, 2.0]),
@@ -313,15 +319,18 @@ class TestAgainstLoopReference:
     }
 
     def check(self, q, ctol):
-        args, zeta, s, clusters, basis = reference_summary(q, ctol)
-        # Snapping a cluster to pi moves the argument sum by up to a few
-        # ctol; the winding gate is not under test here. The cluster and
-        # reconstruction tolerances are both 10x the base: ctol.
-        q = validate_special_unitary(q.entries, Tolerances(group=ctol / 10, zeta=0.1))
+        snapped, zeta, s, clusters, basis, raw = reference_summary(q, ctol)
+        # The cluster and reconstruction tolerances are both 10x the base: ctol.
+        q = validate_special_unitary(q.entries, Tolerances(group=ctol / 10))
         sd = spectral_summary(q)
-        assert (sd.zeta, sd.s, sd.clusters) == (zeta, s, clusters)
-        assert np.abs(sd.args - args).max() <= 8.9e-16
-        assert np.array_equal(sd.basis, basis)
+        assert (sd.zeta, sd.s, sd.sizes) == (zeta, s, tuple(map(len, clusters)))
+        lifted = raw + 2 * PI * np.round((snapped - raw) / (2 * PI))
+        for c in clusters:
+            assert np.array_equal(sd.args[list(c)], np.sort(lifted[list(c)]))
+            # Columns in a cluster may come in another order: a wrapped
+            # cluster lists its members below pi first.
+            assert sorted(col.tobytes() for col in sd.basis[:, c].T) == \
+                sorted(col.tobytes() for col in basis[:, c].T)
 
     @pytest.mark.parametrize("name", CRAFTED)
     def test_crafted(self, name):
@@ -391,7 +400,83 @@ class TestAgainstLoopReference:
             q = random_special_unitary(n, seed=[n, seed])
             self.check(q, 1e-7 * n)
 
-    @pytest.mark.parametrize("args", [[0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0],
-                                      [-1.0, -1.0, 0.5, 2.0, 2.0], [0.0, 0.0, 1.0, PI]])
-    def test_runs_of_equal(self, args):
-        assert _runs_of_equal(np.array(args)) == reference_runs(args)
+
+def near_minus_one(n, eps, seed):
+    """Q = U diag(e^{ia}) U^* with Haar U, exactly special unitary, whose
+    arguments a are pi - eps, n - 2 values in (-2.6, 2.6) and pi / 2 + eps;
+    and the distance from I to Q that these arguments give."""
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(-2.0, 2.0, n - 2)
+    rest += (PI / 2 - rest.sum()) / max(n - 2, 1)
+    args = np.array([PI - eps, *rest, PI / 2 + eps])
+    lifted = np.sort(args)
+    zeta = round(lifted.sum() / (2 * PI))
+    lifted[n - zeta:] -= 2 * PI
+    return with_spectrum(args, seed=seed), math.sqrt(lifted @ lifted)
+
+
+class TestRawArguments:
+    """Continuous answers are read off the solver's arguments, so an
+    eigenvalue that the cluster tolerance reads as -1 moves no answer: the
+    distance, the logarithm and the geodesic are those of the exact input."""
+
+    @pytest.mark.parametrize("n, eps", [(3, 2e-7), (4, 1e-7), (8, 5e-7), (11, 1.01e-6),
+                                        (16, 1.5e-6), (64, 5e-6), (128, 1e-5), (256, 2e-5)])
+    def test_eigenvalue_inside_cluster_tolerance_of_minus_one(self, n, eps):
+        q, d = near_minus_one(n, eps, seed=n)
+        assert eps < q.tols.cluster
+        p = validate_special_unitary(np.eye(n))
+        assert relative_spectrum(p, q).s == 1
+        assert distance(p, q) == pytest.approx(d, rel=1e-12)
+        x = log_map(p, q)
+        assert np.linalg.norm(x.entries) == pytest.approx(d, rel=1e-12)
+        assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-12 * n
+        fam = geodesic_family(p, q)
+        assert fam.distance == pytest.approx(d, rel=1e-12)
+        assert np.linalg.norm(geodesic_eval(fam.canonical, 1.0).entries - q.entries) <= 1e-12 * n
+
+    @pytest.mark.parametrize("tol", [0.03, 0.1])
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_loose_tolerance_gives_the_default_distance(self, n, tol):
+        # At tol 0.1 the cluster tolerance is 1 rad: clusters merge distinct
+        # eigenvalues, and chains can span more than pi.
+        tols = Tolerances.scaled(tol, n)
+        for i in range(100):
+            p, q = (random_special_unitary(n, seed=seed) for seed in (2 * i, 2 * i + 1))
+            loose = [validate_special_unitary(m.entries, tols) for m in (p, q)]
+            assert distance(*loose) == pytest.approx(distance(p, q), rel=1e-12)
+            fam = geodesic_family(*loose)
+            assert fam.canonical.length == pytest.approx(fam.distance, rel=1e-9)
+
+
+def mp_solve(q):
+    """Eigenvalues of Q from mpmath at 50 digits, rounded to complex128; the
+    basis is a placeholder."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        vals = mpmath.eig(mpmath.matrix(q.entries.tolist()), left=False, right=False)
+    return np.array([complex(v) for v in vals]), np.eye(q.n), 0.0
+
+
+class TestAgainstMpmath:
+    """zeta, s and the partition against the loop form of clustering run on
+    eigenvalues that mpmath computes at 50 digits: a solve that shares no
+    float64 rounding with ``unitary_eig``."""
+
+    SPECTRA = {
+        "pair at -1": [PI, PI, 0.4, -0.4],
+        "cluster across the cut": [PI - 1e-9, -PI + 1e-9, 0.7, -0.7],
+        "near -1 inside ctol": det_one([PI - 2e-7, 1.0, -2.0, 0.5]),
+        "repeated blocks": [1.0, 1.0, 1.0, -0.5, -0.5, -0.5, -0.5, -1.0],
+        "-1 four times and a pair": [PI] * 4 + [0.2, -0.2, 0.2, -0.2],
+        "sixteen with clusters": det_one([PI - 1e-8, -PI + 1e-8, PI, 2.0, 2.0, 2.0 + 1e-9,
+                                          -1.0, -1.0, 0.3, 0.3, 0.3, -2.5, 1.5, 1.5, -0.1]),
+    }
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_zeta_s_and_partition(self, name):
+        args = self.SPECTRA[name]
+        q = with_spectrum(args, seed=len(args))
+        _, zeta, s, clusters, _, _ = reference_summary(q, q.tols.cluster, mp_solve)
+        sd = spectral_summary(q)
+        assert (sd.zeta, sd.s, sd.sizes) == (zeta, s, tuple(map(len, clusters)))

@@ -61,7 +61,7 @@ def noisy(a, rng):
 def test_matrices_accepted_at_loose_tolerances_pass_every_stage(n):
     # Noise 1e-7 passes validation at 1e-4 but not the default gates after
     # it. The relative spectrum P^*Q and the spectrum of Q keep 10 cluster
-    # tolerances from -1 and between eigenvalues, so no cluster is snapped.
+    # tolerances from -1 and between eigenvalues, so no eigenvalues cluster.
     rng = np.random.default_rng(900 + n)
     margin = 10 * LOOSE.cluster
     for _ in range(10):
