@@ -11,7 +11,6 @@ import argparse
 import numpy as np
 
 from sungeo import (
-    expm_skew,
     frobenius_norm,
     grassmann_label,
     m_value,
@@ -48,11 +47,12 @@ def main():
     print(f"family: {grassmann_label(*td.grassmannian)} "
           f"(nu1 {td.nu1}, nu2 {td.nu2}, boundary argument {td.beta_arg:+.6f})")
 
-    # One stacked draw of sampling unitaries, sampled as one stack.
-    samples = theta_sample(td, q, random_unitary(td.nu1 + td.nu2, args.seed, args.samples))
+    # One stacked draw of sampling unitaries, sampled as one stack; the
+    # sampler checks each round trip ||exp(X) - Q||_F and returns it.
+    drawn = theta_sample(td, random_unitary(td.nu1 + td.nu2, args.seed, args.samples))
+    samples = drawn.logs
     print(f"{'sample':>6} {'norm':>12} {'exp residual':>14} {'dist to base':>14}")
-    for i, x in enumerate(samples):
-        resid = np.linalg.norm(expm_skew(x).entries - q.entries)
+    for i, (x, resid) in enumerate(zip(samples, drawn.residuals)):
         gap = np.linalg.norm(x.entries - td.base_log.entries)
         print(f"{i:>6} {frobenius_norm(x.entries):>12.8f} {resid:>14.2e} {gap:>14.6f}")
     if len(samples) > 1:

@@ -36,6 +36,7 @@ from .geometry import (
 from .logmin import (
     PlogStatus,
     ThetaDescriptor,
+    ThetaSamples,
     brute_force_m,
     canonical_log,
     grassmann_label,

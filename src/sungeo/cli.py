@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -41,8 +42,8 @@ from .geometry import (
     geodesic_family,
     relative_spectrum,
 )
-from .logmin import (_sample, brute_force_m, grassmann_label, m_value, plog_status,
-                     theta_descriptor)
+from .logmin import (brute_force_m, grassmann_label, m_value, plog_status, theta_descriptor,
+                     theta_sample)
 from .matrixcore import (
     SpecialUnitary,
     expm_skew,
@@ -421,11 +422,11 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
                 rs = random_unitary(td.nu1 + td.nu2, seed, samples)
             except (MemoryError, ValueError) as exc:  # as in cmd_random
                 raise ShapeError(f"{samples} samples are too many to allocate") from exc
-            xs, roundtrips, _ = _sample(td, q, rs)
-            for i, (x, roundtrip) in enumerate(zip(xs, roundtrips)):
+            drawn = theta_sample(td, rs)
+            for i, (x, roundtrip) in enumerate(zip(drawn.logs, drawn.residuals)):
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
                 residuals[f"sample{i}_norm_vs_m"] = abs(frobenius_norm(x.entries) ** 2 - m)
-            outputs["samples"] = [x.entries for x in xs]
+            outputs["samples"] = [x.entries for x in drawn.logs]
     return {
         "command": "theta",
         "inputs": {"Q": path_q, "samples": samples, "seed": seed, "tol": q.tols.group},
@@ -467,6 +468,12 @@ def cmd_oracle(path_q: str, tol: float | None) -> dict:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: usage error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # A token that starts like a negative number (--t -1e-3) is a value.
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 # Flag value types. A ValueError makes argparse report a usage error.

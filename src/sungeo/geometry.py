@@ -39,8 +39,8 @@ from .matrixcore import (
     _frozen,
     unitary_product,
 )
-from .logmin import (ThetaDescriptor, _canonical_angles, _descriptor_from_spectral,
-                     _family_angles, _sample, canonical_log, m_value)
+from .logmin import (ThetaDescriptor, _descriptor_from_spectral, canonical_log, m_value,
+                     theta_sample)
 from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
 
 __all__ = [
@@ -73,10 +73,9 @@ class GeodesicSegment:
     """Geodesic t -> P exp(tX); at t = 1 it reaches P exp(X).
 
     The segment carries the spectral form X was built from,
-    X = U diag(i angles) U^* with U = ``basis`` and real ``angles`` (the
-    kept/shifted arguments of the oriented relative spectrum, or
-    ``_family_angles`` for a sample, times its sign), so a point on it is
-    one product in that basis and no eigensolve.
+    X = U diag(i angles) U^* with U = ``basis`` and the real, signed
+    ``angles`` of the descriptor or of a sample (``theta_sample``), so a
+    point on it is one product in that basis and no eigensolve.
     """
 
     P: SpecialUnitary
@@ -89,17 +88,11 @@ class GeodesicSegment:
         return geodesic_eval(self, t)
 
 
-def _segment(p: SpecialUnitary, x: SkewHermitianTraceless, sd: SpectralData,
-             basis: np.ndarray, angles: np.ndarray) -> GeodesicSegment:
-    """Segment from P with velocity X, built in ``basis`` from ``angles`` on
-    the oriented spectrum ``sd`` (``canonical_log`` or a sample of the family)."""
-    return GeodesicSegment(p, x, _frobenius(x.entries), basis, _frozen(sd.sign * angles))
-
-
 @dataclass(frozen=True, eq=False)
 class GeodesicFamily:
     """All minimizing geodesic segments between two points.
 
+    ``theta`` describes the minimal logarithms of P^*Q (its ``q``), and
     ``canonical`` is the segment of ``theta.base_log``. When ``unique`` is
     false it is the family member that rounding picks (see ``canonical_log``)
     and the others are reached by sampling the descriptor's Grassmannian.
@@ -114,16 +107,13 @@ class GeodesicFamily:
     theta: ThetaDescriptor
     distance: float
 
-    def sample(self, r) -> GeodesicSegment | tuple[GeodesicSegment, ...]:
-        """Minimizing segment with velocity drawn from the family; ``r`` is
-        a unitary of order nu1 + nu2. A (k, nu1 + nu2, nu1 + nu2) stack of
-        them gives a tuple of k segments, built together (``theta_sample``);
-        P^*Q, which their round-trip checks need, is formed once per call."""
-        xs, _, bases = _sample(self.theta, self.P.adjoint().times(self.Q), r)
-        angles = _family_angles(self.theta)
-        segs = tuple(_segment(self.P, x, self.theta.spectral, basis, angles)
-                     for x, basis in zip(xs, bases))
-        return segs if np.ndim(r) == 3 else segs[0]
+    def sample(self, r) -> tuple[GeodesicSegment, ...]:
+        """Minimizing segments with velocities drawn from the family, one for
+        each unitary of the (k, nu1 + nu2, nu1 + nu2) stack ``r``, built
+        together by ``theta_sample``; one unitary is the k = 1 stack."""
+        drawn = theta_sample(self.theta, r)
+        return tuple(GeodesicSegment(self.P, x, _frobenius(x.entries), basis, drawn.angles)
+                     for x, basis in zip(drawn.logs, drawn.bases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +143,11 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     shifted boundary; otherwise the family is a complex Grassmannian
     recorded in the descriptor.
     """
-    sd = relative_spectrum(p, q)
-    td = _descriptor_from_spectral(_oriented(sd))
-    seg = _segment(p, td.base_log, td.spectral, td.spectral.basis, _canonical_angles(td.spectral))
+    pq = p.adjoint().times(q)
+    sd = spectral_summary(pq)
+    td = _descriptor_from_spectral(_oriented(sd), pq)
+    x = td.base_log
+    seg = GeodesicSegment(p, x, _frobenius(x.entries), td.spectral.basis, td.angles)
     return GeodesicFamily(P=p, Q=q, unique=td.is_singleton, canonical=seg,
                           theta=td, distance=math.sqrt(m_value(sd)))
 

@@ -14,18 +14,19 @@ positions that minimizes exactly over the box [-K, K]^n, lists every tuple
 within a relative ``_TIE_TOL`` (1e-9) of the minimum and rejects boxes of
 more than 1e8 tuples.
 
-The sampler takes one sampling unitary or a (k, b, b) stack of them, with
-the batch axis first as in geomstats. A stack is built and its round trips
-are solved in one pass, each member bit for bit what its slice gives alone;
-then each member goes through the checks a single sample passes.
+``theta_sample`` is the one sampler of a family. It takes a (k, b, b) stack
+of sampling unitaries, batch axis first as in geomstats, one unitary being the
+k = 1 stack; each member is bit for bit what its slice gives alone and passes
+the gates slice by slice, its round trip against the descriptor's ``q``.
 
 Orientation: the minimizing shift (``_canonical_angles``), the closed form
 and the canonical logarithm read a spectrum as it is, for either sign of
 zeta. Orientation picks the reported member and label: ``theta_descriptor``
 flips Q when zeta < 0, and the pair policy of ``geometry`` when
 zeta < s - zeta, both through ``spectral.adjoint_spectrum`` (``sign = -1``).
-``_log_in_basis`` negates what it builds on a flipped spectrum, so every
-logarithm here is one of the matrix the spectrum stands for.
+``_log_in_basis`` negates what it builds on a flipped spectrum, and the
+signed angles are negated with it, so every logarithm here is one of the
+matrix the spectrum stands for.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,7 @@ __all__ = [
     "brute_force_m",
     "canonical_log",
     "theta_descriptor",
+    "ThetaSamples",
     "theta_sample",
     "plog_status",
     "grassmann_label",
@@ -217,7 +220,7 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
 
 @dataclass(frozen=True, eq=False)
 class ThetaDescriptor:
-    """Structure of the set of minimal logarithms of Q.
+    """Structure of the set of minimal logarithms of ``q``.
 
     The set is a single point unless zeta >= 1 and the kept/shifted boundary
     splits a cluster (mu_{n-zeta} = mu_{n-zeta+1} up to the cluster
@@ -226,8 +229,9 @@ class ThetaDescriptor:
     ``base_log`` is the member that rounding picks (see ``canonical_log``).
     ``beta_arg`` is the argument of mu_{n-zeta}. ``spectral`` keeps the oriented
     spectral data so sampling reuses the exact basis of ``base_log``; its
-    ``sign`` is -1 when that is Q^*'s, and the logarithms built on it are
-    still those of Q.
+    ``sign`` is -1 when that is q^*'s, and the logarithms built on it are
+    still those of ``q``. ``angles`` are the signed canonical angles:
+    ``base_log`` is U diag(i angles) U^* with U = ``spectral.basis``.
     """
 
     n: int
@@ -238,6 +242,8 @@ class ThetaDescriptor:
     nu1: int | None
     nu2: int | None
     spectral: SpectralData
+    q: SpecialUnitary
+    angles: np.ndarray
 
     @property
     def grassmannian(self) -> tuple[int, int] | None:
@@ -252,8 +258,8 @@ class ThetaDescriptor:
         return self.spectral.sign < 0
 
 
-def _descriptor_from_spectral(sd: SpectralData) -> ThetaDescriptor:
-    """Descriptor from an oriented spectrum (zeta >= 0)."""
+def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescriptor:
+    """Descriptor of ``q`` from an oriented spectrum of it (zeta >= 0)."""
     n, cut = sd.n, sd.n - sd.zeta
     # A family when the kept/shifted boundary splits a cluster: none ends there.
     edges = list(accumulate(sd.sizes, initial=0))
@@ -262,7 +268,8 @@ def _descriptor_from_spectral(sd: SpectralData) -> ThetaDescriptor:
     return ThetaDescriptor(n=n, zeta=sd.zeta, is_singleton=not family, base_log=canonical_log(sd),
                            beta_arg=float(sd.args[cut - 1]) if sd.zeta > 0 else None,
                            nu1=cut - edges[i - 1] if family else None,
-                           nu2=edges[i] - cut if family else None, spectral=sd)
+                           nu2=edges[i] - cut if family else None, spectral=sd, q=q,
+                           angles=_frozen(sd.sign * _canonical_angles(sd)))
 
 
 def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
@@ -273,49 +280,33 @@ def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
     solution set of Q^* onto that of Q.
     """
     sd = spectral_summary(q)
-    return _descriptor_from_spectral(adjoint_spectrum(sd) if sd.zeta < 0 else sd)
+    return _descriptor_from_spectral(adjoint_spectrum(sd) if sd.zeta < 0 else sd, q)
 
 
-def theta_sample(td: ThetaDescriptor, q: SpecialUnitary,
-                 r) -> SkewHermitianTraceless | tuple[SkewHermitianTraceless, ...]:
-    """Sample the Grassmannian family of minimal logarithms.
+class ThetaSamples(NamedTuple):
+    """Checked logarithms X = U diag(i angles) U^*, their residuals
+    ||exp(X) - Q||_F, the (k, n, n) stack of bases U and the signed angles."""
 
-    Rotates the basis columns of the boundary cluster by the unitary ``r``
-    of order nu1 + nu2 (the other columns stay: only block unitaries commute
-    with the block-scalar diagonal of ``_family_angles``) and builds the
-    logarithm in the rotated basis. Every output exponentiates to Q and has
-    squared norm m(Q), up to the cluster's spread; distinct cosets of r give
-    distinct logarithms, though the orbit map is not injective.
-
-    ``r`` may also be a (k, nu1 + nu2, nu1 + nu2) stack, as
-    ``random_unitary(nu1 + nu2, rng, k)`` draws it; the k logarithms are
-    then built together and returned as a tuple, each one bit for bit what
-    its slice gives alone.
-    """
-    xs = _sample(td, q, r)[0]
-    return xs if np.ndim(r) == 3 else xs[0]
+    logs: tuple[SkewHermitianTraceless, ...]
+    residuals: tuple[float, ...]
+    bases: np.ndarray
+    angles: np.ndarray
 
 
-def _family_angles(td: ThetaDescriptor) -> np.ndarray:
-    """Canonical angles of a family's spectrum with the boundary cluster's
-    arguments set to their mean, which keeps their sum: block-scalar there."""
-    sd, cut = td.spectral, td.n - td.zeta
-    mean = float(sd.args[cut - td.nu1:cut + td.nu2].mean())
-    angles = _canonical_angles(sd)
-    angles[cut - td.nu1:cut], angles[cut:cut + td.nu2] = mean, mean - _TWO_PI
-    return angles
+def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
+    """Sample the Grassmannian family of minimal logarithms of ``td.q``.
 
+    Rotates the basis columns of the boundary cluster by each unitary of the
+    (k, nu1 + nu2, nu1 + nu2) stack ``r``, one unitary being the k = 1 stack
+    (the other columns stay: only block unitaries commute with the diagonal,
+    which is scalar on the cluster, set to its mean argument). Every member
+    exponentiates to Q and has squared norm m(Q), up to the cluster's
+    spread; distinct cosets of r give distinct logarithms, though the orbit
+    map is not injective.
 
-def _sample(td: ThetaDescriptor, q: SpecialUnitary,
-            r) -> tuple[tuple[SkewHermitianTraceless, ...], tuple[float, ...], np.ndarray]:
-    """``theta_sample`` for one sampling unitary or a stack of them: the
-    logarithms, their checked round-trip residuals ||exp(X) - Q||_F and the
-    (k, n, n) stack of rotated eigenbases they were built in.
-
-    The arithmetic runs once on the whole stack: the block rotation, one
-    product and one symmetrization for the logarithms and one stacked
-    eigensolve of -iX for their exponentials. The gates run slice by slice,
-    as for a single unitary: r unitary, X in su(n), exp(X) special unitary
+    The arithmetic runs once on the stack: the rotation, one product and one
+    symmetrization, one stacked eigensolve of -iX for the exponentials. The
+    gates run slice by slice: r unitary, X in su(n), exp(X) special unitary
     and the round trip to Q.
     """
     if td.is_singleton:
@@ -330,22 +321,23 @@ def _sample(td: ThetaDescriptor, q: SpecialUnitary,
     alg = Tolerances.default(block).alg
     for g in gram:
         NotUnitaryError.check(_frobenius(g), alg, "sampling matrix is not unitary")
-    if q.n != td.n:
-        raise ShapeError(f"order mismatch: descriptor {td.n}, matrix {q.n}")
 
     sd = td.spectral
-    start = sd.n - td.zeta - td.nu1
+    start, cut = sd.n - td.zeta - td.nu1, sd.n - td.zeta
+    angles = _canonical_angles(sd)
+    mean = float(sd.args[start:start + block].mean())
+    angles[start:cut], angles[cut:start + block] = mean, mean - _TWO_PI
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _frozen(_log_in_basis(sd, u, _family_angles(td)))
-    outs = tuple(_skew_traceless(xi, sd.tols) for xi in x)
+    x = _frozen(_log_in_basis(sd, u, angles))
+    logs = tuple(_skew_traceless(xi, sd.tols) for xi in x)
     w, v = _skew_eigh(x)
     resids = tuple(
         ResidualExceededError.check(
-            _frobenius(_exp_in_basis(vi, wi, sd.tols).entries - q.entries), sd.tols.eig,
+            _frobenius(_exp_in_basis(vi, wi, sd.tols).entries - td.q.entries), sd.tols.eig,
             "sampled logarithm does not exponentiate to the given matrix")
         for vi, wi in zip(v, w))
-    return outs, resids, _frozen(u)
+    return ThetaSamples(logs, resids, _frozen(u), _frozen(sd.sign * angles))
 
 
 # ---------------------------------------------------------------------------

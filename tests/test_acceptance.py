@@ -189,7 +189,7 @@ def test_criterion_6_theta_family():
     q = validate_special_unitary(-np.eye(2))
     td = theta_descriptor(q)
     rng = np.random.default_rng(606)
-    samples = [theta_sample(td, q, random_unitary(2, rng)) for _ in range(50)]
+    samples = [theta_sample(td, random_unitary(2, rng)).logs[0] for _ in range(50)]
     exp_ok = all(np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-9
                  for x in samples)
     norm_ok = all(abs(frobenius_norm(x.entries) - PI * math.sqrt(2)) <= 1e-10

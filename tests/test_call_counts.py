@@ -25,6 +25,7 @@ import sungeo.matrixcore
 import sungeo.spectral
 from sungeo import (
     NotUnitaryError,
+    SpecialUnitary,
     distance,
     geodesic_eval,
     geodesic_family,
@@ -116,8 +117,33 @@ def test_sampled_segment_counts(counts):
                           validate_special_unitary(-np.eye(2)))
     r = random_unitary(2, seed=5)
     counts.clear()
-    fam.sample(r).at(0.5)
+    fam.sample(r)[0].at(0.5)
     assert tuple(counts[name] for name in COUNTED) == (0, 3, 0)
+
+
+@pytest.mark.parametrize("count", [None, 8])
+def test_family_samples_form_no_product(count, monkeypatch):
+    # The descriptor carries P^*Q, so sampling forms no product, for one
+    # unitary or for a stack.
+    p = random_special_unitary(4, seed=8)
+    fam = geodesic_family(p, validate_special_unitary(-p.entries))
+    pq = p.adjoint().times(fam.Q)
+    r = random_unitary(4, seed=12, count=count)
+    products = []
+    times = SpecialUnitary.times
+    monkeypatch.setattr(SpecialUnitary, "times", lambda a, b: products.append(1) or times(a, b))
+    segs = fam.sample(r)
+    assert products == []
+    assert len(segs) == (count or 1)
+    assert fam.theta.q.entries.tobytes() == pq.entries.tobytes()
+
+
+def test_cli_theta_samples_through_theta_sample(files, monkeypatch, capsys):
+    # One stacked call of the public sampler, through the CLI's namespace.
+    tally = _count(monkeypatch, ("theta_sample",))
+    assert main(["theta", files["R"], "--samples", "8"]) == 0
+    capsys.readouterr()
+    assert tally["theta_sample"] == 1
 
 
 def _pair_with_relative_spectrum(args, seed):

@@ -199,6 +199,14 @@ class TestGeo:
         assert code == 0 and report["inputs"]["t"] == [0.0, 1.0]
         assert [pt["t"] for pt in report["outputs"]["points"]] == [0.0, 1.0]
 
+    @pytest.mark.parametrize("text, t", [("-0.5,0.5", [-0.5, 0.5]), ("-1e-3", [-1e-3]),
+                                         ("-1,1", [-1.0, 1.0])])
+    def test_parameters_may_start_with_a_minus_sign(self, capsys, files, text, t):
+        # A separate value that argparse's own negative-number rule misses.
+        code, report, _ = run_cli(capsys, "geo", files["I2"], files["mI2"], "--t", text)
+        assert code == 0 and report["inputs"]["t"] == t
+        assert [pt["t"] for pt in report["outputs"]["points"]] == t
+
     def test_distance_is_the_dist_report(self, capsys, files):
         for i in range(8):
             n = (2, 3, 4, 5, 8)[i % 5]

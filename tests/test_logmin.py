@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -31,7 +32,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
-from sungeo.logmin import _log_in_basis, _sample
+from sungeo.logmin import _log_in_basis
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -403,12 +404,21 @@ class TestExactSkewness:
     def test_family_samples(self, kind, n):
         q, td = conjugated_family(kind, n)
         self.assert_exactly_skew(td.base_log.entries)
-        xs, _, _ = _sample(td, q, random_unitary(td.nu1 + td.nu2, seed=n, count=3))
+        xs = theta_sample(td, random_unitary(td.nu1 + td.nu2, seed=n, count=3)).logs
         for x in xs:
             self.assert_exactly_skew(x.entries)
 
 
 class TestThetaDescriptor:
+    @pytest.mark.parametrize("scale", [-1.0, -1j])   # windings 2 and -1 (oriented)
+    def test_carries_its_matrix_and_signed_angles(self, scale):
+        q = validate_special_unitary(scale * np.eye(4))
+        td = theta_descriptor(q)
+        assert td.q is q and td.oriented == (scale == -1j)
+        u = td.spectral.basis
+        x = (u * (1j * td.angles)) @ u.conj().T
+        assert np.linalg.norm(x - td.base_log.entries) <= 1e-12
+
     def test_distinct_spectrum_is_singleton(self):
         q = validate_special_unitary(np.diag(np.exp(1j * np.array([0.1, 0.2, -0.3]))))
         td = theta_descriptor(q)
@@ -474,7 +484,7 @@ class TestThetaSample:
     def test_identity_returns_base(self):
         q = validate_special_unitary(-np.eye(2))
         td = theta_descriptor(q)
-        x = theta_sample(td, q, np.eye(2))
+        [x] = theta_sample(td, np.eye(2)).logs
         assert np.allclose(x.entries, td.base_log.entries, atol=1e-14)
 
     def test_swap_gives_swapped_log(self):
@@ -482,7 +492,7 @@ class TestThetaSample:
         # exchanges the diagonal entries.
         q = validate_special_unitary(-np.eye(2))
         td = theta_descriptor(q)
-        x = theta_sample(td, q, np.array([[0, 1], [1, 0]], dtype=complex))
+        [x] = theta_sample(td, np.array([[0, 1], [1, 0]], dtype=complex)).logs
         assert np.allclose(x.entries, np.diag([-1j * PI, 1j * PI]), atol=1e-14)
 
     def test_givens_family(self):
@@ -492,7 +502,7 @@ class TestThetaSample:
         for t in (0.3, 0.9, 1.4):
             r = np.array([[math.cos(t), -math.sin(t)],
                           [math.sin(t), math.cos(t)]], dtype=complex)
-            x = theta_sample(td, q, r)
+            [x] = theta_sample(td, r).logs
             assert frobenius_norm(x.entries) == pytest.approx(PI * math.sqrt(2), abs=1e-12)
             assert np.linalg.norm(expm_skew(x).entries + np.eye(2)) <= 1e-12
             seen.append(x.entries)
@@ -501,12 +511,12 @@ class TestThetaSample:
     def test_singleton_rejected(self):
         q = validate_special_unitary(np.diag(np.exp(1j * np.array([0.1, 0.2, -0.3]))))
         with pytest.raises(SingletonThetaError):
-            theta_sample(theta_descriptor(q), q, np.eye(1))
+            theta_sample(theta_descriptor(q), np.eye(1))
 
     def test_wrong_shape_rejected(self):
         q = validate_special_unitary(-np.eye(2))
         with pytest.raises(ShapeError):
-            theta_sample(theta_descriptor(q), q, np.eye(3))
+            theta_sample(theta_descriptor(q), np.eye(3))
 
     def test_random_samples_are_minimizing_logs(self):
         q = validate_special_unitary(-np.eye(4))
@@ -514,7 +524,7 @@ class TestThetaSample:
         m = m_value(spectral_summary(q))
         rng = np.random.default_rng(5)
         for _ in range(50):
-            x = theta_sample(td, q, random_unitary(td.nu1 + td.nu2, rng))
+            [x] = theta_sample(td, random_unitary(td.nu1 + td.nu2, rng)).logs
             assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-8
             assert frobenius_norm(x.entries) ** 2 == pytest.approx(m, abs=1e-8)
 
@@ -522,7 +532,7 @@ class TestThetaSample:
         q = validate_special_unitary(-1j * np.eye(4))  # winding -1
         td = theta_descriptor(q)
         assert td.oriented and not td.is_singleton
-        x = theta_sample(td, q, random_unitary(td.nu1 + td.nu2, seed=3))
+        [x] = theta_sample(td, random_unitary(td.nu1 + td.nu2, seed=3)).logs
         assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-10
         m = m_value(spectral_summary(q))
         assert frobenius_norm(x.entries) ** 2 == pytest.approx(m, abs=1e-9)
@@ -589,7 +599,8 @@ def sample_reference(td, q, r):
     """One member of the family computed on its own, step by step: set the
     block's arguments to their mean, rotate the block, build
     U diag(i angles) U^*, take its skew part, map it back to Q and check
-    exp(X) against Q."""
+    exp(X) against Q. Returns X, the residual, the rotated basis and the
+    angles, signed as X is."""
     sd = td.spectral
     start, block = sd.n - td.zeta - td.nu1, td.nu1 + td.nu2
     angles = np.array(sd.args, dtype=float)
@@ -600,7 +611,8 @@ def sample_reference(td, q, r):
     x = (u * (1j * angles)) @ u.conj().T
     x = validate_skew_traceless((x - x.conj().T) / 2.0, sd.tols)
     x = -x if sd.sign < 0 else x
-    return x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u
+    return (x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u,
+            sd.sign * angles)
 
 
 class TestStackedSampler:
@@ -608,53 +620,55 @@ class TestStackedSampler:
     def test_stack_equals_single_members_bit_for_bit(self, kind, n):
         q, td = conjugated_family(kind, n)
         rs = random_unitary(td.nu1 + td.nu2, seed=n, count=5)
-        xs, resids, bases = _sample(td, q, rs)
-        assert len(xs) == len(resids) == 5 and bases.shape == (5, n, n)
-        singles = theta_sample(td, q, rs)
-        assert isinstance(singles, tuple) and len(singles) == 5
-        for r, x, resid, basis, same in zip(rs, xs, resids, bases, singles):
-            ref_x, ref_resid, ref_basis = sample_reference(td, q, r)
+        xs, resids, bases, angles = theta_sample(td, rs)
+        assert isinstance(xs, tuple) and len(xs) == len(resids) == 5
+        assert bases.shape == (5, n, n)
+        for r, x, resid, basis in zip(rs, xs, resids, bases):
+            ref_x, ref_resid, ref_basis, ref_angles = sample_reference(td, q, r)
             assert x.entries.tobytes() == ref_x.entries.tobytes()
             assert resid == ref_resid
             assert basis.tobytes() == ref_basis.tobytes()
-            assert same.entries.tobytes() == x.entries.tobytes()
-            assert theta_sample(td, q, r).entries.tobytes() == x.entries.tobytes()
+            assert angles.tobytes() == ref_angles.tobytes()
+            single = theta_sample(td, r)
+            assert single.logs[0].entries.tobytes() == x.entries.tobytes()
+            assert single.residuals == (resid,)
 
     def test_empty_stack_gives_no_members(self):
-        q, td = conjugated_family("boundary", 4)
-        assert theta_sample(td, q, np.zeros((0, 2, 2))) == ()
+        _, td = conjugated_family("boundary", 4)
+        assert theta_sample(td, np.zeros((0, 2, 2))).logs == ()
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize("bad", ["scaled", "nan"])
     def test_bad_slice_raises_what_its_single_call_raises(self, position, bad):
-        q, td = conjugated_family("minus_one", 6)
+        _, td = conjugated_family("minus_one", 6)
         rs = random_unitary(td.nu1 + td.nu2, seed=1, count=5)
         rs[position] = 1.5 * rs[position] if bad == "scaled" else np.nan
         with pytest.raises(NotUnitaryError) as single:
-            theta_sample(td, q, rs[position])
+            theta_sample(td, rs[position])
         with pytest.raises(NotUnitaryError) as stacked:
-            theta_sample(td, q, rs)
+            theta_sample(td, rs)
         assert str(stacked.value) == str(single.value)
 
     def test_round_trip_failure_names_the_first_member(self):
-        # A descriptor of one matrix used with another of the same family
-        # shape: every member misses Q, and the stack fails as its first does.
-        q, td = conjugated_family("boundary", 5)
+        # A descriptor of one matrix carrying another of the same family
+        # shape: every member misses it, and the stack fails as its first does.
+        _, td = conjugated_family("boundary", 5)
         other = validate_special_unitary(
             random_unitary(5, seed=1) @ diag_su(family_args("boundary", 5)).entries
             @ random_unitary(5, seed=1).conj().T)
+        td = dataclasses.replace(td, q=other)
         rs = random_unitary(td.nu1 + td.nu2, seed=2, count=3)
         with pytest.raises(ResidualExceededError) as single:
-            theta_sample(td, other, rs[0])
+            theta_sample(td, rs[0])
         with pytest.raises(ResidualExceededError) as stacked:
-            theta_sample(td, other, rs)
+            theta_sample(td, rs)
         assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2), (1, 1, 3, 3), (3,)])
     def test_wrong_shape_names_the_given_shape(self, shape):
-        q, td = conjugated_family("boundary", 5)   # block of order 3
+        _, td = conjugated_family("boundary", 5)   # block of order 3
         with pytest.raises(ShapeError) as exc:
-            theta_sample(td, q, np.ones(shape))
+            theta_sample(td, np.ones(shape))
         assert str(exc.value) == f"expected a unitary of order 3, got shape {shape}"
 
 
@@ -695,7 +709,7 @@ class TestFamilyDimension:
         w, v = np.linalg.eigh(-1j * gens)
         steps = [(v * np.exp(1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
                  for t in (h, -h)]
-        xs = [x.entries.ravel() for x in theta_sample(td, q, np.concatenate(steps))]
+        xs = [x.entries.ravel() for x in theta_sample(td, np.concatenate(steps)).logs]
         jac = (np.array(xs[:b * b]) - np.array(xs[b * b:])).T / (2 * h)
         jac = np.concatenate([jac.real, jac.imag])
         sv = np.linalg.svd(jac, compute_uv=False)
@@ -762,7 +776,7 @@ class TestConjugatedMultiplicities:
         assert (td.nu1, td.nu2) == (2, 1)
         m = m_value(spectral_summary(q))
         rng = np.random.default_rng(9)
-        outs = [theta_sample(td, q, random_unitary(3, rng)) for _ in range(10)]
+        outs = [theta_sample(td, random_unitary(3, rng)).logs[0] for _ in range(10)]
         for x in outs:
             assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-9
             assert frobenius_norm(x.entries) ** 2 == pytest.approx(m, abs=1e-8)

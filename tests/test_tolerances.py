@@ -121,7 +121,7 @@ def test_derived_values_carry_their_source_tolerances():
     assert all(pt.tols is a for pt in diametral_points(p).points)
     fam = geodesic_family(p, q)
     assert not fam.unique
-    seg = fam.sample(np.array([[0, 1], [1, 0]]))
+    [seg] = fam.sample(np.array([[0, 1], [1, 0]]))
     assert seg.X.tols is a and seg.at(0.5).tols is a and fam.canonical.at(0.25).tols is a
     assert AdmissibleTuple.from_args([0.5, -0.5]).to_special_unitary(b).tols is b
     assert validate_special_unitary(np.eye(3)).tols == Tolerances.default(3)
