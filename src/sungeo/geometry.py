@@ -59,8 +59,8 @@ __all__ = [
 
 def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary) -> SpectralData:
     """Spectral data of the relative matrix P^*Q, which is built from the
-    validated factors without a re-check (``SpecialUnitary.times``)."""
-    return spectral_summary(p.adjoint().times(q))
+    validated factors without a re-check (``SpecialUnitary.adjoint_times``)."""
+    return spectral_summary(p.adjoint_times(q))
 
 
 def _oriented(sd: SpectralData) -> SpectralData:
@@ -143,13 +143,12 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     shifted boundary; otherwise the family is a complex Grassmannian
     recorded in the descriptor.
     """
-    pq = p.adjoint().times(q)
+    pq = p.adjoint_times(q)
     sd = spectral_summary(pq)
     td = _descriptor_from_spectral(_oriented(sd), pq)
     x = td.base_log
     seg = GeodesicSegment(p, x, _frobenius(x.entries), td.spectral.basis, td.angles)
-    return GeodesicFamily(P=p, Q=q, unique=td.is_singleton, canonical=seg,
-                          theta=td, distance=math.sqrt(m_value(sd)))
+    return GeodesicFamily(p, q, td.is_singleton, seg, td, math.sqrt(m_value(sd)))
 
 
 def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
@@ -164,13 +163,15 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
     spread evenly over them.
     """
     t = float(t)
-    # Python floats overflow to inf without the warning numpy would give.
-    if not math.isfinite(t * float(np.abs(seg.angles).max())):
+    # Python floats overflow to inf without the warning numpy would give. max
+    # may pass over a NaN angle; the sum of the angles does not.
+    angles = seg.angles.tolist()
+    if not math.isfinite(t * max(map(abs, angles))) or math.isnan(sum(angles)):
         raise NotFiniteError(f"curve parameter {t!r} gives non-finite phases")
     # The rounding of t * angles grows with |t| and moves the phase sum, which
     # is 0 for a traceless X, off a multiple of 2 pi, and det(exp(tX)) off 1.
     phases = np.fmod(t * seg.angles, _TWO_PI)
-    total = float(phases.sum())
+    total = float(np.add.reduce(phases))
     phases -= (total - _TWO_PI * round(total / _TWO_PI)) / len(phases)
     return unitary_product(seg.P, _exp_in_basis(seg.basis, phases, seg.X.tols))
 

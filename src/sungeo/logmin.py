@@ -106,7 +106,7 @@ def m_value(sd: SpectralData) -> float:
     angles = _canonical_angles(sd)
     if sd.sign < 0:
         angles = angles[_flip_order(sd.n, sd.s)]
-    return float(angles @ angles)
+    return float(angles.dot(angles))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +265,15 @@ def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescr
     edges = list(accumulate(sd.sizes, initial=0))
     i = bisect(edges, cut)
     family = sd.zeta > 0 and edges[i - 1] != cut
-    return ThetaDescriptor(n=n, zeta=sd.zeta, is_singleton=not family, base_log=canonical_log(sd),
-                           beta_arg=float(sd.args[cut - 1]) if sd.zeta > 0 else None,
-                           nu1=cut - edges[i - 1] if family else None,
-                           nu2=edges[i] - cut if family else None, spectral=sd, q=q,
-                           angles=_frozen(sd.sign * _canonical_angles(sd)))
+    angles = _canonical_angles(sd)
+    base_log = _skew_traceless(_log_in_basis(sd, sd.basis, angles), sd.tols)
+    # Fields in order (n, zeta, is_singleton, base_log, beta_arg, nu1, nu2,
+    # spectral, q, angles): a keyword call costs more than building them.
+    return ThetaDescriptor(n, sd.zeta, not family, base_log,
+                           float(sd.args[cut - 1]) if sd.zeta > 0 else None,
+                           cut - edges[i - 1] if family else None,
+                           edges[i] - cut if family else None, sd, q,
+                           _frozen(sd.sign * angles))
 
 
 def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:

@@ -15,18 +15,26 @@ everything here is safe to call concurrently. The validators copy the
 caller's array once, at the boundary; a gate kernel (``_special_unitary``,
 ``_skew_traceless``) checks it, or a matrix the library has just built, and
 freezes it in place (marked read-only, not copied). A caller's matrix with
-every real and imaginary part within +-``_BOUND`` is gated as it is, with no
-errstate. Past the bound, or behind a gate so loose that the determinant could
-overflow, a NaN or infinite entry raises ``NotFiniteError`` and the gates run
-under an errstate, so huge entries are rejected with an inf or NaN residual and
-nothing warns. LAPACK ``eigh`` and ``det`` are reached only through
-``_eigh`` and ``_det``, the gufuncs that ``numpy.linalg`` wraps. The only
-randomness is the caller-owned generator.
+Frobenius norm within ``_BOUND`` is gated as it is, with no errstate. Past the
+bound, or behind a gate so loose that the determinant could overflow, a NaN or
+infinite entry raises ``NotFiniteError`` and the gates run under an errstate,
+so huge entries are rejected with an inf or NaN residual and nothing warns.
+LAPACK ``eigh`` and ``det`` are reached only through ``_eigh`` and ``_det``,
+the gufuncs that ``numpy.linalg`` wraps. The only randomness is the
+caller-owned generator.
+
+At small n a numpy call costs more than its arithmetic, so three rules keep
+the fixed cost down: a decision over O(n) values is made on Python floats
+(``tolist``); a 2-D product is ``@``, except the Gram product of a gate, whose
+entries reach only squares, which is ``ndarray.dot`` (the same BLAS call with
+less dispatch, but a scalar product for 1 x 1 operands, which can flip the sign
+of a zero); and no numpy API newer than 1.23, the oldest supported, is used.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +77,14 @@ _HERM_GAP_TOL = 1e-11
 # The turn e^{-i}; in Q + Q^* every conjugate pair, so every SU(2) spectrum, collides.
 _TURN = complex(math.cos(1.0), -math.sin(1.0))
 
-# Real and imaginary parts within +-_BOUND keep every Gram entry below
-# 2n _BOUND^2 and every entry of X + X^* below 2 _BOUND, and the squared
-# Frobenius norms of both below 4n^4 _BOUND^4 + O(n^2): nothing overflows at
-# any order that fits in memory.
+# A Frobenius norm within _BOUND keeps every Gram entry below _BOUND^2
+# (Cauchy-Schwarz) and every entry of X + X^* below 2 _BOUND, and the squared
+# Frobenius norms of both below _BOUND^4 + O(n) and 4 _BOUND^2: nothing
+# overflows at any order that fits in memory. The test reads the squared norm
+# off one ``vdot``; a NaN or an infinity fails it, and a square that overflows
+# reads inf, as BLAS does not warn.
 _BOUND = 1e60
+_BOUND_SQ = _BOUND * _BOUND
 # Within the unitarity gate g, |det Q| <= (1 + g)^{n/2}, which stays finite
 # while n log1p(g) < 2 log(DBL_MAX) ~ 1419.6.
 _LOG_DET_MAX = 1400.0
@@ -130,10 +141,10 @@ def _as_complex_matrix(a) -> np.ndarray:
 
 
 def _boundary_copy(a) -> tuple[np.ndarray, bool]:
-    """The caller's square matrix, copied once, and whether every real and
-    imaginary part lies within +-``_BOUND`` (a NaN does not)."""
+    """The caller's square matrix, copied once, and whether its Frobenius norm
+    lies within ``_BOUND`` (a NaN or an infinity does not)."""
     arr = _square(a).copy()
-    return arr, bool(np.abs(arr.view(np.float64)).max() <= _BOUND)
+    return arr, bool(np.vdot(arr, arr).real <= _BOUND_SQ)
 
 
 def _past_bound(kernel, arr: np.ndarray, *args):
@@ -155,10 +166,13 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum |a_jk|^2), by ``_frobenius``; past ``_BOUND``,
-    where the squares could overflow, by that of A / c, times c = max |a_jk|."""
-    arr, bounded = _boundary_copy(a)
-    top = 1.0 if bounded else float(np.abs(_finite(arr)).max())
+    """Frobenius norm sqrt(sum |a_jk|^2), by ``_frobenius``; with a real or
+    imaginary part past +-``_BOUND``, where the squares could overflow, by that
+    of A / c, times c = max |a_jk|."""
+    arr = _square(a).copy()
+    if np.abs(arr.view(np.float64)).max() <= _BOUND:
+        return _frobenius(arr)
+    top = float(np.abs(_finite(arr)).max())
     return top * _frobenius(arr / top)
 
 
@@ -189,10 +203,20 @@ class SpecialUnitary:
         """Product with another validated element, without a re-check: each
         residual r of AB is at most r(A) + r(B) + r(A) r(B) up to rounding; the
         product carries that bound, as Q^* carries Q's residuals, and A's tols."""
+        return self._product(self.entries, other)
+
+    def adjoint_times(self, other: "SpecialUnitary") -> "SpecialUnitary":
+        """Q^* times another validated element: ``self.adjoint().times(other)``,
+        bit for bit, without building the adjoint."""
+        return self._product(self.entries.conj().T, other)
+
+    def _product(self, a: np.ndarray, other: "SpecialUnitary") -> "SpecialUnitary":
+        """A times ``other``, for A this element's entries or their adjoint,
+        which carries this element's residuals."""
         if self.n != other.n:
             raise ShapeError(f"order mismatch: {self.n} vs {other.n}")
         u, d = self.unitarity_residual, self.det_residual
-        return SpecialUnitary(_frozen(self.entries @ other.entries),
+        return SpecialUnitary(_frozen(a @ other.entries),
                               u + other.unitarity_residual * (1.0 + u),
                               d + other.det_residual * (1.0 + d), self.tols)
 
@@ -212,14 +236,23 @@ class SkewHermitianTraceless:
         return SkewHermitianTraceless(_frozen(-self.entries), self.tols)
 
     def scaled(self, t: float) -> "SkewHermitianTraceless":
-        """Real scalar multiple; stays in the algebra."""
-        return SkewHermitianTraceless(_frozen(self.entries * float(t)), self.tols)
+        """Real scalar multiple; stays in the algebra. A ``t`` that is not
+        finite, or whose product with a real or imaginary part overflows,
+        raises ``NotFiniteError``."""
+        t = float(t)
+        x = self.entries
+        # Python floats overflow to inf without the warning numpy would give;
+        # rounding is monotonic, so t times the largest part overflows exactly
+        # when some part's product does.
+        if not math.isfinite(t * float(max(np.abs(x.real).max(), np.abs(x.imag).max()))):
+            raise NotFiniteError(f"scale factor {t!r} gives non-finite entries")
+        return SkewHermitianTraceless(_frozen(x * t), self.tols)
 
 
 def _special_unitary(arr: np.ndarray, tols: Tolerances, gate: float) -> SpecialUnitary:
     """Gate kernel: Gram and determinant residuals of a matrix its caller has just
     built, checked at ``gate``; the array is frozen in place and carries ``tols``."""
-    gram = (arr @ arr.conj().T).ravel()
+    gram = arr.dot(arr.conj().T).ravel()
     gram[::arr.shape[0] + 1] -= 1.0
     u_res = NotUnitaryError.check(_frobenius(gram), gate, "matrix is not unitary")
     d_res = DeterminantError.check(float(abs(_det(arr) - 1.0)), gate,
@@ -249,7 +282,8 @@ def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless
     herm = arr.conj()
     herm += arr.T
     NotSkewHermitianError.check(_frobenius(herm), tols.alg, "matrix is not skew-Hermitian")
-    TraceNotZeroError.check(float(abs(arr.trace())), tols.alg, "trace is not zero")
+    TraceNotZeroError.check(float(abs(np.add.reduce(arr.diagonal()))), tols.alg,
+                            "trace is not zero")
     return SkewHermitianTraceless(_frozen(arr), tols)
 
 
@@ -290,11 +324,13 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     herm += turned
     del turned  # no second n x n array alive across the solve
     w, basis = _eigh(herm)
-    close = w[1:] - w[:-1] <= _HERM_GAP_TOL * max(n, 2)
-    if close.any():
+    gap = _HERM_GAP_TOL * max(n, 2)
+    ws = w.tolist()
+    # Some gap w[j] - w[j - 1] at most ``gap``, read on Python floats.
+    if any(map(gap.__ge__, map(operator.sub, ws[1:], ws))):
         # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
         near = np.zeros(n + 1, dtype=bool)
-        near[1:n] = close
+        near[1:n] = w[1:] - w[:-1] <= gap
         edges = np.flatnonzero(near[1:] != near[:-1])
         turned = a * _TURN
         skew = (turned - turned.conj().T) / 1j
@@ -309,7 +345,8 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     buf = basis.conj()
     raw = np.einsum("ji,ji->i", buf, qu)
     mags = np.abs(raw)
-    if (mags < 0.5).any():
+    # A NaN magnitude is not below 0.5; its NaN residual fails the gate below.
+    if any(map((0.5).__gt__, mags.tolist())):
         raise EigenFailedError("eigenvalue collapsed away from the unit circle")
     evals = raw / mags
     qu -= np.multiply(basis, evals, out=buf)

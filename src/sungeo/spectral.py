@@ -11,6 +11,7 @@ turns, so every continuous answer read off them is continuous in Q.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ class SpectralData:
         if self.basis.shape != (n, n):
             raise ShapeError("basis order does not match argument count")
         args = self.args.tolist()
-        if any(b < a for a, b in zip(args, args[1:])):
+        if any(map(operator.lt, args[1:], args)):
             raise ValueError("arguments must be sorted ascending")
         if not args[-1] - args[0] <= _TWO_PI:
             raise ValueError("arguments must lie within one turn")
@@ -77,7 +78,7 @@ def _generic(ang: list[float], ctol: float) -> bool:
     lo, hi = ang[0], ang[-1]
     if math.pi - abs(lo) < ctol or math.pi - abs(hi) < ctol:
         return False
-    return all(b - a > ctol for a, b in zip(ang, ang[1:]))
+    return all(map(ctol.__lt__, map(operator.sub, ang[1:], ang)))
 
 
 def _lift(a: np.ndarray, k: int) -> np.ndarray:
@@ -139,18 +140,20 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
         k, sizes, s = _clustered(args, ctol)
         args, order = _lift(args, k), np.roll(order, -k)
 
-    total = float(args.sum())
+    total = float(np.add.reduce(args))
     zeta = int(round(total / _TWO_PI))
     ZetaNotIntegerError.check(abs(total - _TWO_PI * zeta), q.tols.zeta,
                               "argument sum is not a multiple of 2pi")
-    return SpectralData(args=_frozen(args), zeta=zeta, s=s, sizes=tuple(sizes),
-                        basis=_frozen(eigenbasis.take(order, axis=1)), tols=q.tols)
+    # Fields in order, not by keyword: a keyword call costs more than the
+    # arithmetic here at small n.
+    return SpectralData(_frozen(args), zeta, s, tuple(sizes),
+                        _frozen(eigenbasis.take(order, axis=1)), q.tols)
 
 
 def _flip_order(n: int, s: int) -> np.ndarray:
     """Positions of a spectrum in its flip, an involution: the first n - s
     reversed, then the -1 cluster reversed."""
-    return np.concatenate((np.arange(n - s)[::-1], np.arange(n - s, n)[::-1]))
+    return np.array([*range(n - s - 1, -1, -1), *range(n - 1, n - s - 1, -1)])
 
 
 def adjoint_spectrum(sd: SpectralData) -> SpectralData:
@@ -169,9 +172,9 @@ def adjoint_spectrum(sd: SpectralData) -> SpectralData:
     np.negative(args[:k], out=args[:k])
     np.subtract(_TWO_PI, args[k:], out=args[k:])
     rest = len(sd.sizes) - (sd.s > 0)
-    return SpectralData(args=_frozen(args), zeta=sd.s - sd.zeta, s=sd.s,
-                        sizes=sd.sizes[:rest][::-1] + sd.sizes[rest:],
-                        basis=_frozen(sd.basis.take(perm, axis=1)), tols=sd.tols, sign=-sd.sign)
+    return SpectralData(_frozen(args), sd.s - sd.zeta, sd.s,
+                        sd.sizes[:rest][::-1] + sd.sizes[rest:],
+                        _frozen(sd.basis.take(perm, axis=1)), sd.tols, -sd.sign)
 
 
 @dataclass(frozen=True)

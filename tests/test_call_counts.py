@@ -21,6 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sungeo.logmin
 import sungeo.matrixcore
 import sungeo.spectral
 from sungeo import (
@@ -45,7 +46,8 @@ def _count(monkeypatch, names):
     modules = [m for k, m in list(sys.modules.items())
                if k == "sungeo" or k.startswith("sungeo.")]
     for name in names:
-        original = next(vars(m)[name] for m in (sungeo.matrixcore, sungeo.spectral, sungeo)
+        original = next(vars(m)[name] for m in (sungeo.matrixcore, sungeo.spectral,
+                                                sungeo.logmin, sungeo)
                         if name in vars(m))
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -177,6 +179,22 @@ def test_adjoint_spectrum_counts(call, target, case, monkeypatch):
     tally = _count(monkeypatch, ("adjoint_spectrum",))
     call(p, q)
     assert tally["adjoint_spectrum"] == target
+
+
+# The minimizing shift of a spectrum is read once by the closed form and
+# once by the canonical logarithm; a family reads it for its descriptor and
+# for its distance, whether or not the pair policy flips the spectrum.
+@pytest.mark.parametrize("case", ["haar", *sorted(FLIPPED_PAIRS)])
+@pytest.mark.parametrize("call, target", [
+    (lambda p, q: distance(p, q), 1),
+    (lambda p, q: log_map(p, q), 1),
+    (lambda p, q: geodesic_family(p, q), 2),
+], ids=["distance", "log_map", "geodesic_family"])
+def test_canonical_angles_counts(call, target, case, pair, monkeypatch):
+    p, q = pair if case == "haar" else _pair_with_relative_spectrum(*FLIPPED_PAIRS[case])
+    tally = _count(monkeypatch, ("_canonical_angles",))
+    call(p, q)
+    assert tally["_canonical_angles"] == target
 
 
 LAPACK = ("_eigh", "_det")

@@ -14,10 +14,12 @@ from sungeo import (
     NotUnitaryError,
     ResidualExceededError,
     ShapeError,
+    SungeoError,
     Tolerances,
     expm_skew,
     frobenius_inner,
     frobenius_norm,
+    log_map,
     random_special_unitary,
     random_unitary,
     unitary_eig,
@@ -25,7 +27,8 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
-from sungeo.matrixcore import _det, _eigh
+import sungeo.matrixcore
+from sungeo.matrixcore import _BOUND_SQ, _HERM_GAP_TOL, _det, _eigh
 from conftest import random_skew_traceless
 
 
@@ -190,6 +193,21 @@ REJECTED = {
 }
 
 
+# Input at the edge of the norm bound is gated with no errstate; input
+# just past it, or with a NaN or an infinity, goes through _past_bound.
+# A finite input fails with the error its gate kernel gives on its own
+# (nothing overflows at this scale); a NaN or an infinity is not finite.
+NORM_EDGE = {
+    "at the edge": (np.diag([_BOUND, 0.0]), False),
+    "at the edge, imaginary": (np.diag([0.0, complex(0.0, -_BOUND)]), False),
+    "just past the edge": (np.diag([np.nextafter(_BOUND, np.inf), 0.0]), True),
+    "parts within, norm past": (np.diag([_BOUND, _BOUND]), True),
+    "nan": (np.diag([np.nan, 1.0]), True),
+    "inf": (np.diag([1.0, np.inf]), True),
+    "-inf imaginary": (_eye_with(2, 1, 0, complex(0.0, -np.inf)), True),
+}
+
+
 class TestValidatorBoundary:
     """Every input the validator rejects is rejected with the same class,
     message and residual wherever it lies against the entry bound, and
@@ -224,6 +242,41 @@ class TestValidatorBoundary:
                 validate_skew_traceless(np.diag([1e308, -1e308]))
         assert caught == []
         assert exc.value.residual == math.inf
+
+    @pytest.mark.parametrize("validate, kernel", [
+        (validate_special_unitary, "_special_unitary"),
+        (validate_skew_traceless, "_skew_traceless"),
+    ], ids=["special_unitary", "skew_traceless"])
+    @pytest.mark.parametrize("name", NORM_EDGE)
+    def test_norm_bound_edge(self, name, validate, kernel, monkeypatch):
+        a, past = NORM_EDGE[name]
+        assert bool(np.vdot(a, a).real <= _BOUND_SQ) is not past
+        tols = Tolerances.default(2)
+        if np.isfinite(a).all():
+            gate = getattr(sungeo.matrixcore, kernel)
+            with pytest.raises(SungeoError) as alone:
+                gate(a.copy(), *((tols, tols.group) if kernel == "_special_unitary" else (tols,)))
+            expected = type(alone.value), str(alone.value)
+        else:
+            expected = NotFiniteError, "matrix entries must be finite"
+        taken = []
+        past_bound = sungeo.matrixcore._past_bound
+        monkeypatch.setattr(sungeo.matrixcore, "_past_bound",
+                            lambda *xs: taken.append(1) or past_bound(*xs))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SungeoError) as exc:
+                validate(a, tols)
+        assert caught == []
+        assert len(taken) == past
+        assert (type(exc.value), str(exc.value)) == expected
+
+    def test_norm_keeps_the_per_part_bound(self):
+        # Every part within +-_BOUND, the norm past it: summed as numpy does,
+        # unscaled.
+        a = np.full((4, 4), complex(_BOUND, -_BOUND))
+        assert np.vdot(a, a).real > _BOUND_SQ
+        assert frobenius_norm(a) == np.linalg.norm(a)
 
 
 class TestUnitaryEig:
@@ -280,6 +333,55 @@ class TestUnitaryEig:
         residual = unitary_eig(q)[2]
         assert residual <= 1e-12
         assert len(calls) == solves
+
+    @pytest.mark.parametrize("above, solves", [(False, 2), (True, 1)],
+                             ids=["at_the_threshold", "just_above"])
+    def test_gap_threshold_decides_the_block_solve(self, above, solves, monkeypatch):
+        # A gap of the turned Hermitian part's eigenvalues equal to
+        # _HERM_GAP_TOL * max(n, 2) joins its two eigenvalues in a block, which
+        # takes a second, block-sized solve; a gap just above it does not.
+        q = random_special_unitary(4, seed=51)
+        gap = _HERM_GAP_TOL * 4
+        calls = []
+
+        def fed(h):
+            calls.append(h.shape)
+            w, v = _eigh(h)
+            if len(calls) > 1:
+                return w, v
+            top = np.nextafter(gap, np.inf) if above else gap
+            assert (top - 0.0 <= gap) is not above
+            return np.array([-3.0, 0.0, top, 3.0]), v
+
+        monkeypatch.setattr(sungeo.matrixcore, "_eigh", fed)
+        assert unitary_eig(q)[2] <= 1e-12
+        assert calls == [(4, 4), (2, 2)][:solves]
+
+    @pytest.mark.parametrize("collapsed, error", [
+        (False, ResidualExceededError),
+        (True, EigenFailedError),
+    ], ids=["nan_alone", "nan_and_collapsed"])
+    def test_nan_eigenvalue_magnitude(self, collapsed, error, monkeypatch):
+        # A NaN magnitude is not below the collapse threshold: alone, it
+        # reaches the residual gate as a NaN residual (numpy may warn on the
+        # way, dividing by it); beside a collapsed eigenvalue the collapse is
+        # reported.
+        q = random_special_unitary(3, seed=52)
+
+        def fed(h):
+            w, v = _eigh(h)
+            v[:, 0] = np.nan
+            if collapsed:
+                v[:, 2] *= 0.1
+            return w, v
+
+        monkeypatch.setattr(sungeo.matrixcore, "_eigh", fed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(error) as exc:
+                unitary_eig(q)
+        if not collapsed:
+            assert math.isnan(exc.value.residual)
 
 
 def _with_args(args, seed):
@@ -438,6 +540,58 @@ def test_unitary_product_and_adjoint():
     assert np.linalg.norm(back.entries - q.entries) < 1e-13
     with pytest.raises(ShapeError, match="order mismatch: 4 vs 3"):
         unitary_product(p, random_special_unitary(3, seed=3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_adjoint_times_is_the_adjoint_times_bit_for_bit(n):
+    for seed in range(4):
+        p = random_special_unitary(n, seed=[n, seed, 1])
+        q = random_special_unitary(n, seed=[n, seed, 2])
+        ref, got = p.adjoint().times(q), p.adjoint_times(q)
+        assert got.entries.tobytes() == ref.entries.tobytes()
+        assert not got.entries.flags.writeable
+        assert (got.unitarity_residual, got.det_residual) == (ref.unitarity_residual,
+                                                              ref.det_residual)
+        assert got.tols is p.tols
+    with pytest.raises(ShapeError, match="order mismatch: 2 vs 3"):
+        random_special_unitary(2, seed=1).adjoint_times(random_special_unitary(3, seed=1))
+
+
+class TestScaled:
+    """``SkewHermitianTraceless.scaled`` rejects a factor that is not finite,
+    or whose product overflows, before numpy multiplies (warnings are errors
+    in the suite)."""
+
+    X = np.diag([3j, -1j, -2j])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    def test_non_finite_or_overflowing_factor_is_rejected(self, t):
+        with pytest.raises(NotFiniteError, match="scale factor"):
+            validate_skew_traceless(self.X).scaled(t)
+
+    def test_log_map_scaled_past_the_float_range(self):
+        # log_map(I, -I) has parts +-pi, so 1e308 times it overflows.
+        x = log_map(validate_special_unitary(np.eye(2)), validate_special_unitary(-np.eye(2)))
+        with pytest.raises(NotFiniteError):
+            x.scaled(1e308)
+
+    def test_edge_of_the_float_range(self):
+        # 3 is the largest part: the largest t with 3 t finite passes, with
+        # the entries numpy gives, and the next float up is rejected.
+        t = float(np.finfo(float).max) / 3.0
+        while not math.isfinite(3.0 * t):
+            t = float(np.nextafter(t, 0.0))
+        x = validate_skew_traceless(self.X)
+        for s in (t, -t):
+            assert x.scaled(s).entries.tobytes() == (self.X * s).tobytes()
+            with pytest.raises(NotFiniteError):
+                x.scaled(np.nextafter(s, math.copysign(math.inf, s)))
+
+    def test_zero_times_infinity_is_rejected(self):
+        zero = validate_skew_traceless(np.zeros((2, 2)))
+        assert not zero.scaled(1e308).entries.any()
+        with pytest.raises(NotFiniteError):
+            zero.scaled(math.inf)
 
 
 def _near_the_gate(u, tol, rng):

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` and README's library quick start run end
 to end against the library."""
 
+import json
 import math
 import os
 import re
@@ -35,6 +36,18 @@ def test_script_runs(name):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert done.stdout.strip()
+
+
+def test_stage_times_prints_one_json_table():
+    done = run_python(str(ROOT / "scripts" / "stage_times.py"), "2", "--repeat", "1",
+                      "--number", "3")
+    assert done.returncode == 0, done.stderr
+    table = json.loads(done.stdout)
+    assert list(table) == ["2"]
+    assert list(table["2"]) == ["validate x2", "P^*Q", "unitary_eig", "eigh",
+                                "spectral_summary", "distance", "log_map",
+                                "geodesic_family", "geodesic_eval"]
+    assert all(t > 0 for t in table["2"].values())
 
 
 def test_readme_quick_start_runs_as_written():
