@@ -201,7 +201,7 @@ def _log_in_basis(sd: SpectralData, u: np.ndarray, angles: np.ndarray | None = N
     return x
 
 
-def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
+def canonical_log(sd: SpectralData, angles: np.ndarray | None = None) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with any winding.
 
     Conjugates the canonical angles (``_canonical_angles``) back through the
@@ -210,8 +210,9 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     made from Q's (``sign = -1``). If the kept/shifted boundary splits a
     cluster, rounding orders the basis columns inside it: this is one member
     of the family of minimal logarithms, and rounding may pick another.
+    ``angles``, when given, must be ``_canonical_angles(sd)``, already read.
     """
-    return _skew_traceless(_log_in_basis(sd, sd.basis), sd.tols)
+    return _skew_traceless(_log_in_basis(sd, sd.basis, angles), sd.tols)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescr
     i = bisect(edges, cut)
     family = sd.zeta > 0 and edges[i - 1] != cut
     angles = _canonical_angles(sd)
-    base_log = _skew_traceless(_log_in_basis(sd, sd.basis, angles), sd.tols)
+    base_log = canonical_log(sd, angles)
     # Fields in order (n, zeta, is_singleton, base_log, beta_arg, nu1, nu2,
     # spectral, q, angles): a keyword call costs more than building them.
     return ThetaDescriptor(n, sd.zeta, not family, base_log,

@@ -82,7 +82,10 @@ _TURN = complex(math.cos(1.0), -math.sin(1.0))
 # Frobenius norms of both below _BOUND^4 + O(n) and 4 _BOUND^2: nothing
 # overflows at any order that fits in memory. The test reads the squared norm
 # off one ``vdot``; a NaN or an infinity fails it, and a square that overflows
-# reads inf, as BLAS does not warn.
+# reads inf, as BLAS does not warn. Two predicates use _BOUND: the validators'
+# norm test in ``_boundary_copy`` and ``frobenius_norm``'s own test of the
+# largest real or imaginary part, kept so its result does not move; an edit of
+# the one should look at the other.
 _BOUND = 1e60
 _BOUND_SQ = _BOUND * _BOUND
 # Within the unitarity gate g, |det Q| <= (1 + g)^{n/2}, which stays finite

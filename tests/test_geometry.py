@@ -122,6 +122,16 @@ class TestGeodesicFamily:
         assert not fam.unique
         assert (fam.theta.nu1, fam.theta.nu2) == (1, 1)
 
+    def test_fields_by_name(self):
+        # The family and its segment are built positionally: read each field by name.
+        p, q = random_special_unitary(3, seed=[5, 1]), random_special_unitary(3, seed=[5, 2])
+        fam = geodesic_family(p, q)
+        td, seg = fam.theta, fam.canonical
+        assert (fam.P, fam.Q, fam.unique) == (p, q, td.is_singleton) and fam.unique
+        assert fam.distance == distance(p, q) and td.q.entries.shape == (3, 3)
+        assert (seg.P, seg.X, seg.length) == (p, td.base_log, frobenius_norm(td.base_log.entries))
+        assert seg.basis is td.spectral.basis and seg.angles is td.angles
+
     def test_length_is_distance(self):
         p = random_special_unitary(4, seed=21)
         q = random_special_unitary(4, seed=22)

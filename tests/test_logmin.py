@@ -32,7 +32,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
-from sungeo.logmin import _log_in_basis
+from sungeo.logmin import _canonical_angles, _log_in_basis
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -418,6 +418,19 @@ class TestThetaDescriptor:
         u = td.spectral.basis
         x = (u * (1j * td.angles)) @ u.conj().T
         assert np.linalg.norm(x - td.base_log.entries) <= 1e-12
+
+    @pytest.mark.parametrize("arg", [PI / 2, -PI / 2], ids=["as_is", "oriented"])
+    def test_fields_by_name(self, arg):
+        # The descriptor is built positionally: read each field by name on a
+        # family whose nu1, nu2 and beta_arg differ.
+        q = diag_su([arg] * 4)
+        td = theta_descriptor(q)
+        sd = td.spectral
+        assert (td.n, td.zeta, td.is_singleton) == (4, 1, False)
+        assert (td.nu1, td.nu2) == (3, 1) and td.beta_arg == pytest.approx(PI / 2, abs=1e-14)
+        assert sd.sign == (1 if arg > 0 else -1) and sd.zeta == 1 and td.q is q
+        assert np.array_equal(td.base_log.entries, canonical_log(sd).entries)
+        assert np.array_equal(td.angles, sd.sign * _canonical_angles(sd))
 
     def test_distinct_spectrum_is_singleton(self):
         q = validate_special_unitary(np.diag(np.exp(1j * np.array([0.1, 0.2, -0.3]))))

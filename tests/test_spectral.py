@@ -110,6 +110,21 @@ class TestAdjointSpectrum:
         adj = adjoint_spectrum(sd)
         assert (sd.sign, adj.sign, adjoint_spectrum(adj).sign) == (1, -1, 1)
 
+    def test_fields_by_name(self):
+        # Both constructors build SpectralData positionally: read each field by
+        # name on a spectrum whose zeta, s and size order tell them apart.
+        y = (1.5 - PI) / 2
+        q = validate_special_unitary(np.diag(np.exp(1j * np.array([-1.5, y, y, PI, PI, PI]))))
+        sd = spectral_summary(q)
+        assert np.allclose(sd.args, [-1.5, y, y, PI, PI, PI], atol=1e-12)
+        assert (sd.zeta, sd.s, sd.sizes, sd.sign) == (1, 3, (1, 2, 3), 1)
+        assert sd.basis.shape == (6, 6) and sd.tols is q.tols
+        adj = adjoint_spectrum(sd)
+        assert np.allclose(adj.args, [-y, -y, 1.5, PI, PI, PI], atol=1e-12)
+        assert (adj.zeta, adj.s, adj.sizes, adj.sign) == (2, 3, (2, 1, 3), -1)
+        assert np.array_equal(adj.basis, sd.basis[:, [2, 1, 0, 5, 4, 3]])
+        assert adj.tols is sd.tols
+
     def test_matches_full_pipeline_on_adjoint_matrix(self):
         q = random_special_unitary(5, seed=91)
         adj = adjoint_spectrum(spectral_summary(q))
