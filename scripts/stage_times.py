@@ -1,11 +1,14 @@
-"""Time each stage of a small-order pair request on one Haar pair.
+"""Time each stage of a small-order pair request on one Haar pair, and of
+sampling a family of minimal logarithms.
 
 For each order given, prints the best of ``--repeat`` ``timeit`` runs of
 ``--number`` calls, in microseconds per call, of: validating P and Q,
 the relative product P^*Q, ``unitary_eig`` of it and the Hermitian solve
 inside it, ``spectral_summary``, ``distance``, ``log_map``,
-``geodesic_family`` and ``geodesic_eval`` at t = 0.5. The output is one
-JSON object keyed by order:
+``geodesic_family`` and ``geodesic_eval`` at t = 0.5; then
+``theta_descriptor`` and ``theta_sample`` of a stack of 8 Haar unitaries at
+the deep hole e^{2 pi i a / n} I, a = n // 2, whose minimal logarithms form
+a family at every order n >= 2. The output is one JSON object keyed by order:
 
     python scripts/stage_times.py 2 4 8
 
@@ -17,7 +20,10 @@ taken on the same machine.
 
 import argparse
 import json
+import math
 import timeit
+
+import numpy as np
 
 from sungeo import (
     distance,
@@ -25,13 +31,17 @@ from sungeo import (
     geodesic_family,
     log_map,
     random_special_unitary,
+    random_unitary,
     spectral_summary,
+    theta_descriptor,
+    theta_sample,
     unitary_eig,
     validate_special_unitary,
 )
 from sungeo.matrixcore import _TURN, _eigh
 
-# The pair at order n is drawn from seeds [SEED, n, 1] and [SEED, n, 2].
+# The pair at order n is drawn from seeds [SEED, n, 1] and [SEED, n, 2], the
+# sampling stack from [SEED, n, 3].
 SEED = 0
 
 
@@ -43,6 +53,9 @@ def stages(n: int) -> dict:
     turned = pq.entries * _TURN
     herm = turned.conj().T + turned
     seg = geodesic_family(p, q).canonical
+    hole = validate_special_unitary(np.exp(2j * math.pi * (n // 2) / n) * np.eye(n))
+    td = theta_descriptor(hole)
+    rs = random_unitary(td.nu1 + td.nu2, [SEED, n, 3], 8)
     return {
         "validate x2": lambda: (validate_special_unitary(p_raw), validate_special_unitary(q_raw)),
         "P^*Q": lambda: p.adjoint_times(q),
@@ -53,6 +66,8 @@ def stages(n: int) -> dict:
         "log_map": lambda: log_map(p, q),
         "geodesic_family": lambda: geodesic_family(p, q),
         "geodesic_eval": lambda: geodesic_eval(seg, 0.5),
+        "theta_descriptor": lambda: theta_descriptor(hole),
+        "theta_sample x8": lambda: theta_sample(td, rs),
     }
 
 

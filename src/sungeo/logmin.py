@@ -16,8 +16,9 @@ more than 1e8 tuples.
 
 ``theta_sample`` is the one sampler of a family. It takes a (k, b, b) stack
 of sampling unitaries, batch axis first as in geomstats, one unitary being the
-k = 1 stack; each member is bit for bit what its slice gives alone and passes
-the gates slice by slice, its round trip against the descriptor's ``q``.
+k = 1 stack; each member is bit for bit what its slice gives alone. Each gate
+forms its products once per stack and then checks the members in order, the
+round trip against the descriptor's ``q`` last.
 
 Orientation: the minimizing shift (``_canonical_angles``), the closed form
 and the canonical logarithm read a spectrum as it is, for either sign of
@@ -51,11 +52,12 @@ from .errors import (
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
-    _exp_in_basis,
     _frobenius,
     _frozen,
     _skew_eigh,
     _skew_traceless,
+    _skew_traceless_stack,
+    _special_unitary_stack,
 )
 from .spectral import _TWO_PI, SpectralData, _flip_order, adjoint_spectrum, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
@@ -310,9 +312,13 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     map is not injective.
 
     The arithmetic runs once on the stack: the rotation, one product and one
-    symmetrization, one stacked eigensolve of -iX for the exponentials. The
-    gates run slice by slice: r unitary, X in su(n), exp(X) special unitary
-    and the round trip to Q.
+    symmetrization, one stacked eigensolve of -iX and one product for the
+    exponentials. Each gate forms its products once per stack too (a Gram
+    product for r; X + X^* and the diagonal sums for X; a Gram product and
+    a determinant call for exp(X); the difference to Q), then checks the
+    members in order: every r unitary, every X in su(n), then member by
+    member exp(X) special unitary and its round trip to Q. The first failing
+    check raises the error its member raises alone.
     """
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
@@ -334,14 +340,19 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     angles[start:cut], angles[cut:start + block] = mean, mean - _TWO_PI
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _frozen(_log_in_basis(sd, u, angles))
-    logs = tuple(_skew_traceless(xi, sd.tols) for xi in x)
+    x = _log_in_basis(sd, u, angles)
+    logs = _skew_traceless_stack(x, sd.tols)
     w, v = _skew_eigh(x)
+    # exp(X) = V diag(e^{i w}) V^*, as ``_exp_in_basis`` forms each slice.
+    exps = (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    gaps = exps - td.q.entries
+    # A member's exponential is gated as it is drawn, before its round trip.
+    members = _special_unitary_stack(exps, sd.tols, sd.tols.group)
     resids = tuple(
         ResidualExceededError.check(
-            _frobenius(_exp_in_basis(vi, wi, sd.tols).entries - td.q.entries), sd.tols.eig,
+            _frobenius(gap), sd.tols.eig,
             "sampled logarithm does not exponentiate to the given matrix")
-        for vi, wi in zip(v, w))
+        for _, gap in zip(members, gaps))
     return ThetaSamples(logs, resids, _frozen(u), _frozen(sd.sign * angles))
 
 

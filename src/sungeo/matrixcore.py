@@ -14,7 +14,12 @@ All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The validators copy the
 caller's array once, at the boundary; a gate kernel (``_special_unitary``,
 ``_skew_traceless``) checks it, or a matrix the library has just built, and
-freezes it in place (marked read-only, not copied). A caller's matrix with
+freezes it in place (marked read-only, not copied). Each kernel has a stack
+form for a (k, n, n) stack the library has built (``_special_unitary_stack``,
+``_skew_traceless_stack``): it forms the gate's products once per stack, then
+checks the members in order, each bit for bit as the kernel checks it alone.
+Both forms read their residuals and messages from the same ``*_gate``
+function per check, so each check is defined once. A caller's matrix with
 Frobenius norm within ``_BOUND`` is gated as it is, with no errstate. Past the
 bound, or behind a gate so loose that the determinant could overflow, a NaN or
 infinite entry raises ``NotFiniteError`` and the gates run under an errstate,
@@ -28,7 +33,8 @@ the fixed cost down: a decision over O(n) values is made on Python floats
 (``tolist``); a 2-D product is ``@``, except the Gram product of a gate, whose
 entries reach only squares, which is ``ndarray.dot`` (the same BLAS call with
 less dispatch, but a scalar product for 1 x 1 operands, which can flip the sign
-of a zero); and no numpy API newer than 1.23, the oldest supported, is used.
+of a zero; a stack's Gram product is ``@``, the same BLAS call per slice); and
+no numpy API newer than 1.23, the oldest supported, is used.
 """
 
 from __future__ import annotations
@@ -252,15 +258,41 @@ class SkewHermitianTraceless:
         return SkewHermitianTraceless(_frozen(x * t), self.tols)
 
 
+def _unitary_gate(gram: np.ndarray, gate: float) -> float:
+    """||A A^* - I||_F from the Gram product A A^* with the identity already
+    subtracted, checked at ``gate``."""
+    return NotUnitaryError.check(_frobenius(gram), gate, "matrix is not unitary")
+
+
+def _det_gate(det: complex, gate: float) -> float:
+    """|det A - 1| from det A, checked at ``gate``."""
+    return DeterminantError.check(float(abs(det - 1.0)), gate, "determinant is not one")
+
+
 def _special_unitary(arr: np.ndarray, tols: Tolerances, gate: float) -> SpecialUnitary:
     """Gate kernel: Gram and determinant residuals of a matrix its caller has just
     built, checked at ``gate``; the array is frozen in place and carries ``tols``."""
     gram = arr.dot(arr.conj().T).ravel()
     gram[::arr.shape[0] + 1] -= 1.0
-    u_res = NotUnitaryError.check(_frobenius(gram), gate, "matrix is not unitary")
-    d_res = DeterminantError.check(float(abs(_det(arr) - 1.0)), gate,
-                                   "determinant is not one")
-    return SpecialUnitary(_frozen(arr), u_res, d_res, tols)
+    u_res = _unitary_gate(gram, gate)
+    return SpecialUnitary(_frozen(arr), u_res, _det_gate(_det(arr), gate), tols)
+
+
+def _special_unitary_stack(arr: np.ndarray, tols: Tolerances, gate: float):
+    """``_special_unitary`` of each slice of a (k, n, n) stack its caller has
+    just built, which is frozen in place: one Gram product and one determinant
+    call for the stack, then the members checked in order. A generator: each
+    member's checks run when it is drawn, so a caller can check something of
+    its own between members. Every residual is bit for bit its slice's alone.
+    The stack must be finite: every determinant is taken before any check."""
+    k, n = arr.shape[:2]
+    gram = arr @ arr.conj().swapaxes(1, 2)
+    gram.reshape(k, n * n)[:, ::n + 1] -= 1.0
+    dets = _det(arr).tolist()
+    _frozen(arr)
+    for a, g, d in zip(arr, gram, dets):
+        u_res = _unitary_gate(g, gate)
+        yield SpecialUnitary(a, u_res, _det_gate(d, gate), tols)
 
 
 def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
@@ -277,6 +309,16 @@ def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitar
     return _past_bound(_special_unitary, arr, tols, tols.group)
 
 
+def _skew_gate(herm: np.ndarray, gate: float) -> float:
+    """||X + X^*||_F from X + X^* or its conjugate, checked at ``gate``."""
+    return NotSkewHermitianError.check(_frobenius(herm), gate, "matrix is not skew-Hermitian")
+
+
+def _trace_gate(trace: complex, gate: float) -> float:
+    """|tr X| from tr X, checked at ``gate``."""
+    return TraceNotZeroError.check(float(abs(trace)), gate, "trace is not zero")
+
+
 def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless:
     """Gate kernel: X + X^* = 0 and tr(X) = 0 at ``tols.alg`` for a square
     complex array its caller has just built, which is frozen in place."""
@@ -284,10 +326,27 @@ def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless
     # entry, so this is its conjugate and the residual is the same, bit for bit.
     herm = arr.conj()
     herm += arr.T
-    NotSkewHermitianError.check(_frobenius(herm), tols.alg, "matrix is not skew-Hermitian")
-    TraceNotZeroError.check(float(abs(np.add.reduce(arr.diagonal()))), tols.alg,
-                            "trace is not zero")
+    _skew_gate(herm, tols.alg)
+    _trace_gate(np.add.reduce(arr.diagonal()), tols.alg)
     return SkewHermitianTraceless(_frozen(arr), tols)
+
+
+def _skew_traceless_stack(arr: np.ndarray, tols: Tolerances) -> tuple[SkewHermitianTraceless, ...]:
+    """``_skew_traceless`` of each slice of a (k, n, n) stack its caller has
+    just built, which is frozen in place: one X + X^* buffer and one diagonal
+    sum for the stack, then the members checked in order. Every residual is
+    bit for bit its slice's alone: a slice's diagonal is summed in the same
+    order, and its magnitude is the same ``hypot``."""
+    herm = arr.conj()
+    herm += arr.swapaxes(1, 2)
+    traces = np.add.reduce(arr.diagonal(0, 1, 2), axis=1).tolist()
+    _frozen(arr)
+    members = []
+    for a, h, t in zip(arr, herm, traces):
+        _skew_gate(h, tols.alg)
+        _trace_gate(t, tols.alg)
+        members.append(SkewHermitianTraceless(a, tols))
+    return tuple(members)
 
 
 def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianTraceless:
@@ -299,6 +358,11 @@ def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianT
     arr, bounded = _boundary_copy(x)
     tols = Tolerances.default(arr.shape[0]) if tols is None else tols
     return _skew_traceless(arr, tols) if bounded else _past_bound(_skew_traceless, arr, tols)
+
+
+def _residual_gate(residual: float, gate: float) -> float:
+    """The eigen-residual ||QU - U diag(eigenvalues)||_F, checked at ``gate``."""
+    return ResidualExceededError.check(residual, gate, "eigendecomposition reconstruction failed")
 
 
 def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
@@ -331,13 +395,13 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     ws = w.tolist()
     # Some gap w[j] - w[j - 1] at most ``gap``, read on Python floats.
     if any(map(gap.__ge__, map(operator.sub, ws[1:], ws))):
-        # near[j]: w[j] joins the block of w[j - 1]; block lo..hi-1 has edges lo, hi - 1.
-        near = np.zeros(n + 1, dtype=bool)
-        near[1:n] = w[1:] - w[:-1] <= gap
-        edges = np.flatnonzero(near[1:] != near[:-1])
+        # Block lo..hi-1 ends where the next gap exceeds ``gap``, or at n.
+        cuts = [j for j, d in enumerate(map(operator.sub, ws[1:], ws), 1) if not d <= gap]
         turned = a * _TURN
         skew = (turned - turned.conj().T) / 1j
-        for lo, hi in zip(edges[::2], edges[1::2] + 1):
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            if hi - lo < 2:
+                continue
             cols = basis[:, lo:hi]
             proj = cols.conj().T @ skew @ cols
             proj = (proj + proj.conj().T) / 2.0
@@ -348,14 +412,16 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     buf = basis.conj()
     raw = np.einsum("ji,ji->i", buf, qu)
     mags = np.abs(raw)
-    # A NaN magnitude is not below 0.5; its NaN residual fails the gate below.
-    if any(map((0.5).__gt__, mags.tolist())):
-        raise EigenFailedError("eigenvalue collapsed away from the unit circle")
+    ms = mags.tolist()
+    if not all(map((0.5).__le__, ms)):
+        if any(map((0.5).__gt__, ms)):
+            raise EigenFailedError("eigenvalue collapsed away from the unit circle")
+        # A NaN magnitude: the residual would read NaN, so it fails the gate
+        # as that, before anything divides by it.
+        _residual_gate(math.nan, q.tols.eig)
     evals = raw / mags
     qu -= np.multiply(basis, evals, out=buf)
-    residual = ResidualExceededError.check(_frobenius(qu), q.tols.eig,
-                                           "eigendecomposition reconstruction failed")
-    return _frozen(evals), _frozen(basis), residual
+    return _frozen(evals), _frozen(basis), _residual_gate(_frobenius(qu), q.tols.eig)
 
 
 def _exp_in_basis(v: np.ndarray, w: np.ndarray, tols: Tolerances) -> SpecialUnitary:

@@ -97,10 +97,12 @@ def _clustered(a: np.ndarray, ctol: float) -> tuple[int, list[int], int]:
     down, when its mean lies past pi. So every other cluster has its mean
     in [-pi, pi], and zeta is admissible once it passes its gate."""
     n = len(a)
-    sizes = np.diff([0, *(np.flatnonzero(a[1:] - a[:-1] > ctol) + 1).tolist(), n]).tolist()
+    ang = a.tolist()
+    cuts = [j for j, d in enumerate(map(operator.sub, ang[1:], ang), 1) if d > ctol]
+    sizes = list(map(operator.sub, [*cuts, n], [0, *cuts]))
     lo, hi = sizes[0], sizes[-1]
     top, bottom = float((a[n - hi:] - math.pi).sum()), float((a[:lo] + math.pi).sum())
-    wrapped = len(sizes) > 1 and a[0] + _TWO_PI - a[-1] < ctol
+    wrapped = len(sizes) > 1 and ang[0] + _TWO_PI - ang[-1] < ctol
     if wrapped:
         at_top = at_bottom = abs(top + bottom) < (lo + hi) * ctol
     else:
@@ -138,7 +140,7 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
         sizes, s = (1,) * len(args), 0
     else:
         k, sizes, s = _clustered(args, ctol)
-        args, order = _lift(args, k), np.roll(order, -k)
+        args, order = _lift(args, k), np.concatenate((order[k:], order[:k]))
 
     total = float(np.add.reduce(args))
     zeta = int(round(total / _TWO_PI))

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sungeo.logmin
 from sungeo import (
     AdmissibleTuple,
+    DeterminantError,
     InfeasibleError,
     NotFiniteError,
+    NotSkewHermitianError,
     NotUnitaryError,
     ResidualExceededError,
     ShapeError,
     SingletonThetaError,
+    SungeoError,
+    TraceNotZeroError,
     adjoint_spectrum,
     brute_force_m,
     canonical_log,
@@ -648,7 +653,9 @@ class TestStackedSampler:
 
     def test_empty_stack_gives_no_members(self):
         _, td = conjugated_family("boundary", 4)
-        assert theta_sample(td, np.zeros((0, 2, 2))).logs == ()
+        drawn = theta_sample(td, np.zeros((0, 2, 2)))
+        assert drawn.logs == () and drawn.residuals == ()
+        assert drawn.bases.shape == (0, 4, 4)
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize("bad", ["scaled", "nan"])
@@ -683,6 +690,96 @@ class TestStackedSampler:
         with pytest.raises(ShapeError) as exc:
             theta_sample(td, np.ones(shape))
         assert str(exc.value) == f"expected a unitary of order 3, got shape {shape}"
+
+
+# Each gate of the sampler, the error it raises and the order in which the
+# gates run: the sampling matrices first, then X in su(n) member by member,
+# then member by member exp(X) unitary, its determinant and its round trip.
+SAMPLER_GATES = {
+    "sampling_matrix": (0, NotUnitaryError, "sampling matrix is not unitary"),
+    "skew": (1, NotSkewHermitianError, "matrix is not skew-Hermitian"),
+    "trace": (1, TraceNotZeroError, "trace is not zero"),
+    "exp_unitarity": (2, NotUnitaryError, "matrix is not unitary"),
+    "exp_determinant": (2, DeterminantError, "determinant is not one"),
+    "round_trip": (2, ResidualExceededError,
+                   "sampled logarithm does not exponentiate to the given matrix"),
+}
+
+
+def sample_with_failures(td, rs, bad, monkeypatch):
+    """The error of ``theta_sample(td, rs)`` when member i fails gate
+    ``bad[i]``: its sampling matrix is scaled; X gets a Hermitian part or a
+    trace; exp(X) is built on a stretched basis, on angles whose sum moves,
+    or on two angles moved by opposite amounts (unitary with determinant
+    one, but another matrix)."""
+    rs = rs.copy()
+    n = td.n
+    log_in_basis, skew_eigh = sungeo.logmin._log_in_basis, sungeo.logmin._skew_eigh
+
+    def logs(sd, u, angles=None):
+        x = log_in_basis(sd, u, angles)
+        for i, gate in bad.items():
+            if gate == "skew":
+                x[i] += 1e-3 * np.eye(n)
+            elif gate == "trace":
+                x[i] += 1e-3j * np.eye(n)
+        return x
+
+    def exps(x):
+        w, v = skew_eigh(x)
+        for i, gate in bad.items():
+            if gate == "exp_unitarity":
+                v[i] *= 1.01
+            elif gate == "exp_determinant":
+                w[i, 0] += 0.5
+            elif gate == "round_trip":
+                w[i, :2] += (0.5, -0.5)
+        return w, v
+
+    for i, gate in bad.items():
+        if gate == "sampling_matrix":
+            rs[i] *= 1.5
+    with monkeypatch.context() as patch:
+        patch.setattr(sungeo.logmin, "_log_in_basis", logs)
+        patch.setattr(sungeo.logmin, "_skew_eigh", exps)
+        with pytest.raises(SungeoError) as exc:
+            theta_sample(td, rs)
+    return exc.value
+
+
+class TestStackedGates:
+    """The sampler gates a stack once per gate, then checks its members in
+    the order in which one member at a time would be checked."""
+
+    @pytest.fixture
+    def stack(self):
+        _, td = conjugated_family("boundary", 6)
+        return td, random_unitary(td.nu1 + td.nu2, seed=21, count=8)
+
+    @pytest.mark.parametrize("gate", sorted(SAMPLER_GATES))
+    def test_member_failing_one_gate(self, gate, stack, monkeypatch):
+        td, rs = stack
+        _, error, message = SAMPLER_GATES[gate]
+        stacked = sample_with_failures(td, rs, {3: gate}, monkeypatch)
+        alone = sample_with_failures(td, rs[3:4], {0: gate}, monkeypatch)
+        assert type(stacked) is type(alone) is error
+        assert str(stacked).startswith(message + " (residual ")
+        assert str(stacked) == str(alone)
+        assert stacked.residual == alone.residual
+
+    @pytest.mark.parametrize("second", sorted(SAMPLER_GATES))
+    @pytest.mark.parametrize("first", sorted(SAMPLER_GATES))
+    def test_two_failing_members(self, first, second, stack, monkeypatch):
+        # Member 3 fails ``first`` and member 5 ``second``: the earlier
+        # member's failure is raised, unless member 5's gate runs in an
+        # earlier pass over the stack.
+        td, rs = stack
+        raised = sample_with_failures(td, rs, {3: first, 5: second}, monkeypatch)
+        later = SAMPLER_GATES[second][0] < SAMPLER_GATES[first][0]
+        member, gate = (5, second) if later else (3, first)
+        alone = sample_with_failures(td, rs[member:member + 1], {0: gate}, monkeypatch)
+        assert type(raised) is type(alone)
+        assert str(raised) == str(alone)
 
 
 def u_generators(b: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from sungeo import (
     ShapeError,
     SungeoError,
     Tolerances,
+    TraceNotZeroError,
     expm_skew,
     frobenius_inner,
     frobenius_norm,
@@ -28,7 +29,16 @@ from sungeo import (
     validate_special_unitary,
 )
 import sungeo.matrixcore
-from sungeo.matrixcore import _BOUND_SQ, _HERM_GAP_TOL, _det, _eigh
+from sungeo.matrixcore import (
+    _BOUND_SQ,
+    _HERM_GAP_TOL,
+    _det,
+    _eigh,
+    _skew_traceless,
+    _skew_traceless_stack,
+    _special_unitary,
+    _special_unitary_stack,
+)
 from conftest import random_skew_traceless
 
 
@@ -357,15 +367,36 @@ class TestUnitaryEig:
         assert unitary_eig(q)[2] <= 1e-12
         assert calls == [(4, 4), (2, 2)][:solves]
 
+    def test_blocks_are_the_runs_of_small_gaps(self, monkeypatch):
+        # Clusters of 2 at 1 - pi and of 3 at 1 are the bottom and top runs of
+        # the turned Hermitian part's eigenvalues 2cos(theta - 1), -2 and 2;
+        # each takes one block-sized solve, in that order, and the three
+        # single eigenvalues between them take none.
+        calls = []
+
+        def counted(h):
+            calls.append(h.shape)
+            return _eigh(h)
+
+        monkeypatch.setattr(sungeo.matrixcore, "_eigh", counted)
+        singles = np.array([0.2, 0.5, 0.0])
+        singles[2] = 2 * math.pi - 5.0 - singles[:2].sum()
+        args = np.array([1 - math.pi] * 2 + [1.0] * 3 + list(singles))
+        q = validate_special_unitary(_with_args(args, seed=53))
+        vals, _, residual = unitary_eig(q)
+        assert calls == [(8, 8), (2, 2), (3, 3)]
+        assert residual <= 1e-12
+        assert np.allclose(np.sort(np.angle(vals)), np.sort(np.angle(np.exp(1j * args))), atol=1e-12)
+
     @pytest.mark.parametrize("collapsed, error", [
         (False, ResidualExceededError),
         (True, EigenFailedError),
     ], ids=["nan_alone", "nan_and_collapsed"])
     def test_nan_eigenvalue_magnitude(self, collapsed, error, monkeypatch):
         # A NaN magnitude is not below the collapse threshold: alone, it
-        # reaches the residual gate as a NaN residual (numpy may warn on the
-        # way, dividing by it); beside a collapsed eigenvalue the collapse is
-        # reported.
+        # fails the residual gate as a NaN residual, raised before anything
+        # divides by it, so nothing warns (warnings are errors here); beside
+        # a collapsed eigenvalue the collapse is reported.
         q = random_special_unitary(3, seed=52)
 
         def fed(h):
@@ -376,10 +407,8 @@ class TestUnitaryEig:
             return w, v
 
         monkeypatch.setattr(sungeo.matrixcore, "_eigh", fed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(error) as exc:
-                unitary_eig(q)
+        with pytest.raises(error) as exc:
+            unitary_eig(q)
         if not collapsed:
             assert math.isnan(exc.value.residual)
 
@@ -652,6 +681,79 @@ def test_tolerances_scale_from_one_base():
         assert abs(tols.eig - 1e-7 * n) <= 2 * math.ulp(1e-7 * n)
     custom = Tolerances(3e-7)
     assert (custom.alg, custom.eig, custom.cluster) == (3e-7, 3e-6, 3e-6)
+
+
+class TestStackGates:
+    """A gate's stack form checks each member as the gate kernel checks it
+    alone, bit for bit, in order, and stops at the first failure."""
+
+    @staticmethod
+    def _compare(members, alone):
+        """Draw each member from ``members`` beside ``alone`` of its slice, up
+        to and including the first failure; the pairs that passed."""
+        pairs = []
+        for thunk in alone:
+            try:
+                expected = thunk()
+            except SungeoError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    next(members)
+                assert str(raised.value) == str(exc)
+                return pairs
+            got = next(members)
+            assert got.entries.tobytes() == expected.entries.tobytes()
+            assert not got.entries.flags.writeable
+            pairs.append((got, expected))
+        with pytest.raises(StopIteration):
+            next(members)
+        return pairs
+
+    @pytest.mark.parametrize("bad", [None, "unitarity", "determinant"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+    def test_special_unitary_stack(self, n, bad):
+        rng = np.random.default_rng(n)
+        tols = Tolerances.default(n)
+        stack = np.array([random_special_unitary(n, seed=[n, i]).entries for i in range(6)])
+        stack += 10.0 ** rng.uniform(-17, -12, (6, 1, 1)) * rng.standard_normal((6, n, n))
+        if bad == "unitarity":
+            stack[3] *= 1.01
+        elif bad == "determinant":
+            stack[3] *= np.exp(0.1j / n)
+        alone = [lambda a=a: _special_unitary(a.copy(), tols, tols.group) for a in stack]
+        pairs = self._compare(_special_unitary_stack(stack.copy(), tols, tols.group), alone)
+        assert len(pairs) == (6 if bad is None else 3)
+        for got, expected in pairs:
+            assert got.unitarity_residual == expected.unitarity_residual
+            assert got.det_residual == expected.det_residual
+            assert got.tols is tols
+
+    @pytest.mark.parametrize("bad", [None, "skew", "trace"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+    def test_skew_traceless_stack(self, n, bad):
+        rng = np.random.default_rng(n)
+        tols = Tolerances.default(n)
+        stack = np.array([random_skew_traceless(n, rng, scale=3.0) for _ in range(6)])
+        if bad == "skew":
+            stack[3] += 1e-3 * np.eye(n)
+        elif bad == "trace":
+            stack[3] += 1e-3j * np.eye(n)
+        alone = [lambda a=a: _skew_traceless(a.copy(), tols) for a in stack]
+        if bad is None:
+            members = _skew_traceless_stack(stack.copy(), tols)
+            assert isinstance(members, tuple)
+            assert len(self._compare(iter(members), alone)) == 6
+        else:
+            error = NotSkewHermitianError if bad == "skew" else TraceNotZeroError
+            with pytest.raises(error) as raised:
+                _skew_traceless_stack(stack.copy(), tols)
+            with pytest.raises(error) as single:
+                alone[3]()
+            assert str(raised.value) == str(single.value)
+
+    def test_empty_stacks(self):
+        tols = Tolerances.default(3)
+        assert list(_special_unitary_stack(np.zeros((0, 3, 3), complex), tols, tols.group)) == []
+        assert _skew_traceless_stack(np.zeros((0, 3, 3), complex), tols) == ()
 
 
 class TestFreshArraysAreFrozen:
