@@ -71,12 +71,30 @@ def stages(n: int) -> dict:
     }
 
 
+# Flag value types. A ValueError makes argparse report a usage error.
+
+def order(text: str) -> int:
+    """An order of at least 2: SU(1) is {I}, whose deep hole is no family."""
+    n = int(text)
+    if n < 2:
+        raise ValueError(text)
+    return n
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("orders", type=int, nargs="+", help="matrix orders to time")
-    parser.add_argument("--repeat", type=int, default=5, help="timeit runs per stage; the best is kept")
-    parser.add_argument("--number", type=int, default=2000, help="calls per timeit run")
+    parser.add_argument("orders", type=order, nargs="+", help="matrix orders to time, each >= 2")
+    parser.add_argument("--repeat", type=positive_int, default=5,
+                        help="timeit runs per stage; the best is kept")
+    parser.add_argument("--number", type=positive_int, default=2000, help="calls per timeit run")
     args = parser.parse_args()
 
     table = {}

@@ -20,6 +20,7 @@ from sungeo import (
     theta_sample,
     validate_special_unitary,
 )
+from sungeo.cli import nonnegative_int
 
 
 EXAMPLES = {
@@ -32,7 +33,7 @@ EXAMPLES = {
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--example", choices=sorted(EXAMPLES), default="antipode4")
-    parser.add_argument("--samples", type=int, default=6)
+    parser.add_argument("--samples", type=nonnegative_int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

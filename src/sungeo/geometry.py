@@ -37,6 +37,7 @@ from .matrixcore import (
     _exp_in_basis,
     _frobenius,
     _frozen,
+    _special_unitary,
     unitary_product,
 )
 from .logmin import (ThetaDescriptor, _descriptor_from_spectral, canonical_log, m_value,
@@ -74,8 +75,8 @@ class GeodesicSegment:
 
     The segment carries the spectral form X was built from,
     X = U diag(i angles) U^* with U = ``basis`` and the real, signed
-    ``angles`` of the descriptor or of a sample (``theta_sample``), so a
-    point on it is one product in that basis and no eigensolve.
+    ``angles`` of the descriptor or of a sample (``theta_sample``), so
+    ``geodesic_eval`` reads a point on it off one product in that basis.
     """
 
     P: SpecialUnitary
@@ -83,9 +84,6 @@ class GeodesicSegment:
     length: float
     basis: np.ndarray
     angles: np.ndarray
-
-    def at(self, t: float) -> SpecialUnitary:
-        return geodesic_eval(self, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +171,8 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
     phases = np.fmod(t * seg.angles, _TWO_PI)
     total = float(np.add.reduce(phases))
     phases -= (total - _TWO_PI * round(total / _TWO_PI)) / len(phases)
-    return unitary_product(seg.P, _exp_in_basis(seg.basis, phases, seg.X.tols))
+    exp_tx = _exp_in_basis(seg.basis, phases)
+    return unitary_product(seg.P, _special_unitary(exp_tx, seg.X.tols, seg.X.tols.group))
 
 
 def diameter(n: int) -> float:
@@ -192,7 +191,7 @@ def diametral_points(p: SpecialUnitary) -> DiametralReport:
     """Points at maximal distance from P: the distinct members of
     e^{+-2 pi i a / n} P = -e^{-+i pi (n - 2a) / n} P, a = n // 2. Each
     partner c P has |c| = 1 and c^n = 1, so it keeps P's residuals and
-    tolerances, as ``SpecialUnitary.adjoint`` does, and needs no check."""
+    tolerances, as P^* does in ``adjoint_times``, and needs no check."""
     n = p.n
     if n < 2:
         raise UnsupportedOrderError("diametral points require order at least 2")

@@ -16,9 +16,7 @@ more than 1e8 tuples.
 
 ``theta_sample`` is the one sampler of a family. It takes a (k, b, b) stack
 of sampling unitaries, batch axis first as in geomstats, one unitary being the
-k = 1 stack; each member is bit for bit what its slice gives alone. Each gate
-forms its products once per stack and then checks the members in order, the
-round trip against the descriptor's ``q`` last.
+k = 1 stack; each member is bit for bit what its slice gives alone.
 
 Orientation: the minimizing shift (``_canonical_angles``), the closed form
 and the canonical logarithm read a spectrum as it is, for either sign of
@@ -52,6 +50,7 @@ from .errors import (
 from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
+    _exp_in_basis,
     _frobenius,
     _frozen,
     _skew_eigh,
@@ -189,12 +188,10 @@ def brute_force_m(args, zeta: int, K: int = 3,
 # canonical minimizing logarithm
 # ---------------------------------------------------------------------------
 
-def _log_in_basis(sd: SpectralData, u: np.ndarray, angles: np.ndarray | None = None) -> np.ndarray:
-    """U diag(i angles) U^* for ``angles``, by default the canonical angles of
-    ``sd``, symmetrized to its skew part and negated when ``sd`` is flipped,
-    so that it is a logarithm of the matrix ``sd`` stands for; for one basis U
-    or a stack of them, not yet checked."""
-    angles = _canonical_angles(sd) if angles is None else angles
+def _log_in_basis(sd: SpectralData, u: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """U diag(i angles) U^*, symmetrized to its skew part and negated when ``sd``
+    is flipped, so that it is a logarithm of the matrix ``sd`` stands for; for
+    one basis U or a stack of them, not yet checked."""
     x = (u * (1j * angles)) @ u.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
     x /= 2.0
@@ -214,6 +211,7 @@ def canonical_log(sd: SpectralData, angles: np.ndarray | None = None) -> SkewHer
     of the family of minimal logarithms, and rounding may pick another.
     ``angles``, when given, must be ``_canonical_angles(sd)``, already read.
     """
+    angles = _canonical_angles(sd) if angles is None else angles
     return _skew_traceless(_log_in_basis(sd, sd.basis, angles), sd.tols)
 
 
@@ -311,14 +309,13 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     spread; distinct cosets of r give distinct logarithms, though the orbit
     map is not injective.
 
-    The arithmetic runs once on the stack: the rotation, one product and one
-    symmetrization, one stacked eigensolve of -iX and one product for the
-    exponentials. Each gate forms its products once per stack too (a Gram
-    product for r; X + X^* and the diagonal sums for X; a Gram product and
-    a determinant call for exp(X); the difference to Q), then checks the
-    members in order: every r unitary, every X in su(n), then member by
-    member exp(X) special unitary and its round trip to Q. The first failing
-    check raises the error its member raises alone.
+    The arithmetic runs once on the stack (the rotation, ``_log_in_basis``,
+    ``_skew_eigh`` and ``_exp_in_basis``), and each gate forms its products
+    once per stack (a Gram product for r; X + X^* and the diagonal sums for X;
+    a Gram product and a determinant call for exp(X); the difference to Q),
+    then checks the members in order: every r unitary, every X in su(n), then
+    member by member exp(X) special unitary and its round trip to Q. The
+    first failing check raises the error its member raises alone.
     """
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
@@ -343,8 +340,7 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     x = _log_in_basis(sd, u, angles)
     logs = _skew_traceless_stack(x, sd.tols)
     w, v = _skew_eigh(x)
-    # exp(X) = V diag(e^{i w}) V^*, as ``_exp_in_basis`` forms each slice.
-    exps = (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    exps = _exp_in_basis(v, w)
     gaps = exps - td.q.entries
     # A member's exponential is gated as it is drawn, before its round trip.
     members = _special_unitary_stack(exps, sd.tols, sd.tols.group)

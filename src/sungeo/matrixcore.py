@@ -7,7 +7,7 @@ exponential, and Haar-distributed random sampling, of one matrix or of a
 stack drawn as successive single draws.
 
 Tolerances are chosen once, by the two validators. The validated value carries
-them as ``tols``, values derived from it (adjoint, product, multiple,
+them as ``tols``, values derived from it (the product P^*Q, a multiple, an
 exponential) inherit them, and each later check reads them off the value.
 
 All functions are pure and all types are immutable after construction, so
@@ -144,11 +144,6 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix with finite entries."""
-    return _finite(_square(a))
-
-
 def _boundary_copy(a) -> tuple[np.ndarray, bool]:
     """The caller's square matrix, copied once, and whether its Frobenius norm
     lies within ``_BOUND`` (a NaN or an infinity does not)."""
@@ -166,8 +161,8 @@ def _past_bound(kernel, arr: np.ndarray, *args):
 
 def frobenius_inner(a, b) -> float:
     """Real scalar product Re(tr(A B^*)) of two square matrices."""
-    am = _as_complex_matrix(a)
-    bm = _as_complex_matrix(b)
+    am = _finite(_square(a))
+    bm = _finite(_square(b))
     if am.shape != bm.shape:
         raise ShapeError(f"order mismatch: {am.shape[0]} vs {bm.shape[0]}")
     # Re tr(A B^*) equals the elementwise sum Re(sum A_jk conj(B_jk)).
@@ -202,30 +197,14 @@ class SpecialUnitary:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def adjoint(self) -> "SpecialUnitary":
-        # Q^* inherits the residuals: ||Q^*Q - I||_F = ||QQ^* - I||_F
-        # (same singular values) and |conj(det) - 1| = |det - 1|.
-        return SpecialUnitary(_frozen(self.entries.conj().T),
-                              self.unitarity_residual, self.det_residual, self.tols)
-
-    def times(self, other: "SpecialUnitary") -> "SpecialUnitary":
-        """Product with another validated element, without a re-check: each
-        residual r of AB is at most r(A) + r(B) + r(A) r(B) up to rounding; the
-        product carries that bound, as Q^* carries Q's residuals, and A's tols."""
-        return self._product(self.entries, other)
-
     def adjoint_times(self, other: "SpecialUnitary") -> "SpecialUnitary":
-        """Q^* times another validated element: ``self.adjoint().times(other)``,
-        bit for bit, without building the adjoint."""
-        return self._product(self.entries.conj().T, other)
-
-    def _product(self, a: np.ndarray, other: "SpecialUnitary") -> "SpecialUnitary":
-        """A times ``other``, for A this element's entries or their adjoint,
-        which carries this element's residuals."""
+        """Q^* B without a re-check: Q^* has Q's residuals (the same singular values,
+        the conjugate determinant), so each residual r of Q^* B is at most r(Q) +
+        r(B) + r(Q) r(B) up to rounding; the product carries that bound and Q's tols."""
         if self.n != other.n:
             raise ShapeError(f"order mismatch: {self.n} vs {other.n}")
         u, d = self.unitarity_residual, self.det_residual
-        return SpecialUnitary(_frozen(a @ other.entries),
+        return SpecialUnitary(_frozen(self.entries.conj().T @ other.entries),
                               u + other.unitarity_residual * (1.0 + u),
                               d + other.det_residual * (1.0 + d), self.tols)
 
@@ -424,33 +403,27 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
     return _frozen(evals), _frozen(basis), _residual_gate(_frobenius(qu), q.tols.eig)
 
 
-def _exp_in_basis(v: np.ndarray, w: np.ndarray, tols: Tolerances) -> SpecialUnitary:
-    """V diag(e^{i w}) V^* for a unitary V and real w, checked as special
-    unitary at ``tols``: the exponential of V diag(i w) V^*."""
-    return _special_unitary((v * np.exp(1j * w)) @ v.conj().T, tols, tols.group)
+def _exp_in_basis(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(e^{i w}) V^* = exp(V diag(i w) V^*) for a unitary V and real w, or
+    a (k, n, n) stack of bases and its (k, n) angles; not yet checked."""
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and eigenvectors V of the Hermitian matrix -iX, for one
     skew-Hermitian X or a stack of them (one solve per slice), so that
-    exp(X) = V diag(e^{i w}) V^*."""
+    exp(X) = ``_exp_in_basis(V, w)``."""
     herm = -1j * x
     herm = (herm + herm.conj().swapaxes(-1, -2)) / 2.0
     return _eigh(herm)
 
 
 def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
-    """Matrix exponential su(n) -> SU(n).
-
-    Diagonalizes the Hermitian matrix -iX and exponentiates its (real)
-    eigenvalues on the unit circle: exp(X) = V diag(e^{i theta_j}) V^*.
-    The result is revalidated as special unitary at ``x.tols``. A caller
-    that already holds V and theta (a geodesic segment does, and the family
-    sampler solves a whole stack at once) skips the solve and forms the
-    same product, checked the same way.
-    """
+    """Matrix exponential su(n) -> SU(n): the real eigenvalues of -iX
+    (``_skew_eigh``) exponentiated on the unit circle in its eigenbasis
+    (``_exp_in_basis``), revalidated as special unitary at ``x.tols``."""
     w, v = _skew_eigh(x.entries)
-    return _exp_in_basis(v, w, x.tols)
+    return _special_unitary(_exp_in_basis(v, w), x.tols, x.tols.group)
 
 
 def random_unitary(n: int, seed, count: int | None = None) -> np.ndarray:

@@ -258,7 +258,7 @@ def test_criterion_8_adjoint_symmetry(corpus):
         m_worst = 0.0
         zeta_ok = True
         for q, sd in rows:
-            sd_adj = spectral_summary(q.adjoint())
+            sd_adj = spectral_summary(validate_special_unitary(q.entries.conj().T))
             m_worst = max(m_worst, abs(m_value(sd_adj) - m_value(sd)))
             if sd_adj.zeta != sd.s - sd.zeta:
                 zeta_ok = False

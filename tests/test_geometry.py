@@ -175,7 +175,8 @@ class TestGeodesicFamily:
             assert seg.X.entries.tobytes() == single.X.entries.tobytes()
             assert seg.basis.tobytes() == single.basis.tobytes()
             assert seg.angles.tobytes() == single.angles.tobytes()
-            assert seg.at(0.5).entries.tobytes() == single.at(0.5).entries.tobytes()
+            assert (geodesic_eval(seg, 0.5).entries.tobytes()
+                    == geodesic_eval(single, 0.5).entries.tobytes())
 
     def test_family_samples_are_minimizing(self):
         fam = geodesic_family(I2, MI2)
@@ -278,10 +279,6 @@ class TestGeodesicEval:
         mid = geodesic_eval(fam.canonical, 0.5)
         assert np.allclose(mid.entries, np.diag([1j, -1j]), atol=1e-12)
 
-    def test_segment_method(self):
-        fam = geodesic_family(I2, MI2)
-        assert np.allclose(fam.canonical.at(0.5).entries, np.diag([1j, -1j]), atol=1e-12)
-
     def test_extends_beyond_segment(self):
         fam = geodesic_family(I2, MI2)
         g = geodesic_eval(fam.canonical, 2.0)
@@ -326,7 +323,7 @@ class TestGeodesicEval:
         for t in self.TS:
             reference = seg.P.entries @ expm_skew(seg.X.scaled(t)).entries
             assert np.linalg.norm(geodesic_eval(seg, t).entries - reference) <= 1e-13 * n
-        assert np.linalg.norm(seg.at(1.0).entries - q.entries) <= q.tols.eig
+        assert np.linalg.norm(geodesic_eval(seg, 1.0).entries - q.entries) <= q.tols.eig
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 32])
     def test_agrees_with_expm_skew_on_haar_pairs(self, n):

@@ -333,9 +333,10 @@ class TestMinLog:
         for n, seed in [(2, 0), (4, 1), (6, 2)]:
             q = random_special_unitary(n, seed=seed)
             sd = spectral_summary(q)
-            sd_adj = spectral_summary(q.adjoint())
+            q_adj = validate_special_unitary(q.entries.conj().T)
+            sd_adj = spectral_summary(q_adj)
             assert m_value(sd_adj) == pytest.approx(m_value(sd), abs=1e-12)
-            x_adj = theta_descriptor(q.adjoint()).base_log
+            x_adj = theta_descriptor(q_adj).base_log
             # Negating a minimal logarithm of Q^* gives one of Q.
             back = expm_skew(-x_adj)
             assert np.linalg.norm(back.entries - q.entries) <= 1e-10
@@ -396,9 +397,9 @@ class TestExactSkewness:
     def test_single_and_stacked_haar(self, n):
         q = random_special_unitary(n, seed=500 + n)
         sd = theta_descriptor(q).spectral
-        self.assert_exactly_skew(_log_in_basis(sd, sd.basis))
+        self.assert_exactly_skew(_log_in_basis(sd, sd.basis, _canonical_angles(sd)))
         stack = sd.basis @ random_unitary(n, seed=600 + n, count=4)
-        xs = _log_in_basis(sd, stack)
+        xs = _log_in_basis(sd, stack, _canonical_angles(sd))
         assert xs.shape == (4, n, n)
         self.assert_exactly_skew(xs)
         x = canonical_log(sd).entries
@@ -716,7 +717,7 @@ def sample_with_failures(td, rs, bad, monkeypatch):
     n = td.n
     log_in_basis, skew_eigh = sungeo.logmin._log_in_basis, sungeo.logmin._skew_eigh
 
-    def logs(sd, u, angles=None):
+    def logs(sd, u, angles):
         x = log_in_basis(sd, u, angles)
         for i, gate in bad.items():
             if gate == "skew":
@@ -800,17 +801,21 @@ class TestFamilyDimension:
     Gr(nu2; C^(nu1 + nu2)), and its kernel is the block-diagonal
     u(nu1) + u(nu2), so it factors through U(nu1 + nu2) / (U(nu1) x U(nu2))."""
 
+    # Keyed by label, and the deep holes e^{2 pi i a / n} I, a = n // 2, by
+    # order (n = 2 and 4 are the -I above): each of those is Gr(a; C^n).
     CASES = {"Gr(1;C^2)": [PI] * 2, "Gr(2;C^4)": [PI] * 4,
              "Gr(3;C^4)": boundary_args(7, 3, 1, 3, beta=2.9),
-             "Gr(2;C^5)": boundary_args(6, 2, 3, 2)}
+             "Gr(2;C^5)": boundary_args(6, 2, 3, 2),
+             **{f"deep hole n={n}": [TWO_PI * (n // 2) / n] * n for n in (3, 5, 6, 7, 8)}}
 
-    @pytest.mark.parametrize("label", CASES)
-    def test_orbit_map_rank_and_kernel(self, label):
-        args = self.CASES[label]
+    @pytest.mark.parametrize("key", CASES)
+    def test_orbit_map_rank_and_kernel(self, key):
+        args = self.CASES[key]
         n = len(args)
         u = random_unitary(n, seed=700 + n)
         q = validate_special_unitary(u @ diag_su(args).entries @ u.conj().T)
         td = theta_descriptor(q)
+        label = grassmann_label(n // 2, n) if key.startswith("deep hole") else key
         assert grassmann_label(*td.grassmannian) == label
         b, h = td.nu1 + td.nu2, 1e-5
         gens = u_generators(b)
@@ -824,6 +829,12 @@ class TestFamilyDimension:
         jac = np.concatenate([jac.real, jac.imag])
         sv = np.linalg.svd(jac, compute_uv=False)
         assert np.count_nonzero(sv > 1e-6 * sv[0]) == 2 * td.nu1 * td.nu2
+        # X(r) = iU r D r^* U^*, so dX = iU[G, D]U^*. The sampler's kept and
+        # shifted angles differ by exactly 2 pi, so each off-block generator,
+        # of Frobenius norm sqrt 2, maps to norm 2 pi sqrt 2, orthogonally to
+        # the others: every nonzero singular value is 2 sqrt 2 pi.
+        nonzero = sv[:2 * td.nu1 * td.nu2]
+        assert np.abs(nonzero / (2 * math.sqrt(2) * PI) - 1.0).max() <= 1e-8
         # The nu1^2 + nu2^2 block-diagonal generators map to zero; with the
         # rank above they span the whole kernel.
         side = np.arange(b) < td.nu1

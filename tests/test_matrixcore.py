@@ -565,7 +565,7 @@ def test_unitary_product_and_adjoint():
     q = random_special_unitary(4, seed=2)
     prod = unitary_product(p, q)
     assert np.allclose(prod.entries, p.entries @ q.entries)
-    back = unitary_product(p.adjoint(), prod)
+    back = unitary_product(validate_special_unitary(p.entries.conj().T), prod)
     assert np.linalg.norm(back.entries - q.entries) < 1e-13
     with pytest.raises(ShapeError, match="order mismatch: 4 vs 3"):
         unitary_product(p, random_special_unitary(3, seed=3))
@@ -576,11 +576,17 @@ def test_adjoint_times_is_the_adjoint_times_bit_for_bit(n):
     for seed in range(4):
         p = random_special_unitary(n, seed=[n, seed, 1])
         q = random_special_unitary(n, seed=[n, seed, 2])
-        ref, got = p.adjoint().times(q), p.adjoint_times(q)
-        assert got.entries.tobytes() == ref.entries.tobytes()
+        got = p.adjoint_times(q)
+        assert got.entries.tobytes() == (p.entries.conj().T @ q.entries).tobytes()
         assert not got.entries.flags.writeable
-        assert (got.unitarity_residual, got.det_residual) == (ref.unitarity_residual,
-                                                              ref.det_residual)
+        # The stated bound r(P) + r(Q) + r(P) r(Q), carried as the residuals ...
+        pu, pd = p.unitarity_residual, p.det_residual
+        assert (got.unitarity_residual, got.det_residual) == (
+            pu + q.unitarity_residual * (1.0 + pu), pd + q.det_residual * (1.0 + pd))
+        # ... bounds the product's own residuals up to rounding.
+        ref = got.entries
+        assert np.linalg.norm(ref @ ref.conj().T - np.eye(n)) <= got.unitarity_residual + 1e-12
+        assert abs(np.linalg.det(ref) - 1.0) <= got.det_residual + 1e-12
         assert got.tols is p.tols
     with pytest.raises(ShapeError, match="order mismatch: 2 vs 3"):
         random_special_unitary(2, seed=1).adjoint_times(random_special_unitary(3, seed=1))
@@ -658,7 +664,7 @@ def test_unchecked_products_stay_within_the_gate(n):
                 worst = max(mats[-1].unitarity_residual, mats[-1].det_residual)
                 assert 0.9 * tol <= worst <= tol
         p, q = mats
-        rel = p.adjoint().times(q)
+        rel = p.adjoint_times(q)
         products = [(rel.entries, rel.unitarity_residual, rel.det_residual)]
         products += [(pt.entries, pt.unitarity_residual, pt.det_residual)
                      for pt in diametral_points(p).points]
@@ -777,10 +783,9 @@ class TestFreshArraysAreFrozen:
         p = random_special_unitary(4, seed=1)
         q = random_special_unitary(4, seed=2)
         x = validate_skew_traceless(random_skew_traceless(4, seed=4))
-        vals, basis, _ = unitary_eig(p.adjoint().times(q))
+        vals, basis, _ = unitary_eig(p.adjoint_times(q))
         arrays = {
-            "adjoint": p.adjoint().entries,
-            "times": p.times(q).entries,
+            "adjoint_times": p.adjoint_times(q).entries,
             "scaled": x.scaled(0.5).entries,
             "negated": (-x).entries,
             "eigenvalues": vals,

@@ -51,6 +51,19 @@ def test_stage_times_prints_one_json_table():
     assert all(t > 0 for t in table["2"].values())
 
 
+@pytest.mark.parametrize("script, args", [
+    ("stage_times.py", ["1"]),
+    ("stage_times.py", ["0"]),
+    ("stage_times.py", ["2", "--number", "0"]),
+    ("theta_family_demo.py", ["--samples", "-1"]),
+], ids=["order_1", "order_0", "number_0", "negative_samples"])
+def test_invalid_argument_is_a_usage_error(script, args):
+    done = run_python(str(ROOT / "scripts" / script), *args)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert "usage:" in done.stderr
+
+
 def test_readme_quick_start_runs_as_written():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     [code] = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)

@@ -109,8 +109,7 @@ def test_derived_values_carry_their_source_tolerances():
     a, b = Tolerances(3e-7), Tolerances(5e-7, zeta=1e-5)
     p = validate_special_unitary(np.eye(2), a)
     q = validate_special_unitary(-np.eye(2), b)
-    assert p.adjoint().tols is a
-    assert p.times(q).tols is a and q.times(p).tols is b
+    assert p.adjoint_times(q).tols is a and q.adjoint_times(p).tols is b
     assert unitary_product(p, q).tols is a and unitary_product(q, p).tols is b
     sd = spectral_summary(q)
     assert sd.tols is b and adjoint_spectrum(sd).tols is b
@@ -122,7 +121,8 @@ def test_derived_values_carry_their_source_tolerances():
     fam = geodesic_family(p, q)
     assert not fam.unique
     [seg] = fam.sample(np.array([[0, 1], [1, 0]]))
-    assert seg.X.tols is a and seg.at(0.5).tols is a and fam.canonical.at(0.25).tols is a
+    assert seg.X.tols is a and geodesic_eval(seg, 0.5).tols is a
+    assert geodesic_eval(fam.canonical, 0.25).tols is a
     assert AdmissibleTuple.from_args([0.5, -0.5]).to_special_unitary(b).tols is b
     assert validate_special_unitary(np.eye(3)).tols == Tolerances.default(3)
     assert validate_skew_traceless(np.zeros((3, 3))).tols == Tolerances.default(3)
