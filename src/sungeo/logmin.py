@@ -51,7 +51,7 @@ from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
     _exp_in_basis,
-    _frobenius,
+    _frobenius_stack,
     _frozen,
     _skew_eigh,
     _skew_traceless,
@@ -312,8 +312,10 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     The arithmetic runs once on the stack (the rotation, ``_log_in_basis``,
     ``_skew_eigh`` and ``_exp_in_basis``), and each gate forms its products
     once per stack (a Gram product for r; X + X^* and the diagonal sums for X;
-    a Gram product and a determinant call for exp(X); the difference to Q),
-    then checks the members in order: every r unitary, every X in su(n), then
+    a Gram product and a determinant call for exp(X); the difference to Q)
+    and reads its k Frobenius residuals off one batched call
+    (``matrixcore._frobenius_stack``, bit for bit the single ones), then
+    checks the members in order: every r unitary, every X in su(n), then
     member by member exp(X) special unitary and its round trip to Q. The
     first failing check raises the error its member raises alone.
     """
@@ -327,8 +329,8 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     gram = rm @ np.swapaxes(rm.conj(), 1, 2)
     gram -= np.eye(block)
     alg = Tolerances.default(block).alg
-    for g in gram:
-        NotUnitaryError.check(_frobenius(g), alg, "sampling matrix is not unitary")
+    for res in _frobenius_stack(gram):
+        NotUnitaryError.check(res, alg, "sampling matrix is not unitary")
 
     sd = td.spectral
     start, cut = sd.n - td.zeta - td.nu1, sd.n - td.zeta
@@ -341,13 +343,12 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     logs = _skew_traceless_stack(x, sd.tols)
     w, v = _skew_eigh(x)
     exps = _exp_in_basis(v, w)
-    gaps = exps - td.q.entries
+    gaps = _frobenius_stack(exps - td.q.entries)
     # A member's exponential is gated as it is drawn, before its round trip.
     members = _special_unitary_stack(exps, sd.tols, sd.tols.group)
     resids = tuple(
         ResidualExceededError.check(
-            _frobenius(gap), sd.tols.eig,
-            "sampled logarithm does not exponentiate to the given matrix")
+            gap, sd.tols.eig, "sampled logarithm does not exponentiate to the given matrix")
         for _, gap in zip(members, gaps))
     return ThetaSamples(logs, resids, _frozen(u), _frozen(sd.sign * angles))
 

@@ -16,10 +16,11 @@ caller's array once, at the boundary; a gate kernel (``_special_unitary``,
 ``_skew_traceless``) checks it, or a matrix the library has just built, and
 freezes it in place (marked read-only, not copied). Each kernel has a stack
 form for a (k, n, n) stack the library has built (``_special_unitary_stack``,
-``_skew_traceless_stack``): it forms the gate's products once per stack, then
+``_skew_traceless_stack``): it forms the gate's products once per stack, reads
+their k Frobenius norms off one batched call (``_frobenius_stack``), then
 checks the members in order, each bit for bit as the kernel checks it alone.
-Both forms read their residuals and messages from the same ``*_gate``
-function per check, so each check is defined once. A caller's matrix with
+Both forms pass their residuals to the same ``*_gate`` function per check,
+which holds its error and message, so each check is defined once. A caller's matrix with
 Frobenius norm within ``_BOUND`` is gated as it is, with no errstate. Past the
 bound, or behind a gate so loose that the determinant could overflow, a NaN or
 infinite entry raises ``NotFiniteError`` and the gates run under an errstate,
@@ -130,6 +131,18 @@ def _frobenius(arr: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _frobenius_stack(arr: np.ndarray) -> list[float]:
+    """``_frobenius`` of each slice of a (k, ...) stack, bit for bit, k >= 0.
+    A slice's re.re (im.im) is one vector-vector product of the batched
+    ``matmul``, which numpy runs as the strided BLAS dot that ``ndarray.dot``
+    runs for ``_frobenius``; the two sums then add and root as there."""
+    flat = arr.reshape(len(arr), math.prod(arr.shape[1:]))
+    re, im = flat.real, flat.imag
+    sq = re[:, None, :] @ re[:, :, None]
+    sq += im[:, None, :] @ im[:, :, None]
+    return list(map(math.sqrt, sq.ravel().tolist()))
+
+
 def _square(a) -> np.ndarray:
     """Coerce to a square complex128 matrix."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -237,10 +250,10 @@ class SkewHermitianTraceless:
         return SkewHermitianTraceless(_frozen(x * t), self.tols)
 
 
-def _unitary_gate(gram: np.ndarray, gate: float) -> float:
-    """||A A^* - I||_F from the Gram product A A^* with the identity already
+def _unitary_gate(residual: float, gate: float) -> float:
+    """||A A^* - I||_F, the norm of the Gram product A A^* with the identity
     subtracted, checked at ``gate``."""
-    return NotUnitaryError.check(_frobenius(gram), gate, "matrix is not unitary")
+    return NotUnitaryError.check(residual, gate, "matrix is not unitary")
 
 
 def _det_gate(det: complex, gate: float) -> float:
@@ -253,25 +266,25 @@ def _special_unitary(arr: np.ndarray, tols: Tolerances, gate: float) -> SpecialU
     built, checked at ``gate``; the array is frozen in place and carries ``tols``."""
     gram = arr.dot(arr.conj().T).ravel()
     gram[::arr.shape[0] + 1] -= 1.0
-    u_res = _unitary_gate(gram, gate)
+    u_res = _unitary_gate(_frobenius(gram), gate)
     return SpecialUnitary(_frozen(arr), u_res, _det_gate(_det(arr), gate), tols)
 
 
 def _special_unitary_stack(arr: np.ndarray, tols: Tolerances, gate: float):
     """``_special_unitary`` of each slice of a (k, n, n) stack its caller has
-    just built, which is frozen in place: one Gram product and one determinant
-    call for the stack, then the members checked in order. A generator: each
-    member's checks run when it is drawn, so a caller can check something of
-    its own between members. Every residual is bit for bit its slice's alone.
-    The stack must be finite: every determinant is taken before any check."""
+    just built, which is frozen in place: one Gram product, one call for the
+    Gram norms (``_frobenius_stack``) and one determinant call for the stack,
+    then the members checked in order. A generator: each member's checks run
+    when it is drawn, so a caller can check something of its own between
+    members. Every residual is bit for bit its slice's alone. The stack must
+    be finite: every determinant is taken before any check."""
     k, n = arr.shape[:2]
     gram = arr @ arr.conj().swapaxes(1, 2)
     gram.reshape(k, n * n)[:, ::n + 1] -= 1.0
     dets = _det(arr).tolist()
     _frozen(arr)
-    for a, g, d in zip(arr, gram, dets):
-        u_res = _unitary_gate(g, gate)
-        yield SpecialUnitary(a, u_res, _det_gate(d, gate), tols)
+    for a, u_res, d in zip(arr, _frobenius_stack(gram), dets):
+        yield SpecialUnitary(a, _unitary_gate(u_res, gate), _det_gate(d, gate), tols)
 
 
 def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
@@ -288,9 +301,9 @@ def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitar
     return _past_bound(_special_unitary, arr, tols, tols.group)
 
 
-def _skew_gate(herm: np.ndarray, gate: float) -> float:
-    """||X + X^*||_F from X + X^* or its conjugate, checked at ``gate``."""
-    return NotSkewHermitianError.check(_frobenius(herm), gate, "matrix is not skew-Hermitian")
+def _skew_gate(residual: float, gate: float) -> float:
+    """||X + X^*||_F, the norm of X + X^* or of its conjugate, checked at ``gate``."""
+    return NotSkewHermitianError.check(residual, gate, "matrix is not skew-Hermitian")
 
 
 def _trace_gate(trace: complex, gate: float) -> float:
@@ -305,23 +318,24 @@ def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless
     # entry, so this is its conjugate and the residual is the same, bit for bit.
     herm = arr.conj()
     herm += arr.T
-    _skew_gate(herm, tols.alg)
+    _skew_gate(_frobenius(herm), tols.alg)
     _trace_gate(np.add.reduce(arr.diagonal()), tols.alg)
     return SkewHermitianTraceless(_frozen(arr), tols)
 
 
 def _skew_traceless_stack(arr: np.ndarray, tols: Tolerances) -> tuple[SkewHermitianTraceless, ...]:
     """``_skew_traceless`` of each slice of a (k, n, n) stack its caller has
-    just built, which is frozen in place: one X + X^* buffer and one diagonal
-    sum for the stack, then the members checked in order. Every residual is
-    bit for bit its slice's alone: a slice's diagonal is summed in the same
-    order, and its magnitude is the same ``hypot``."""
+    just built, which is frozen in place: one X + X^* buffer, one call for its
+    norms (``_frobenius_stack``) and one diagonal sum for the stack, then the
+    members checked in order. Every residual is bit for bit its slice's alone:
+    a slice's diagonal is summed in the same order, and its magnitude is the
+    same ``hypot``."""
     herm = arr.conj()
     herm += arr.swapaxes(1, 2)
     traces = np.add.reduce(arr.diagonal(0, 1, 2), axis=1).tolist()
     _frozen(arr)
     members = []
-    for a, h, t in zip(arr, herm, traces):
+    for a, h, t in zip(arr, _frobenius_stack(herm), traces):
         _skew_gate(h, tols.alg)
         _trace_gate(t, tols.alg)
         members.append(SkewHermitianTraceless(a, tols))

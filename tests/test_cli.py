@@ -1,13 +1,16 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sungeo.cli as cli
 from sungeo import ParseError, random_special_unitary, spectral_summary
 from sungeo.cli import MatrixFile, main
 
@@ -25,6 +28,17 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def cli_process(argv, **streams):
+    """``python -m sungeo.cli argv`` in a separate process that imports this
+    checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "sungeo.cli", *argv],
+                          env=env, timeout=120, **streams)
 
 
 @pytest.fixture
@@ -160,13 +174,8 @@ class TestGeo:
 
     def test_overflowing_phases_exit_2_with_one_json_line(self, files):
         # A separate process, so that any numpy warning reaches stderr.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                        env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-m", "sungeo.cli", "geo", files["I3"],
-                               files["w3"], "--t", "1e308"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = cli_process(["geo", files["I3"], files["w3"], "--t", "1e308"],
+                           capture_output=True, text=True)
         assert done.returncode == 2 and done.stdout == ""
         [line] = done.stderr.splitlines()
         assert json.loads(line)["error"] == "not_finite"
@@ -640,3 +649,113 @@ def test_loads_converts_each_entry_exactly():
     expected = np.array([[complex(2 ** 53 + 1, -0.0), complex(5e-324, 10 ** 30)],
                          [complex(0, 1.7976931348623157e308), complex(0, 0.1)]])
     assert MatrixFile.loads(text).matrix.tobytes() == expected.tobytes()
+
+
+# One argv per row: valid calls of every subcommand with every option, then
+# top-level and subcommand usage errors. "P", "Q", "P4", "mI4" and "OUT" name
+# files made by ``argv_files``.
+ARGV_TABLE = [
+    ["dist", "P", "Q"],
+    ["dist", "P", "Q", "--tol", "1e-6"],
+    ["log", "P", "Q", "--tol", "1e-6", "--out", "OUT"],
+    ["geo", "P", "Q", "--tol", "1e-6", "--t", "0,0.5,1"],
+    ["geo", "P", "Q", "--t=-1,1"],
+    ["geo", "P", "Q", "--t", "-0.5"],
+    ["plog", "Q", "--tol", "1e-6"],
+    ["diam", "4", "--point", "P4", "--tol", "1e-6"],
+    ["diam", "3"],
+    ["random", "3", "--seed", "5", "--out", "OUT"],
+    ["random", "3", "--seed", "5"],
+    ["theta", "mI4", "--tol", "1e-6", "--samples", "2", "--seed", "3"],
+    ["theta", "mI4", "--sam", "3"],
+    ["oracle", "Q", "--tol", "1e-6"],
+    ["dist", "--", "P", "Q"],
+    ["dist", "P", "--", "Q"],
+    ["dist", "P", "nosuch.json"],
+    [],
+    ["nosuch"],
+    ["nosuch", "P", "Q"],
+    ["dis", "P", "Q"],
+    ["-h"],
+    ["--help"],
+    ["-h", "dist"],
+    ["dist", "-h"],
+    ["dist", "P", "Q", "-h"],
+    ["theta", "--help"],
+    ["--tol", "1e-6", "dist", "P", "Q"],
+    ["dist", "P"],
+    ["dist", "P", "Q", "R"],
+    ["dist", "P", "Q", "--", "R"],
+    ["dist", "P", "Q", "--bogus"],
+    ["dist", "P", "Q", "--tol"],
+    ["dist", "P", "Q", "--tol", "0"],
+    ["dist", "P", "Q", "--tol", "nan"],
+    ["theta", "mI4", "--samples", "-1"],
+    ["geo", "P", "Q", "--t", "1,inf"],
+    ["diam", "x"],
+    ["random", "3", "--tol", "1e-8", "extra"],
+]
+
+
+@pytest.fixture
+def argv_files(tmp_path):
+    return {
+        "P": write_matrix(tmp_path, "P.json", random_special_unitary(3, seed=61).entries),
+        "Q": write_matrix(tmp_path, "Q.json", random_special_unitary(3, seed=62).entries),
+        "P4": write_matrix(tmp_path, "P4.json", random_special_unitary(4, seed=63).entries),
+        "mI4": write_matrix(tmp_path, "mI4.json", -np.eye(4)),
+        "OUT": str(tmp_path / "out.json"),
+    }
+
+
+def cli_outcome(argv, out_path):
+    """Exit code, stdout, stderr and the bytes written to ``out_path`` of one
+    in-process call of ``main``; argparse exits through SystemExit."""
+    if os.path.exists(out_path):
+        os.remove(out_path)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = Path(out_path).read_bytes() if os.path.exists(out_path) else None
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=" ".join)
+def test_main_answers_as_the_full_parser(argv, argv_files, monkeypatch):
+    """``main`` gives every argv the exit code, stdout, stderr and output file
+    that it gives when the argv goes through the full two-level parser: a
+    fresh parser whose table of subcommand parsers is empty, so that no argv
+    is handed to its subcommand parser directly."""
+    argv = [argv_files.get(a, a) for a in argv]
+    got = cli_outcome(argv, argv_files["OUT"])
+    full = cli.build_parser.__wrapped__()
+    full.commands = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: full)
+        expected = cli_outcome(argv, argv_files["OUT"])
+    assert got == expected
+    assert got[0] in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("stream, argv, code", [
+    ("stdout", ["dist", "I2", "mI2"], 0),
+    ("stdout", ["random", "64"], 0),     # a report longer than the stream's buffer
+    ("stderr", ["dist", "I2", "nosuch.json"], 2),
+], ids=["report", "long-report", "error-line"])
+def test_a_closed_reader_keeps_the_exit_code(files, stream, argv, code):
+    """The report or error line goes to a pipe whose read end is closed
+    (``sungeo dist P Q | true``): the request exits with its own code, and
+    nothing, no traceback either, reaches the other stream."""
+    read, write = os.pipe()
+    os.close(read)
+    other = "stderr" if stream == "stdout" else "stdout"
+    try:
+        done = cli_process([files.get(a, a) for a in argv],
+                           **{stream: write, other: subprocess.PIPE})
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    assert getattr(done, other) == b""

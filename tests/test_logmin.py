@@ -795,6 +795,83 @@ def u_generators(b: int) -> np.ndarray:
     return gens.reshape(b * b, b, b)
 
 
+def assert_orbit_map_is_grassmannian(args, seed, label):
+    """Conjugate diag(e^{i args}) by a Haar unitary drawn at ``seed``, check the
+    family's label, and check the orbit map r -> X(r) of U(nu1 + nu2) at r = I:
+    its rank is 2 nu1 nu2, every nonzero singular value is 2 sqrt 2 pi, and
+    the block-diagonal generators span its kernel."""
+    n = len(args)
+    u = random_unitary(n, seed=seed)
+    q = validate_special_unitary(u @ diag_su(args).entries @ u.conj().T)
+    td = theta_descriptor(q)
+    assert grassmann_label(*td.grassmannian) == label
+    b, h = td.nu1 + td.nu2, 1e-5
+    gens = u_generators(b)
+    # exp(tG) = V diag(e^{i t w}) V^* from the eigh of the Hermitian -iG;
+    # the 2 b^2 steps exp(+-hG) go to the sampler as one stack.
+    w, v = np.linalg.eigh(-1j * gens)
+    steps = [(v * np.exp(1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+             for t in (h, -h)]
+    xs = [x.entries.ravel() for x in theta_sample(td, np.concatenate(steps)).logs]
+    jac = (np.array(xs[:b * b]) - np.array(xs[b * b:])).T / (2 * h)
+    jac = np.concatenate([jac.real, jac.imag])
+    sv = np.linalg.svd(jac, compute_uv=False)
+    assert np.count_nonzero(sv > 1e-6 * sv[0]) == 2 * td.nu1 * td.nu2
+    # X(r) = iU r D r^* U^*, so dX = iU[G, D]U^*. The sampler's kept and
+    # shifted angles differ by exactly 2 pi, so each off-block generator,
+    # of Frobenius norm sqrt 2, maps to norm 2 pi sqrt 2, orthogonally to
+    # the others: every nonzero singular value is 2 sqrt 2 pi.
+    nonzero = sv[:2 * td.nu1 * td.nu2]
+    assert np.abs(nonzero / (2 * math.sqrt(2) * PI) - 1.0).max() <= 1e-8
+    # The nu1^2 + nu2^2 block-diagonal generators map to zero; with the
+    # rank above they span the whole kernel.
+    side = np.arange(b) < td.nu1
+    block_diagonal = (side[:, None] == side[None, :]).ravel()
+    assert np.count_nonzero(block_diagonal) == b * b - 2 * td.nu1 * td.nu2
+    assert np.abs(jac[:, block_diagonal]).max() <= 1e-6 * sv[0]
+
+
+def _beta_range(n, zeta, nu1, nu2, margin=0.05):
+    """The interval of cluster values beta in (-pi, pi - 0.3] for which
+    ``boundary_args(n, zeta, nu1, nu2, beta)`` keeps every argument below the
+    cluster at least ``margin`` from -pi and from beta, or None. The arguments
+    are affine in beta, so each slack is too, and read off two points."""
+    lower = n - zeta - nu1
+
+    def slacks(beta):
+        args = boundary_args(n, zeta, nu1, nu2, beta)
+        return np.array([args[0] + PI - margin, beta - margin - args[lower - 1]])
+
+    at0, slope = slacks(0.0), slacks(1.0) - slacks(0.0)
+    lo, hi = -PI + margin, PI - 0.3
+    for a, d in zip(at0.tolist(), slope.tolist()):
+        lo, hi = (max(lo, -a / d), hi) if d > 0 else (lo, min(hi, -a / d))
+    return (lo, hi) if lo < hi else None
+
+
+# (n, zeta, nu1, nu2, beta range) of every family shape at n <= 8 with some
+# argument below the cluster; with none, the one family is the scalar
+# e^{2 pi i zeta / n} I (nu1 = n - zeta, nu2 = zeta, zeta <= n / 2).
+FAMILY_SHAPES = [(n, zeta, nu1, nu2, rng)
+                 for n in range(2, 9) for zeta in range(1, n) for nu2 in range(1, zeta + 1)
+                 for nu1 in range(1, n - zeta)
+                 if (rng := _beta_range(n, zeta, nu1, nu2)) is not None]
+FAMILY_SHAPES += [(n, zeta, n - zeta, zeta, None)
+                  for n in range(2, 9) for zeta in range(1, n // 2 + 1)]
+
+
+@st.composite
+def family_spectra(draw):
+    """(args, nu1, nu2): a spectrum of order n <= 8 and winding zeta >= 1
+    whose kept/shifted boundary splits a cluster of nu1 + nu2 arguments."""
+    n, zeta, nu1, nu2, rng = draw(st.sampled_from(FAMILY_SHAPES))
+    if rng is None:
+        return [TWO_PI * zeta / n] * n, nu1, nu2
+    lo, hi = rng
+    beta = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return boundary_args(n, zeta, nu1, nu2, beta), nu1, nu2
+
+
 class TestFamilyDimension:
     """The paper's third result on the sampled family: at r = I the orbit map
     r -> X(r) of U(nu1 + nu2) has rank 2 nu1 nu2, the real dimension of
@@ -812,35 +889,14 @@ class TestFamilyDimension:
     def test_orbit_map_rank_and_kernel(self, key):
         args = self.CASES[key]
         n = len(args)
-        u = random_unitary(n, seed=700 + n)
-        q = validate_special_unitary(u @ diag_su(args).entries @ u.conj().T)
-        td = theta_descriptor(q)
         label = grassmann_label(n // 2, n) if key.startswith("deep hole") else key
-        assert grassmann_label(*td.grassmannian) == label
-        b, h = td.nu1 + td.nu2, 1e-5
-        gens = u_generators(b)
-        # exp(tG) = V diag(e^{i t w}) V^* from the eigh of the Hermitian -iG;
-        # the 2 b^2 steps exp(+-hG) go to the sampler as one stack.
-        w, v = np.linalg.eigh(-1j * gens)
-        steps = [(v * np.exp(1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-                 for t in (h, -h)]
-        xs = [x.entries.ravel() for x in theta_sample(td, np.concatenate(steps)).logs]
-        jac = (np.array(xs[:b * b]) - np.array(xs[b * b:])).T / (2 * h)
-        jac = np.concatenate([jac.real, jac.imag])
-        sv = np.linalg.svd(jac, compute_uv=False)
-        assert np.count_nonzero(sv > 1e-6 * sv[0]) == 2 * td.nu1 * td.nu2
-        # X(r) = iU r D r^* U^*, so dX = iU[G, D]U^*. The sampler's kept and
-        # shifted angles differ by exactly 2 pi, so each off-block generator,
-        # of Frobenius norm sqrt 2, maps to norm 2 pi sqrt 2, orthogonally to
-        # the others: every nonzero singular value is 2 sqrt 2 pi.
-        nonzero = sv[:2 * td.nu1 * td.nu2]
-        assert np.abs(nonzero / (2 * math.sqrt(2) * PI) - 1.0).max() <= 1e-8
-        # The nu1^2 + nu2^2 block-diagonal generators map to zero; with the
-        # rank above they span the whole kernel.
-        side = np.arange(b) < td.nu1
-        block_diagonal = (side[:, None] == side[None, :]).ravel()
-        assert np.count_nonzero(block_diagonal) == b * b - 2 * td.nu1 * td.nu2
-        assert np.abs(jac[:, block_diagonal]).max() <= 1e-6 * sv[0]
+        assert_orbit_map_is_grassmannian(args, 700 + n, label)
+
+    @given(spectrum=family_spectra(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25)
+    def test_orbit_map_on_random_family_spectra(self, spectrum, seed):
+        args, nu1, nu2 = spectrum
+        assert_orbit_map_is_grassmannian(args, seed, grassmann_label(nu2, nu1 + nu2))
 
     def test_samples_agree_iff_the_rotation_is_block_diagonal(self):
         # Gr(2;C^4) from I to -I: X(r1) = X(r2) when r1^* r2 lies in

@@ -34,6 +34,8 @@ from sungeo.matrixcore import (
     _HERM_GAP_TOL,
     _det,
     _eigh,
+    _frobenius,
+    _frobenius_stack,
     _skew_traceless,
     _skew_traceless_stack,
     _special_unitary,
@@ -101,6 +103,24 @@ class TestFrobenius:
     def test_norm_past_the_bound_is_finite_and_quiet(self, a, norm):
         # Squaring these parts overflows; warnings are errors in the suite.
         assert frobenius_norm(a) == pytest.approx(norm, rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("k", [0, 1, 2, 8])
+    def test_stack_norms_are_the_single_norms_bit_for_bit(self, k, n):
+        # Entries at 1e-150 square to subnormals, 5e-324 times a Gaussian
+        # rounds to a few subnormal steps or to a signed zero, and a quarter
+        # of the parts are -0.0; the transpose is a stack that is not
+        # contiguous.
+        rng = np.random.default_rng([k, n])
+        for scale in (1.0, 1e2, 1e-8, 1e-150, 5e-324):
+            stack = scale * (rng.standard_normal((k, n, n))
+                             + 1j * rng.standard_normal((k, n, n)))
+            parts = stack.view(np.float64)
+            parts[rng.random(parts.shape) < 0.25] = -0.0
+            for s in (stack, stack.swapaxes(1, 2)):
+                got = _frobenius_stack(s)
+                assert isinstance(got, list) and len(got) == k
+                assert list(map(float.hex, got)) == [_frobenius(a).hex() for a in s]
 
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
     @settings(max_examples=40)
