@@ -114,10 +114,6 @@ class MatrixFile:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "MatrixFile":
-        return cls(np.asarray(entries, dtype=np.complex128))
-
-    @classmethod
     def loads(cls, text: str) -> "MatrixFile":
         # ValueError: bad JSON or an over-long integer; RecursionError: deep nesting.
         try:
@@ -291,7 +287,7 @@ def cmd_log(path_p: str, path_q: str, tol: float | None,
     e = expm_skew(x)
     roundtrip = frobenius_norm(p.entries @ e.entries - q.entries)
     if out is not None:
-        MatrixFile.from_entries(x.entries).dump(out)
+        MatrixFile(x.entries).dump(out)
     return {
         "command": "log",
         "inputs": {"P": path_p, "Q": path_q, "tol": p.tols.group, "out": out},
@@ -385,7 +381,6 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
         q = random_special_unitary(n, seed)
     except (MemoryError, ValueError) as exc:  # numpy: too many bytes, or too many elements
         raise UnsupportedOrderError(f"order {n} is too large to allocate") from exc
-    doc = MatrixFile.from_entries(q.entries)
     report = {
         "command": "random",
         "inputs": {"n": n, "seed": seed, "out": out},
@@ -393,7 +388,7 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
         "residuals": _unitary_residuals("Q", q),
     }
     if out is not None:
-        doc.dump(out)
+        MatrixFile(q.entries).dump(out)
         report["outputs"]["path"] = out
     else:
         report["outputs"]["matrix"] = q.entries
@@ -430,9 +425,9 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
             except (MemoryError, ValueError) as exc:  # as in cmd_random
                 raise ShapeError(f"{samples} samples are too many to allocate") from exc
             drawn = theta_sample(td, rs)
-            for i, (x, roundtrip) in enumerate(zip(drawn.logs, drawn.residuals)):
+            for i, (roundtrip, norm) in enumerate(zip(drawn.residuals, drawn.norms)):
                 residuals[f"sample{i}_exp_roundtrip"] = roundtrip
-                residuals[f"sample{i}_norm_vs_m"] = abs(frobenius_norm(x.entries) ** 2 - m)
+                residuals[f"sample{i}_norm_vs_m"] = abs(norm ** 2 - m)
             outputs["samples"] = [x.entries for x in drawn.logs]
     return {
         "command": "theta",

@@ -15,12 +15,10 @@ class SungeoError(Exception):
     code = "error"
     exit_code = 2
 
-    def __init__(self, message: str = "", *, residual: float | None = None,
+    def __init__(self, message: str, *, residual: float | None = None,
                  tolerance: float | None = None):
         self.residual = residual
         self.tolerance = tolerance
-        if not message:
-            message = self.code
         if residual is not None:
             message = f"{message} (residual {residual:.3e}"
             if tolerance is not None:

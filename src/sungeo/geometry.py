@@ -36,7 +36,6 @@ from .matrixcore import (
     SpecialUnitary,
     _exp_in_basis,
     _frobenius,
-    _frobenius_stack,
     _frozen,
     _special_unitary,
     unitary_product,
@@ -111,9 +110,8 @@ class GeodesicFamily:
         each unitary of the (k, nu1 + nu2, nu1 + nu2) stack ``r``, built
         together by ``theta_sample``; one unitary is the k = 1 stack."""
         drawn = theta_sample(self.theta, r)
-        lengths = _frobenius_stack(np.array([x.entries for x in drawn.logs]))
         return tuple(GeodesicSegment(self.P, x, length, basis, drawn.angles)
-                     for x, length, basis in zip(drawn.logs, lengths, drawn.bases))
+                     for x, length, basis in zip(drawn.logs, drawn.norms, drawn.bases))
 
 
 @dataclass(frozen=True, eq=False)

@@ -290,12 +290,14 @@ def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
 
 class ThetaSamples(NamedTuple):
     """Checked logarithms X = U diag(i angles) U^*, their residuals
-    ||exp(X) - Q||_F, the (k, n, n) stack of bases U and the signed angles."""
+    ||exp(X) - Q||_F, the (k, n, n) stack of bases U, the signed angles and
+    the Frobenius norms ||X||_F, bit for bit ``frobenius_norm`` of each."""
 
     logs: tuple[SkewHermitianTraceless, ...]
     residuals: tuple[float, ...]
     bases: np.ndarray
     angles: np.ndarray
+    norms: tuple[float, ...]
 
 
 def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
@@ -350,7 +352,8 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
         ResidualExceededError.check(
             gap, sd.tols.eig, "sampled logarithm does not exponentiate to the given matrix")
         for _, gap in zip(members, gaps))
-    return ThetaSamples(logs, resids, _frozen(u), _frozen(sd.sign * angles))
+    return ThetaSamples(logs, resids, _frozen(u), _frozen(sd.sign * angles),
+                        tuple(_frobenius_stack(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +373,11 @@ class PlogStatus:
     nonempty: bool
     zeta: int
     s: int
-    grassmann_k: int | None
-    grassmann_n: int | None
     is_singleton: bool
 
     @property
     def label(self) -> str:
-        if not self.nonempty:
-            return "empty"
-        return grassmann_label(self.grassmann_k, self.grassmann_n)
+        return grassmann_label(self.zeta, self.s) if self.nonempty else "empty"
 
 
 def plog_status(sd: SpectralData) -> PlogStatus:
@@ -388,10 +387,4 @@ def plog_status(sd: SpectralData) -> PlogStatus:
     sum(args^2), i.e. no argument needs to wind past the principal branch.
     """
     nonempty = 0 <= sd.zeta <= sd.s
-    if not nonempty:
-        return PlogStatus(nonempty=False, zeta=sd.zeta, s=sd.s,
-                          grassmann_k=None, grassmann_n=None,
-                          is_singleton=False)
-    return PlogStatus(nonempty=True, zeta=sd.zeta, s=sd.s,
-                      grassmann_k=sd.zeta, grassmann_n=sd.s,
-                      is_singleton=sd.zeta in (0, sd.s))
+    return PlogStatus(nonempty, sd.zeta, sd.s, nonempty and sd.zeta in (0, sd.s))

@@ -7,8 +7,8 @@ exponential, and Haar-distributed random sampling, of one matrix or of a
 stack drawn as successive single draws.
 
 Tolerances are chosen once, by the two validators. The validated value carries
-them as ``tols``, values derived from it (the product P^*Q, a multiple, an
-exponential) inherit them, and each later check reads them off the value.
+them as ``tols``, values derived from it (the product P^*Q, an exponential)
+inherit them, and each later check reads them off the value.
 
 All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The validators copy the
@@ -232,22 +232,6 @@ class SkewHermitianTraceless:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def __neg__(self) -> "SkewHermitianTraceless":
-        return SkewHermitianTraceless(_frozen(-self.entries), self.tols)
-
-    def scaled(self, t: float) -> "SkewHermitianTraceless":
-        """Real scalar multiple; stays in the algebra. A ``t`` that is not
-        finite, or whose product with a real or imaginary part overflows,
-        raises ``NotFiniteError``."""
-        t = float(t)
-        x = self.entries
-        # Python floats overflow to inf without the warning numpy would give;
-        # rounding is monotonic, so t times the largest part overflows exactly
-        # when some part's product does.
-        if not math.isfinite(t * float(max(np.abs(x.real).max(), np.abs(x.imag).max()))):
-            raise NotFiniteError(f"scale factor {t!r} gives non-finite entries")
-        return SkewHermitianTraceless(_frozen(x * t), self.tols)
 
 
 def _unitary_gate(residual: float, gate: float) -> float:

@@ -84,7 +84,7 @@ def files(tmp_path, pair):
     for name, entries in (("P", pair[0].entries), ("Q", pair[1].entries),
                           ("R", np.diag([1j] * 4))):
         paths[name] = str(tmp_path / f"{name}.json")
-        MatrixFile.from_entries(entries).dump(paths[name])
+        MatrixFile(entries).dump(paths[name])
     return paths
 
 

@@ -19,7 +19,7 @@ PI = math.pi
 
 def write_matrix(tmp_path, name, entries):
     path = tmp_path / name
-    MatrixFile.from_entries(np.asarray(entries, dtype=complex)).dump(str(path))
+    MatrixFile(np.asarray(entries, dtype=complex)).dump(str(path))
     return str(path)
 
 
@@ -60,7 +60,7 @@ class TestMatrixFile:
         entries[0, 0] = complex(-0.0, 0.0)
         entries[1, 1] = complex(1e-300, -1e300)
         path = tmp_path / "m.json"
-        MatrixFile.from_entries(entries).dump(str(path))
+        MatrixFile(entries).dump(str(path))
         back = MatrixFile.load(str(path)).matrix
         assert back.tobytes() == entries.tobytes()
 
@@ -83,7 +83,7 @@ class TestMatrixFile:
         first = next(v for v in (value.real, value.imag) if not math.isfinite(v))
         path = tmp_path / "bad.json"
         with pytest.raises(ValueError) as exc:
-            MatrixFile.from_entries(entries).dump(str(path))
+            MatrixFile(entries).dump(str(path))
         # The indented stdlib encoder's text, as for a report.
         assert str(exc.value) == f"Out of range float values are not JSON compliant: {first!r}"
         assert not path.exists()
@@ -548,12 +548,32 @@ def test_diam_order_beyond_float_range_exits_2(capsys):
 ], ids=["random-size", "theta-memory", "theta-size"])
 def test_requests_too_large_to_allocate_exit_2(capsys, files, argv, code):
     assert main([files.get(a, a) for a in argv]) == 2
+    assert one_error_line(capsys)["error"] == code
+
+
+def one_error_line(capsys) -> dict:
+    """The error payload of a request that wrote nothing on stdout and one
+    JSON line, no traceback, on stderr."""
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == code
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["geo", "I2", "mI2", "--t", ","], "shape", "the list of curve parameters must be nonempty"),
+    (["diam", "3", "--point", "I4"], "shape", "point has order 4, expected 3"),
+    (["random", "0"], "unsupported_n", "order must be at least 1"),
+    (["log", "I2", "mI2", "--out", "MISSING"], "parse", "cannot write "),
+], ids=["geo-no-parameters", "diam-point-order", "random-order-zero", "log-out-missing-dir"])
+def test_rejected_request_exits_2_with_one_json_line(capsys, files, argv, code, message):
+    files = {**files, "MISSING": str(files["tmp"] / "missing" / "x.json")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    payload = one_error_line(capsys)
+    assert payload["error"] == code and payload["message"].startswith(message)
+    assert not (files["tmp"] / "missing").exists()
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -569,15 +589,16 @@ LONG = "1" * 5000         # more digits than Python converts to int
     (DEEP, ["plog", "F"], 2),
     ('{"n": 2, "matrix": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}', ["dist", "F", "F"], 2),
     ('{"n": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, false]]]}', ["plog", "F"], 2),
+    ('{"n": 2}', ["dist", "F", "F"], 2),
     (None, ["random", "3", "--seed", "-1"], 4),
     (np.diag([-1.0, -1.0]), ["theta", "F", "--samples", "2", "--seed", "-1"], 4),
 ], ids=["n-true", "huge-int", "long-int", "not-utf8", "deep-nesting", "bool-entry",
-        "bool-imag", "random-negative-seed", "theta-negative-seed"])
+        "bool-imag", "no-matrix", "random-negative-seed", "theta-negative-seed"])
 def test_outside_input_gets_one_line_and_its_exit_code(tmp_path, capsys, content, argv,
                                                        code):
     path = tmp_path / "F.json"
     if isinstance(content, np.ndarray):
-        MatrixFile.from_entries(content).dump(str(path))
+        MatrixFile(content).dump(str(path))
     elif isinstance(content, bytes):
         path.write_bytes(content)
     elif content is not None:

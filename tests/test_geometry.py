@@ -23,6 +23,7 @@ from sungeo import (
     random_unitary,
     relative_spectrum,
     spectral_summary,
+    theta_sample,
     unitary_product,
     validate_skew_traceless,
     validate_special_unitary,
@@ -214,6 +215,20 @@ class TestGeodesicFamily:
                 assert np.linalg.norm(p.entries @ expm_skew(x).entries - q.entries) <= 1e-9
                 assert frobenius_norm(x.entries) ** 2 == pytest.approx(m, abs=1e-9)
 
+    @pytest.mark.parametrize("args", FAMILY_SPECTRA)
+    def test_sampled_lengths_are_the_single_norms_bit_for_bit(self, args):
+        # The sampler reads its members' norms off one batched call; each is
+        # bit for bit frobenius_norm of the member, and so is its segment's length.
+        n = len(args)
+        u = random_unitary(n, seed=[n, 0])
+        p = random_special_unitary(n, seed=[n, 1])
+        fam = geodesic_family(p, su(p.entries @ (u * np.exp(1j * np.array(args))) @ u.conj().T))
+        rs = random_unitary(fam.theta.nu1 + fam.theta.nu2, seed=n, count=6)
+        drawn = theta_sample(fam.theta, rs)
+        singles = tuple(frobenius_norm(x.entries) for x in drawn.logs)
+        assert drawn.norms == singles
+        assert tuple(seg.length for seg in fam.sample(rs)) == singles
+
     def orientation_pairs(self):
         """Haar pairs and pairs with the family spectra, in both pair
         orientations."""
@@ -259,7 +274,7 @@ class TestGeodesicFamily:
             paths = []
             for name, m in (("P", p), ("Q", q)):
                 paths.append(str(tmp_path / f"{name}.json"))
-                MatrixFile.from_entries(m.entries).dump(paths[-1])
+                MatrixFile(m.entries).dump(paths[-1])
             assert main(["dist", *paths]) == 0
             out = json.loads(capsys.readouterr().out)["outputs"]
             assert out["distance"] == math.sqrt(out["m"]) == distance(p, q)
@@ -321,7 +336,8 @@ class TestGeodesicEval:
     def assert_agrees_with_expm_skew(self, seg, q):
         n = seg.P.n
         for t in self.TS:
-            reference = seg.P.entries @ expm_skew(seg.X.scaled(t)).entries
+            tx = validate_skew_traceless(t * seg.X.entries, seg.X.tols)
+            reference = seg.P.entries @ expm_skew(tx).entries
             assert np.linalg.norm(geodesic_eval(seg, t).entries - reference) <= 1e-13 * n
         assert np.linalg.norm(geodesic_eval(seg, 1.0).entries - q.entries) <= q.tols.eig
 
@@ -414,7 +430,8 @@ class TestDiametralPoints:
         for c in diametral_points(p).points:
             for y in ys:
                 for eps in (1e-2, 1e-3):
-                    moved = unitary_product(c, expm_skew(y.scaled(eps)))
+                    step = validate_skew_traceless(eps * y.entries, y.tols)
+                    moved = unitary_product(c, expm_skew(step))
                     assert distance(p, moved) < top - 0.25 * eps
 
 

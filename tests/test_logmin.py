@@ -196,6 +196,16 @@ class TestBruteForce:
         with pytest.raises(NotFiniteError):
             brute_force_m(args, 0)
 
+    @pytest.mark.parametrize("args, zeta, error, message", [
+        ((), 0, ShapeError, "argument tuple must be nonempty"),
+        ((0.5, -0.5), 0, ValueError, "arguments must be sorted ascending"),
+        ((-0.5, 0.6), 0, ValueError, r"do not sum to 2\*pi\*0 \(residual 1\.000e-01\)"),
+        ((PI, PI), 0, ValueError, r"do not sum to 2\*pi\*0"),
+    ], ids=["empty", "unsorted", "sum-off", "winding-off"])
+    def test_malformed_arguments_are_rejected(self, args, zeta, error, message):
+        with pytest.raises(error, match=message):
+            brute_force_m(args, zeta)
+
     @pytest.mark.parametrize("K", [2, 3])
     def test_matches_literal_enumeration(self, K):
         haar = [spectral_summary(random_special_unitary(n, seed=50 * n + i))
@@ -224,7 +234,7 @@ class TestBruteForce:
             assert count == (1 if td.is_singleton else math.comb(td.nu1 + td.nu2, td.nu2))
             status = plog_status(sd)
             if status.nonempty:
-                assert count == math.comb(status.grassmann_n, status.grassmann_k)
+                assert count == math.comb(status.s, status.zeta)
             counts.add((count, status.nonempty))
         assert {(1, True), (1, False), (70, True), (35, False), (6, True)} <= counts
 
@@ -338,7 +348,7 @@ class TestMinLog:
             assert m_value(sd_adj) == pytest.approx(m_value(sd), abs=1e-12)
             x_adj = theta_descriptor(q_adj).base_log
             # Negating a minimal logarithm of Q^* gives one of Q.
-            back = expm_skew(-x_adj)
+            back = expm_skew(validate_skew_traceless(-x_adj.entries, x_adj.tols))
             assert np.linalg.norm(back.entries - q.entries) <= 1e-10
             assert frobenius_norm(x_adj.entries) == pytest.approx(
                 frobenius_norm(theta_descriptor(q).base_log.entries), abs=1e-10)
@@ -628,8 +638,8 @@ def sample_reference(td, q, r):
     u = sd.basis.copy()
     u[:, start:start + block] = u[:, start:start + block] @ r
     x = (u * (1j * angles)) @ u.conj().T
-    x = validate_skew_traceless((x - x.conj().T) / 2.0, sd.tols)
-    x = -x if sd.sign < 0 else x
+    x = (x - x.conj().T) / 2.0
+    x = validate_skew_traceless(-x if sd.sign < 0 else x, sd.tols)
     return (x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u,
             sd.sign * angles)
 
@@ -639,8 +649,8 @@ class TestStackedSampler:
     def test_stack_equals_single_members_bit_for_bit(self, kind, n):
         q, td = conjugated_family(kind, n)
         rs = random_unitary(td.nu1 + td.nu2, seed=n, count=5)
-        xs, resids, bases, angles = theta_sample(td, rs)
-        assert isinstance(xs, tuple) and len(xs) == len(resids) == 5
+        xs, resids, bases, angles, norms = theta_sample(td, rs)
+        assert isinstance(xs, tuple) and len(xs) == len(resids) == len(norms) == 5
         assert bases.shape == (5, n, n)
         for r, x, resid, basis in zip(rs, xs, resids, bases):
             ref_x, ref_resid, ref_basis, ref_angles = sample_reference(td, q, r)
@@ -966,7 +976,7 @@ class TestPlogStatus:
     def test_identity(self):
         st_ = plog_status(summary_of(np.eye(4)))
         assert st_.nonempty and st_.is_singleton
-        assert (st_.grassmann_k, st_.grassmann_n) == (0, 0)
+        assert (st_.zeta, st_.s) == (0, 0)
         assert st_.label == "Gr(0;C^0)"
 
     def test_minus_identity_2(self):

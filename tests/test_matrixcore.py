@@ -20,7 +20,6 @@ from sungeo import (
     expm_skew,
     frobenius_inner,
     frobenius_norm,
-    log_map,
     random_special_unitary,
     random_unitary,
     unitary_eig,
@@ -612,43 +611,6 @@ def test_adjoint_times_is_the_adjoint_times_bit_for_bit(n):
         random_special_unitary(2, seed=1).adjoint_times(random_special_unitary(3, seed=1))
 
 
-class TestScaled:
-    """``SkewHermitianTraceless.scaled`` rejects a factor that is not finite,
-    or whose product overflows, before numpy multiplies (warnings are errors
-    in the suite)."""
-
-    X = np.diag([3j, -1j, -2j])
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308, -1e308])
-    def test_non_finite_or_overflowing_factor_is_rejected(self, t):
-        with pytest.raises(NotFiniteError, match="scale factor"):
-            validate_skew_traceless(self.X).scaled(t)
-
-    def test_log_map_scaled_past_the_float_range(self):
-        # log_map(I, -I) has parts +-pi, so 1e308 times it overflows.
-        x = log_map(validate_special_unitary(np.eye(2)), validate_special_unitary(-np.eye(2)))
-        with pytest.raises(NotFiniteError):
-            x.scaled(1e308)
-
-    def test_edge_of_the_float_range(self):
-        # 3 is the largest part: the largest t with 3 t finite passes, with
-        # the entries numpy gives, and the next float up is rejected.
-        t = float(np.finfo(float).max) / 3.0
-        while not math.isfinite(3.0 * t):
-            t = float(np.nextafter(t, 0.0))
-        x = validate_skew_traceless(self.X)
-        for s in (t, -t):
-            assert x.scaled(s).entries.tobytes() == (self.X * s).tobytes()
-            with pytest.raises(NotFiniteError):
-                x.scaled(np.nextafter(s, math.copysign(math.inf, s)))
-
-    def test_zero_times_infinity_is_rejected(self):
-        zero = validate_skew_traceless(np.zeros((2, 2)))
-        assert not zero.scaled(1e308).entries.any()
-        with pytest.raises(NotFiniteError):
-            zero.scaled(math.inf)
-
-
 def _near_the_gate(u, tol, rng):
     """u plus complex noise scaled so its larger validation residual is
     0.95 tol: accepted, but only just."""
@@ -806,8 +768,6 @@ class TestFreshArraysAreFrozen:
         vals, basis, _ = unitary_eig(p.adjoint_times(q))
         arrays = {
             "adjoint_times": p.adjoint_times(q).entries,
-            "scaled": x.scaled(0.5).entries,
-            "negated": (-x).entries,
             "eigenvalues": vals,
             "eigenbasis": basis,
             "expm_skew": expm_skew(x).entries,

@@ -126,7 +126,7 @@ def files(tmp_path):
                           ("P", random_special_unitary(4, seed=1).entries),
                           ("Q", random_special_unitary(4, seed=2).entries)):
         paths[name] = str(tmp_path / f"{name}.json")
-        MatrixFile.from_entries(np.asarray(entries, dtype=complex)).dump(paths[name])
+        MatrixFile(np.asarray(entries, dtype=complex)).dump(paths[name])
     return paths
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sungeo import (
     AdmissibleTuple,
+    ShapeError,
     Tolerances,
     adjoint_spectrum,
     distance,
@@ -147,6 +149,27 @@ def test_spectral_values_are_read_only(args):
         "canonical velocity": geodesic_family(p, q).canonical.X.entries,
     }
     assert [k for k, arr in arrays.items() if arr.flags.writeable] == []
+
+
+class TestSpectralDataChecks:
+    """A spectrum is checked as it is built: ``dataclasses.replace`` on a real
+    one with one field made inconsistent raises its construction error."""
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda sd: {"basis": np.eye(sd.n - 1)}, ShapeError,
+         "basis order does not match argument count"),
+        (lambda sd: {"args": sd.args[::-1].copy()}, ValueError,
+         "arguments must be sorted ascending"),
+        (lambda sd: {"args": sd.args + np.r_[np.zeros(sd.n - 1), 2 * PI]}, ValueError,
+         "arguments must lie within one turn"),
+        (lambda sd: {"zeta": sd.n // 2 + 1}, ValueError,
+         "winding integer outside its admissible range"),
+    ], ids=["basis-order", "sort-order", "span", "zeta"])
+    def test_inconsistent_field_is_rejected(self, change, error, message):
+        sd = spectral_summary(random_special_unitary(4, seed=71))
+        dataclasses.replace(sd)  # unchanged, it passes
+        with pytest.raises(error, match=message):
+            dataclasses.replace(sd, **change(sd))
 
 
 class TestAdmissibleTuple:
