@@ -34,10 +34,10 @@ def main():
         pipeline = distance(identity, far)
 
         base = random_special_unitary(n, seed=args.seed + n)
-        rep = diametral_points(base)
-        worst = max(abs(distance(base, pt) - delta) for pt in rep.points)
+        points = diametral_points(base)
+        worst = max(abs(distance(base, pt) - delta) for pt in points)
         print(f"{n:>3} {delta:>12.8f} {pipeline:>12.8f} {abs(pipeline - delta):>10.1e} "
-              f"{len(rep.points):>7} {worst:>16.1e}")
+              f"{len(points):>7} {worst:>16.1e}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from sungeo import (
     grassmann_label,
     m_value,
     random_unitary,
-    spectral_summary,
     theta_descriptor,
     theta_sample,
     validate_special_unitary,
@@ -37,8 +36,8 @@ def main():
     args = parser.parse_args()
 
     q = validate_special_unitary(np.asarray(EXAMPLES[args.example], dtype=complex))
-    sd = spectral_summary(q)
     td = theta_descriptor(q)
+    sd = td.spectral
     print(f"example {args.example}: order {q.n}, winding {sd.zeta}, "
           f"s {sd.s}, m {m_value(sd):.6f}")
     if td.is_singleton:

@@ -22,7 +22,6 @@ from .errors import (
     ZetaNotIntegerError,
 )
 from .geometry import (
-    DiametralReport,
     GeodesicFamily,
     GeodesicSegment,
     diameter,

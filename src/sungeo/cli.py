@@ -272,7 +272,7 @@ def cmd_dist(path_p: str, path_q: str, tol: float | None) -> dict:
             "distance": math.sqrt(m),
             "zeta": sd.zeta,
             "s": sd.s,
-            "args": [float(a) for a in sd.args],
+            "args": sd.args.tolist(),
             "m": m,
         },
         "residuals": {**_unitary_residuals("P", p), **_unitary_residuals("Q", q)},
@@ -355,22 +355,22 @@ def cmd_plog(path_q: str, tol: float | None) -> dict:
 
 
 def cmd_diam(n: int, point_path: str | None, tol: float | None) -> dict:
+    top = diameter(n)
     report = {
         "command": "diam",
         "inputs": {"n": n, "point": point_path},
-        "outputs": {"diameter": diameter(n)},
+        "outputs": {"diameter": top},
         "residuals": {},
     }
     if point_path is not None:
         [p] = _load(tol, point_path)
         if p.n != n:
             raise ShapeError(f"point has order {p.n}, expected {n}")
-        rep = diametral_points(p)
-        report["outputs"]["points"] = [pt.entries for pt in rep.points]
+        points = diametral_points(p)
+        report["outputs"]["points"] = [pt.entries for pt in points]
         report["residuals"].update(_unitary_residuals("P", p))
-        for i, pt in enumerate(rep.points):
-            report["residuals"][f"point{i}_distance_vs_diameter"] = \
-                abs(distance(p, pt) - rep.diameter)
+        for i, pt in enumerate(points):
+            report["residuals"][f"point{i}_distance_vs_diameter"] = abs(distance(p, pt) - top)
     return report
 
 

@@ -47,7 +47,6 @@ from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
 __all__ = [
     "GeodesicSegment",
     "GeodesicFamily",
-    "DiametralReport",
     "distance",
     "log_map",
     "geodesic_family",
@@ -114,15 +113,6 @@ class GeodesicFamily:
                      for x, length, basis in zip(drawn.logs, drawn.norms, drawn.bases))
 
 
-@dataclass(frozen=True, eq=False)
-class DiametralReport:
-    """Diameter of SU(n) and the diametral partners of a point."""
-
-    n: int
-    diameter: float
-    points: tuple[SpecialUnitary, ...]
-
-
 def distance(p: SpecialUnitary, q: SpecialUnitary) -> float:
     """Geodesic distance induced by the Frobenius metric: sqrt(m(P^*Q))."""
     return math.sqrt(m_value(relative_spectrum(p, q)))
@@ -187,7 +177,7 @@ def diameter(n: int) -> float:
         raise UnsupportedOrderError("order too large to convert to a float") from None
 
 
-def diametral_points(p: SpecialUnitary) -> DiametralReport:
+def diametral_points(p: SpecialUnitary) -> tuple[SpecialUnitary, ...]:
     """Points at maximal distance from P: the distinct members of
     e^{+-2 pi i a / n} P = -e^{-+i pi (n - 2a) / n} P, a = n // 2. Each
     partner c P has |c| = 1 and c^n = 1, so it keeps P's residuals and
@@ -198,7 +188,6 @@ def diametral_points(p: SpecialUnitary) -> DiametralReport:
     a = n // 2
     # n - 2a = 0 for even n gives -P exactly; negating the product, not P,
     # keeps the signed zeros of -I.
-    points = tuple(SpecialUnitary(_frozen(-(np.exp(1j * math.pi * k / n) * p.entries)),
-                                  p.unitarity_residual, p.det_residual, p.tols)
-                   for k in dict.fromkeys((2 * a - n, n - 2 * a)))
-    return DiametralReport(n=n, diameter=diameter(n), points=points)
+    return tuple(SpecialUnitary(_frozen(-(np.exp(1j * math.pi * k / n) * p.entries)),
+                                p.unitarity_residual, p.det_residual, p.tols)
+                 for k in dict.fromkeys((2 * a - n, n - 2 * a)))

@@ -235,7 +235,6 @@ class ThetaDescriptor:
     ``base_log`` is U diag(i angles) U^* with U = ``spectral.basis``.
     """
 
-    n: int
     zeta: int
     is_singleton: bool
     base_log: SkewHermitianTraceless
@@ -261,16 +260,16 @@ class ThetaDescriptor:
 
 def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescriptor:
     """Descriptor of ``q`` from an oriented spectrum of it (zeta >= 0)."""
-    n, cut = sd.n, sd.n - sd.zeta
+    cut = sd.n - sd.zeta
     # A family when the kept/shifted boundary splits a cluster: none ends there.
     edges = list(accumulate(sd.sizes, initial=0))
     i = bisect(edges, cut)
     family = sd.zeta > 0 and edges[i - 1] != cut
     angles = _canonical_angles(sd)
     base_log = canonical_log(sd, angles)
-    # Fields in order (n, zeta, is_singleton, base_log, beta_arg, nu1, nu2,
+    # Fields in order (zeta, is_singleton, base_log, beta_arg, nu1, nu2,
     # spectral, q, angles): a keyword call costs more than building them.
-    return ThetaDescriptor(n, sd.zeta, not family, base_log,
+    return ThetaDescriptor(sd.zeta, not family, base_log,
                            float(sd.args[cut - 1]) if sd.zeta > 0 else None,
                            cut - edges[i - 1] if family else None,
                            edges[i] - cut if family else None, sd, q,

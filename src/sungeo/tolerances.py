@@ -13,6 +13,7 @@ it: validated matrices, the values derived from them and their spectra carry
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,11 +23,15 @@ ZETA_TOL = 1e-6        # rounding residual of the winding integer
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The base (group) tolerance and the winding tolerance; everything
-    else is derived from the base."""
+    """The base (group) tolerance and the winding tolerance, both finite and
+    positive; everything else is derived from the base."""
 
     group: float
     zeta: float = ZETA_TOL
+
+    def __post_init__(self):
+        if not (0 < self.group < math.inf and 0 < self.zeta < math.inf):
+            raise ValueError(f"tolerances must be finite and positive, got {self}")
 
     @classmethod
     @lru_cache(maxsize=256)

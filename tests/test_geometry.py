@@ -391,27 +391,27 @@ class TestDiameter:
 
 class TestDiametralPoints:
     def test_even_unique_antipode(self):
-        rep = diametral_points(I2)
-        assert len(rep.points) == 1
-        assert np.allclose(rep.points[0].entries, -np.eye(2))
+        points = diametral_points(I2)
+        assert len(points) == 1
+        assert np.allclose(points[0].entries, -np.eye(2))
 
     def test_odd_two_points(self):
-        rep = diametral_points(I3)
-        assert len(rep.points) == 2
-        phases = sorted(np.angle(pt.entries[0, 0]) for pt in rep.points)
+        points = diametral_points(I3)
+        assert len(points) == 2
+        phases = sorted(np.angle(pt.entries[0, 0]) for pt in points)
         assert phases == pytest.approx([-2 * PI / 3, 2 * PI / 3], abs=1e-12)
 
     def test_random_even_order(self):
         p = random_special_unitary(4, seed=77)
-        rep = diametral_points(p)
-        assert len(rep.points) == 1
-        assert abs(distance(p, rep.points[0]) - diameter(4)) <= 1e-9
+        points = diametral_points(p)
+        assert len(points) == 1
+        assert abs(distance(p, points[0]) - diameter(4)) <= 1e-9
 
     def test_random_odd_order(self):
         p = random_special_unitary(5, seed=78)
-        rep = diametral_points(p)
-        assert len(rep.points) == 2
-        for pt in rep.points:
+        points = diametral_points(p)
+        assert len(points) == 2
+        for pt in points:
             assert abs(distance(p, pt) - diameter(5)) <= 1e-9
 
     def test_too_small(self):
@@ -427,7 +427,7 @@ class TestDiametralPoints:
         p = random_special_unitary(n, rng)
         ys = [validate_skew_traceless(random_skew_traceless(n, rng)) for _ in range(50)]
         top = diameter(n)
-        for c in diametral_points(p).points:
+        for c in diametral_points(p):
             for y in ys:
                 for eps in (1e-2, 1e-3):
                     step = validate_skew_traceless(eps * y.entries, y.tols)
@@ -466,7 +466,7 @@ class TestLatticeHoles:
     def test_diametral_points_are_the_deep_holes(self, n):
         p = random_special_unitary(n, seed=[5300, n])
         holes = [np.exp(2j * PI * a / n) * p.entries for a in dict.fromkeys((n // 2, n - n // 2))]
-        points = diametral_points(p).points
+        points = diametral_points(p)
         assert len(points) == len(holes)
         for pt, hole in zip(points, holes):
             assert np.abs(pt.entries - hole).max() <= 1e-15

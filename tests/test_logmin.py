@@ -442,7 +442,7 @@ class TestThetaDescriptor:
         q = diag_su([arg] * 4)
         td = theta_descriptor(q)
         sd = td.spectral
-        assert (td.n, td.zeta, td.is_singleton) == (4, 1, False)
+        assert (td.spectral.n, td.zeta, td.is_singleton) == (4, 1, False)
         assert (td.nu1, td.nu2) == (3, 1) and td.beta_arg == pytest.approx(PI / 2, abs=1e-14)
         assert sd.sign == (1 if arg > 0 else -1) and sd.zeta == 1 and td.q is q
         assert np.array_equal(td.base_log.entries, canonical_log(sd).entries)
@@ -724,7 +724,7 @@ def sample_with_failures(td, rs, bad, monkeypatch):
     or on two angles moved by opposite amounts (unitary with determinant
     one, but another matrix)."""
     rs = rs.copy()
-    n = td.n
+    n = td.spectral.n
     log_in_basis, skew_eigh = sungeo.logmin._log_in_basis, sungeo.logmin._skew_eigh
 
     def logs(sd, u, angles):

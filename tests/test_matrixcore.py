@@ -578,6 +578,10 @@ class TestRandomUnitaryStack:
         with pytest.raises(ShapeError):
             random_unitary(3, 0, -1)
 
+    def test_zero_order_rejected(self):
+        with pytest.raises(ShapeError, match="order must be at least 1"):
+            random_unitary(0, 0)
+
 
 def test_unitary_product_and_adjoint():
     p = random_special_unitary(4, seed=1)
@@ -649,7 +653,7 @@ def test_unchecked_products_stay_within_the_gate(n):
         rel = p.adjoint_times(q)
         products = [(rel.entries, rel.unitarity_residual, rel.det_residual)]
         products += [(pt.entries, pt.unitarity_residual, pt.det_residual)
-                     for pt in diametral_points(p).points]
+                     for pt in diametral_points(p)]
         for entries, carried_u, carried_d in products:
             u_res = np.linalg.norm(entries @ entries.conj().T - np.eye(n))
             d_res = abs(np.linalg.det(entries) - 1.0)

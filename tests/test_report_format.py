@@ -104,6 +104,15 @@ def test_non_finite_raises_the_stdlib_message(value):
     assert str(got.value) == str(expected.value)
 
 
+def test_unserializable_value_raises_the_stdlib_message():
+    value = {"x": object()}
+    with pytest.raises(TypeError) as expected:
+        stdlib(value)
+    with pytest.raises(TypeError) as got:
+        written(value)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("imag", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
 def test_non_finite_matrix_gives_the_non_finite_result_line(imag, capsys, monkeypatch):
     entries = np.eye(2, dtype=complex)

@@ -185,6 +185,15 @@ class TestAdmissibleTuple:
         with pytest.raises(ValueError):
             AdmissibleTuple(alphas=(-PI, PI), zeta=0)
 
+    @pytest.mark.parametrize("alphas, zeta, error, message", [
+        ((), 0, ShapeError, "tuple must be nonempty"),
+        ((0.5, -0.5), 0, ValueError, "arguments must be sorted ascending"),
+        ((0.0, 0.0), 2, ValueError, "winding integer outside its admissible range"),
+    ], ids=["empty", "unsorted", "winding-out-of-range"])
+    def test_rejects_malformed(self, alphas, zeta, error, message):
+        with pytest.raises(error, match=message):
+            AdmissibleTuple(alphas=alphas, zeta=zeta)
+
     def test_roundtrip_through_matrix(self):
         t = AdmissibleTuple.from_args([-0.9, -0.3, 0.4, 0.8])
         sd = spectral_summary(t.to_special_unitary())

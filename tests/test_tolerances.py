@@ -116,8 +116,8 @@ def test_derived_values_carry_their_source_tolerances():
     x = validate_skew_traceless(np.diag([1j, -1j]), b)
     assert expm_skew(x).tols is b
     odd = validate_special_unitary(random_special_unitary(3, seed=2).entries, a)
-    assert all(pt.tols is a for pt in diametral_points(odd).points)
-    assert all(pt.tols is a for pt in diametral_points(p).points)
+    assert all(pt.tols is a for pt in diametral_points(odd))
+    assert all(pt.tols is a for pt in diametral_points(p))
     fam = geodesic_family(p, q)
     assert not fam.unique
     [seg] = fam.sample(np.array([[0, 1], [1, 0]]))
@@ -181,3 +181,23 @@ def test_scaled_tolerances_scale_the_winding_tolerance_too():
         assert loose.group == 100 * default.group
         assert loose.zeta == pytest.approx(100 * default.zeta, rel=1e-15)
         assert Tolerances.scaled(1.0, n).zeta == 0.1
+
+
+@pytest.mark.parametrize("field", ["group", "zeta"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, -math.inf],
+                         ids=["negative", "zero", "nan", "inf", "-inf"])
+def test_tolerances_must_be_finite_and_positive(field, bad):
+    # No gate can use such a bound: a negative one is outside the validator's
+    # log1p domain, and a NaN one would reject even the exact identity.
+    with pytest.raises(ValueError, match="finite and positive"):
+        Tolerances(**{"group": 1e-8, field: bad})
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-320, 1e-8, 1.0, 1e308, 1.7976931348623157e308])
+def test_every_cli_tolerance_builds(tol):
+    # --tol takes any finite positive float; the winding bound stays in
+    # [ZETA_TOL, 0.1] when the base's factor over the default underflows or
+    # overflows.
+    for n in (1, 2, 8, 256):
+        t = Tolerances.scaled(tol, n)
+        assert t.group == tol and 1e-6 <= t.zeta <= 0.1
