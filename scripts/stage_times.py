@@ -5,7 +5,9 @@ For each order given, prints the best of ``--repeat`` ``timeit`` runs of
 ``--number`` calls, in microseconds per call, of: validating P and Q,
 the relative product P^*Q, ``unitary_eig`` of it and the Hermitian solve
 inside it, ``spectral_summary``, ``distance``, ``log_map``,
-``geodesic_family`` and ``geodesic_eval`` at t = 0.5; then
+``geodesic_family``, the same with its canonical X read (``geodesic_family``
+builds no X, so the difference is what the logarithm costs) and
+``geodesic_eval`` at t = 0.5; then
 ``theta_descriptor`` and ``theta_sample`` of a stack of 8 Haar unitaries at
 the deep hole e^{2 pi i a / n} I, a = n // 2, whose minimal logarithms form
 a family at every order n >= 2. The output is one JSON object keyed by order:
@@ -65,6 +67,7 @@ def stages(n: int) -> dict:
         "distance": lambda: distance(p, q),
         "log_map": lambda: log_map(p, q),
         "geodesic_family": lambda: geodesic_family(p, q),
+        "canonical X": lambda: geodesic_family(p, q).canonical.X,
         "geodesic_eval": lambda: geodesic_eval(seg, 0.5),
         "theta_descriptor": lambda: theta_descriptor(hole),
         "theta_sample x8": lambda: theta_sample(td, rs),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,17 +73,28 @@ def _oriented(sd: SpectralData) -> SpectralData:
 class GeodesicSegment:
     """Geodesic t -> P exp(tX); at t = 1 it reaches P exp(X).
 
-    The segment carries the spectral form X was built from,
+    The segment is fixed by the spectral form of its velocity,
     X = U diag(i angles) U^* with U = ``basis`` and the real, signed
     ``angles`` of the descriptor or of a sample (``theta_sample``), so
-    ``geodesic_eval`` reads a point on it off one product in that basis.
+    ``geodesic_eval`` reads a point on it off one product in that basis and
+    never reads X. ``theta`` describes the family the segment belongs to.
+    The canonical segment's ``X`` is ``theta.base_log`` and its ``length`` is
+    ||X||_F, both built the first time they are read; a sampled segment
+    holds the logarithm and norm that ``theta_sample`` drew for it.
     """
 
     P: SpecialUnitary
-    X: SkewHermitianTraceless
-    length: float
     basis: np.ndarray
     angles: np.ndarray
+    theta: ThetaDescriptor
+
+    @cached_property
+    def X(self) -> SkewHermitianTraceless:
+        return self.theta.base_log
+
+    @cached_property
+    def length(self) -> float:
+        return _frobenius(self.X.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +102,12 @@ class GeodesicFamily:
     """All minimizing geodesic segments between two points.
 
     ``theta`` describes the minimal logarithms of P^*Q (its ``q``), and
-    ``canonical`` is the segment of ``theta.base_log``. When ``unique`` is
-    false it is the family member that rounding picks (see ``canonical_log``)
-    and the others are reached by sampling the descriptor's Grassmannian.
-    ``distance`` is ``distance(P, Q)`` bit for bit; ``canonical.length`` is
-    ||X||_F, equal to it up to rounding.
+    ``canonical`` is the segment of ``theta.base_log``, which neither is built
+    nor checked until it is read. When ``unique`` is false it is the family
+    member that rounding picks (see ``canonical_log``) and the others are
+    reached by sampling the descriptor's Grassmannian. ``distance`` is
+    ``distance(P, Q)`` bit for bit; ``canonical.length`` is ||X||_F, equal to
+    it up to rounding.
     """
 
     P: SpecialUnitary
@@ -109,8 +122,11 @@ class GeodesicFamily:
         each unitary of the (k, nu1 + nu2, nu1 + nu2) stack ``r``, built
         together by ``theta_sample``; one unitary is the k = 1 stack."""
         drawn = theta_sample(self.theta, r)
-        return tuple(GeodesicSegment(self.P, x, length, basis, drawn.angles)
-                     for x, length, basis in zip(drawn.logs, drawn.norms, drawn.bases))
+        segs = tuple(GeodesicSegment(self.P, basis, drawn.angles, self.theta)
+                     for basis in drawn.bases)
+        for seg, x, length in zip(segs, drawn.logs, drawn.norms):
+            vars(seg).update(X=x, length=length)  # cached as if already read
+        return segs
 
 
 def distance(p: SpecialUnitary, q: SpecialUnitary) -> float:
@@ -134,8 +150,7 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     pq = p.adjoint_times(q)
     sd = spectral_summary(pq)
     td = _descriptor_from_spectral(_oriented(sd), pq)
-    x = td.base_log
-    seg = GeodesicSegment(p, x, _frobenius(x.entries), td.spectral.basis, td.angles)
+    seg = GeodesicSegment(p, td.spectral.basis, td.angles, td)
     return GeodesicFamily(p, q, td.is_singleton, seg, td, math.sqrt(m_value(sd)))
 
 
@@ -143,12 +158,12 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
     """Point P exp(tX) on the (complete) geodesic through the segment.
 
     exp(tX) = U diag(e^{i t angles}) U^* is one product in the segment's
-    basis, validated at X's tolerances as ``expm_skew`` validates its
-    result; ``unitary_product`` checks the point at 10x. A ``t`` that is not
-    finite, or whose phases t * angles overflow, raises ``NotFiniteError``.
-    Any other ``t`` gives a point in SU(n): the phases are reduced modulo
-    2 pi and the excess of their sum over the nearest multiple of 2 pi is
-    spread evenly over them.
+    basis, validated at P's tolerances (which X carries too) as ``expm_skew``
+    validates its result; ``unitary_product`` checks the point at 10x. X
+    itself is never read. A ``t`` that is not finite, or whose phases
+    t * angles overflow, raises ``NotFiniteError``. Any other ``t`` gives a
+    point in SU(n): the phases are reduced modulo 2 pi and the excess of
+    their sum over the nearest multiple of 2 pi is spread evenly over them.
     """
     t = float(t)
     # Python floats overflow to inf without the warning numpy would give. max
@@ -162,7 +177,8 @@ def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:
     total = float(np.add.reduce(phases))
     phases -= (total - _TWO_PI * round(total / _TWO_PI)) / len(phases)
     exp_tx = _exp_in_basis(seg.basis, phases)
-    return unitary_product(seg.P, _special_unitary(exp_tx, seg.X.tols, seg.X.tols.group))
+    tols = seg.P.tols
+    return unitary_product(seg.P, _special_unitary(exp_tx, tols, tols.group))
 
 
 def diameter(n: int) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -200,7 +201,7 @@ def _log_in_basis(sd: SpectralData, u: np.ndarray, angles: np.ndarray) -> np.nda
     return x
 
 
-def canonical_log(sd: SpectralData, angles: np.ndarray | None = None) -> SkewHermitianTraceless:
+def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with any winding.
 
     Conjugates the canonical angles (``_canonical_angles``) back through the
@@ -209,10 +210,8 @@ def canonical_log(sd: SpectralData, angles: np.ndarray | None = None) -> SkewHer
     made from Q's (``sign = -1``). If the kept/shifted boundary splits a
     cluster, rounding orders the basis columns inside it: this is one member
     of the family of minimal logarithms, and rounding may pick another.
-    ``angles``, when given, must be ``_canonical_angles(sd)``, already read.
     """
-    angles = _canonical_angles(sd) if angles is None else angles
-    return _skew_traceless(_log_in_basis(sd, sd.basis, angles), sd.tols)
+    return _skew_traceless(_log_in_basis(sd, sd.basis, _canonical_angles(sd)), sd.tols)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +232,22 @@ class ThetaDescriptor:
     ``sign`` is -1 when that is q^*'s, and the logarithms built on it are
     still those of ``q``. ``angles`` are the signed canonical angles:
     ``base_log`` is U diag(i angles) U^* with U = ``spectral.basis``.
+    ``base_log`` is built, and checked in su(n), the first time it is read.
     """
 
     zeta: int
     is_singleton: bool
-    base_log: SkewHermitianTraceless
     beta_arg: float | None
     nu1: int | None
     nu2: int | None
     spectral: SpectralData
     q: SpecialUnitary
     angles: np.ndarray
+
+    @cached_property
+    def base_log(self) -> SkewHermitianTraceless:
+        """The canonical minimal logarithm of ``q``, ``canonical_log(spectral)``."""
+        return canonical_log(self.spectral)
 
     @property
     def grassmannian(self) -> tuple[int, int] | None:
@@ -265,15 +269,13 @@ def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescr
     edges = list(accumulate(sd.sizes, initial=0))
     i = bisect(edges, cut)
     family = sd.zeta > 0 and edges[i - 1] != cut
-    angles = _canonical_angles(sd)
-    base_log = canonical_log(sd, angles)
-    # Fields in order (zeta, is_singleton, base_log, beta_arg, nu1, nu2,
-    # spectral, q, angles): a keyword call costs more than building them.
-    return ThetaDescriptor(sd.zeta, not family, base_log,
+    # Fields in order (zeta, is_singleton, beta_arg, nu1, nu2, spectral, q,
+    # angles): a keyword call costs more than building them.
+    return ThetaDescriptor(sd.zeta, not family,
                            float(sd.args[cut - 1]) if sd.zeta > 0 else None,
                            cut - edges[i - 1] if family else None,
                            edges[i] - cut if family else None, sd, q,
-                           _frozen(sd.sign * angles))
+                           _frozen(sd.sign * _canonical_angles(sd)))
 
 
 def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:

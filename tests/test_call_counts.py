@@ -7,10 +7,12 @@ segment was built from, so it costs two checks and no ``expm_skew`` or
 eigensolve; ``expm_skew`` runs only for the independent round-trip checks
 of ``log`` and of ``theta``'s base logarithm. Family samples are built as
 one stack and their round trips solved as one stack, so they call no
-``expm_skew``, while each exponential is still checked. The counts are
-taken by wrapping the names in every ``sungeo`` module namespace: the
-special-unitary gate kernel, which every group check runs, whether of a
-caller's matrix or of one the library built, the two entry points
+``expm_skew``, while each exponential is still checked. A logarithm is
+built, and checked in su(n), only where it is read: a geodesic point needs
+none. The counts are taken by wrapping the names in every ``sungeo`` module
+namespace: the special-unitary gate kernel, which every group check runs,
+whether of a caller's matrix or of one the library built, the su(n) gate
+kernel, which every logarithm the library builds passes, the two entry points
 through which the library reaches LAPACK's ``eigh`` and ``det``, and the
 clustering path of the spectrum, which a generic spectrum never takes.
 A gate counts the members it checks, not its calls: its stack form, which
@@ -40,10 +42,11 @@ from sungeo import (
 )
 from sungeo.cli import MatrixFile, main
 
-COUNTED = ("spectral_summary", "_special_unitary", "expm_skew")
+COUNTED = ("spectral_summary", "_special_unitary", "expm_skew", "_skew_traceless")
 
 # The stack form of a gate kernel, counted under the kernel's name.
-STACK_FORMS = {"_special_unitary": "_special_unitary_stack"}
+STACK_FORMS = {"_special_unitary": "_special_unitary_stack",
+               "_skew_traceless": "_skew_traceless_stack"}
 
 
 def _count(monkeypatch, names):
@@ -88,13 +91,13 @@ def files(tmp_path, pair):
     return paths
 
 
-# (spectral_summary, _special_unitary, expm_skew) per request
+# (spectral_summary, _special_unitary, expm_skew, _skew_traceless) per request
 CLI_TARGETS = {
-    "dist P Q": (["dist", "P", "Q"], (1, 2, 0)),
-    "log P Q": (["log", "P", "Q"], (1, 3, 1)),
-    "geo P Q": (["geo", "P", "Q", "--t", "0,0.5,1"], (1, 8, 0)),
-    "theta R": (["theta", "R", "--samples", "8"], (1, 10, 1)),
-    "diam 4 P": (["diam", "4", "--point", "P"], (1, 1, 0)),
+    "dist P Q": (["dist", "P", "Q"], (1, 2, 0, 0)),
+    "log P Q": (["log", "P", "Q"], (1, 3, 1, 1)),
+    "geo P Q": (["geo", "P", "Q", "--t", "0,0.5,1"], (1, 8, 0, 0)),
+    "theta R": (["theta", "R", "--samples", "8"], (1, 10, 1, 9)),
+    "diam 4 P": (["diam", "4", "--point", "P"], (1, 1, 0, 0)),
 }
 
 
@@ -109,9 +112,9 @@ def test_cli_request_counts(case, files, counts, capsys):
 
 
 @pytest.mark.parametrize("call, target", [
-    (lambda p, q: distance(p, q), (1, 0, 0)),
-    (lambda p, q: log_map(p, q), (1, 0, 0)),
-    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (1, 2, 0)),
+    (lambda p, q: distance(p, q), (1, 0, 0, 0)),
+    (lambda p, q: log_map(p, q), (1, 0, 0, 1)),
+    (lambda p, q: geodesic_eval(geodesic_family(p, q).canonical, 0.5), (1, 2, 0, 0)),
 ], ids=["distance", "log_map", "geodesic_eval"])
 def test_library_call_counts(call, target, pair, counts):
     counts.clear()
@@ -120,14 +123,14 @@ def test_library_call_counts(call, target, pair, counts):
 
 
 def test_sampled_segment_counts(counts):
-    # I -> -I in SU(2) is a family; the sample's round trip is one check
-    # and the point itself costs two.
+    # I -> -I in SU(2) is a family; the sample's round trip is one check,
+    # its logarithm one more and the point itself costs two.
     fam = geodesic_family(validate_special_unitary(np.eye(2)),
                           validate_special_unitary(-np.eye(2)))
     r = random_unitary(2, seed=5)
     counts.clear()
     geodesic_eval(fam.sample(r)[0], 0.5)
-    assert tuple(counts[name] for name in COUNTED) == (0, 3, 0)
+    assert tuple(counts[name] for name in COUNTED) == (0, 3, 0, 1)
 
 
 @pytest.mark.parametrize("count", [None, 8])

@@ -28,6 +28,7 @@ from sungeo import (
     validate_skew_traceless,
     validate_special_unitary,
 )
+import sungeo.geometry
 from sungeo.cli import MatrixFile, main
 from conftest import random_skew_traceless
 
@@ -131,7 +132,33 @@ class TestGeodesicFamily:
         assert (fam.P, fam.Q, fam.unique) == (p, q, td.is_singleton) and fam.unique
         assert fam.distance == distance(p, q) and td.q.entries.shape == (3, 3)
         assert (seg.P, seg.X, seg.length) == (p, td.base_log, frobenius_norm(td.base_log.entries))
-        assert seg.basis is td.spectral.basis and seg.angles is td.angles
+        assert seg.basis is td.spectral.basis and seg.angles is td.angles and seg.theta is td
+
+    def test_velocity_is_built_when_first_read(self):
+        # The family builds no X; the first read builds and caches it, and
+        # the canonical X is the descriptor's base_log, the same object.
+        p, q = random_special_unitary(3, seed=[5, 1]), random_special_unitary(3, seed=[5, 2])
+        fam = geodesic_family(p, q)
+        seg, td = fam.canonical, fam.theta
+        geodesic_eval(seg, 0.5)
+        assert not {"X", "length"} & set(vars(seg)) and "base_log" not in vars(td)
+        x = seg.X
+        assert x is td.base_log and seg.X is x
+        length = seg.length
+        assert seg.length is length and length == frobenius_norm(x.entries)
+
+    def test_sampled_segments_hold_the_sampler_logs_and_norms(self, monkeypatch):
+        # Each sample segment's X is theta_sample's log object and its length
+        # the sampler's norm: nothing is built again.
+        fam = geodesic_family(I2, MI2)
+        drawn = []
+        monkeypatch.setattr(sungeo.geometry, "theta_sample",
+                            lambda td, r: drawn.append(theta_sample(td, r)) or drawn[-1])
+        segs = fam.sample(random_unitary(2, seed=5, count=3))
+        [samples] = drawn
+        assert len(segs) == 3
+        for seg, x, norm in zip(segs, samples.logs, samples.norms):
+            assert seg.X is x and seg.length is norm and seg.theta is fam.theta
 
     def test_length_is_distance(self):
         p = random_special_unitary(4, seed=21)
@@ -502,6 +529,23 @@ def test_family_orientation_when_windings_differ():
         seg = fam.sample(random_unitary(3, rng))[0]
         assert np.linalg.norm(geodesic_eval(seg, 1.0).entries - q.entries) <= 1e-8
         assert abs(seg.length - fam.distance) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_geodesics_answer_when_the_pair_drifts_in_determinant(n):
+    # P and Q each pass validation with det e^{+-i eps}, so det(P^*Q) =
+    # e^{-2i eps} and the trace of X, i arg det(P^*Q), reaches 2 eps, past the
+    # su(n) gate. A point is formed from the basis and angles, which need no X.
+    tols = validate_special_unitary(np.eye(n)).tols
+    for frac in (0.1, 0.5, 0.9):
+        turn = np.exp(1j * frac * tols.group / n)
+        for i in range(20):
+            p = su(random_special_unitary(n, seed=[n, i, 1]).entries * turn)
+            q = su(random_special_unitary(n, seed=[n, i, 2]).entries / turn)
+            fam = geodesic_family(p, q)
+            start, _, end = (geodesic_eval(fam.canonical, t) for t in (0.0, 0.5, 1.0))
+            assert np.linalg.norm(start.entries - p.entries) <= tols.eig
+            assert np.linalg.norm(end.entries - q.entries) <= tols.eig
 
 
 def test_distance_bounded_by_diameter_smoke():

@@ -448,6 +448,12 @@ class TestThetaDescriptor:
         assert np.array_equal(td.base_log.entries, canonical_log(sd).entries)
         assert np.array_equal(td.angles, sd.sign * _canonical_angles(sd))
 
+    def test_base_log_is_built_once_when_first_read(self):
+        td = theta_descriptor(diag_su([PI / 2] * 4))
+        assert "base_log" not in vars(td)
+        x = td.base_log
+        assert td.base_log is x and vars(td)["base_log"] is x
+
     def test_distinct_spectrum_is_singleton(self):
         q = validate_special_unitary(np.diag(np.exp(1j * np.array([0.1, 0.2, -0.3]))))
         td = theta_descriptor(q)

@@ -46,7 +46,8 @@ def test_stage_times_prints_one_json_table():
     assert list(table) == ["2"]
     assert list(table["2"]) == ["validate x2", "P^*Q", "unitary_eig", "eigh",
                                 "spectral_summary", "distance", "log_map",
-                                "geodesic_family", "geodesic_eval", "theta_descriptor",
+                                "geodesic_family", "canonical X", "geodesic_eval",
+                                "theta_descriptor",
                                 "theta_sample x8"]
     assert all(t > 0 for t in table["2"].values())
 

@@ -146,9 +146,11 @@ def test_unitary_product_checks_at_ten_times_the_left_factor():
     assert exc.value.tolerance == 10 * outside.group
 
 
-KNOBS = {"tol", "tols", "alg_tolerance"}
+KNOBS = {"tol", "tols", "alg_tolerance", "zeta_tol"}
+# brute_force_m is the oracle: it takes the winding tolerance of the spectrum
+# it checks, as README names it.
 BOUNDARY = {"validate_special_unitary", "validate_skew_traceless",
-            "AdmissibleTuple.to_special_unitary"}
+            "AdmissibleTuple.to_special_unitary", "brute_force_m"}
 
 
 def _exported_callables():
