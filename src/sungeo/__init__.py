@@ -60,7 +60,6 @@ from .matrixcore import (
 from .spectral import (
     AdmissibleTuple,
     SpectralData,
-    adjoint_spectrum,
     spectral_summary,
 )
 from .tolerances import Tolerances

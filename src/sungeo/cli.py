@@ -328,7 +328,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
         "points": points,
     }
     if not fam.unique:
-        outputs["grassmannian"] = grassmann_label(*fam.theta.grassmannian)
+        outputs["grassmannian"] = grassmann_label(*fam.grassmannian)
     return {
         "command": "geo",
         "inputs": {"P": path_p, "Q": path_q, "t": t_list, "tol": p.tols.group},
@@ -400,9 +400,10 @@ def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
     td = theta_descriptor(q)
     m = m_value(td.spectral)
     outputs = {
-        "zeta": td.zeta,
+        # The winding of Q, or of Q^* (s - zeta) when Q's is negative.
+        "zeta": td.zeta if td.zeta >= 0 else td.spectral.s - td.zeta,
         "singleton": td.is_singleton,
-        "oriented": td.oriented,
+        "oriented": td.zeta < 0,
         "m": m,
         "base_log": td.base_log.entries,
     }

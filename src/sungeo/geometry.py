@@ -10,14 +10,12 @@ So the diameter is 2 pi times its covering radius, 2 pi sqrt(a (n - a) / n)
 with a = n // 2, reached only at the deep holes e^{+-2 pi i a / n} I (Conway &
 Sloane, *Sphere Packings, Lattices and Groups*, ch. 4 sec. 6.1).
 
-Orientation: the distance is read off the spectrum of P^*Q as it is
-(``m_value`` takes either sign of zeta). Orientation picks the reported
-member and label: ``log_map`` and ``geodesic_family`` read whichever of P^*Q
-and Q^*P has the larger winding (``_oriented``: flip when zeta < s - zeta),
-so that both endpoints induce the same family and its classification is
-well defined. The flip goes through ``spectral.adjoint_spectrum``, which
-marks the spectrum with ``sign = -1``, and the logarithms ``logmin`` builds
-on it are still those of P^*Q.
+Orientation: the distance, the logarithm and the family are read off the
+spectrum of P^*Q as it is. Q^*P is its adjoint, with winding s - zeta, and
+its minimal logarithms are the negations of those of P^*Q, so (P, Q) and
+(Q, P) are joined by one family of minimizing segments. Its Grassmannian has
+two names, Gr(k; C^m) and Gr(m - k; C^m); ``GeodesicFamily.grassmannian``
+gives the one both orders report.
 
 No function here takes a tolerance: P^*Q, its spectrum, its logarithms and the
 points of a geodesic carry P's (``unitary_product`` checks points at 10x).
@@ -43,7 +41,7 @@ from .matrixcore import (
 )
 from .logmin import (ThetaDescriptor, _descriptor_from_spectral, canonical_log, m_value,
                      theta_sample)
-from .spectral import _TWO_PI, SpectralData, adjoint_spectrum, spectral_summary
+from .spectral import _TWO_PI, SpectralData, spectral_summary
 
 __all__ = [
     "GeodesicSegment",
@@ -62,11 +60,6 @@ def relative_spectrum(p: SpecialUnitary, q: SpecialUnitary) -> SpectralData:
     """Spectral data of the relative matrix P^*Q, which is built from the
     validated factors without a re-check (``SpecialUnitary.adjoint_times``)."""
     return spectral_summary(p.adjoint_times(q))
-
-
-def _oriented(sd: SpectralData) -> SpectralData:
-    """The pair policy: P^*Q's spectrum, or Q^*P's when its winding is larger."""
-    return adjoint_spectrum(sd) if sd.zeta < sd.s - sd.zeta else sd
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +110,18 @@ class GeodesicFamily:
     theta: ThetaDescriptor
     distance: float
 
+    @property
+    def grassmannian(self) -> tuple[int, int] | None:
+        """(k, m) for Gr(k; C^m) when the segments form a family, else None.
+        k counts the shifted members of the boundary cluster as seen from
+        whichever of P^*Q and Q^*P winds more (Q^*P winds s - zeta): nu2,
+        or nu1 when 0 < zeta < s - zeta. So (P, Q) and (Q, P) read one label."""
+        td = self.theta
+        if self.unique:
+            return None
+        k = td.nu1 if 0 < td.zeta < td.spectral.s - td.zeta else td.nu2
+        return (k, td.nu1 + td.nu2)
+
     def sample(self, r) -> tuple[GeodesicSegment, ...]:
         """Minimizing segments with velocities drawn from the family, one for
         each unitary of the (k, nu1 + nu2, nu1 + nu2) stack ``r``, built
@@ -136,21 +141,21 @@ def distance(p: SpecialUnitary, q: SpecialUnitary) -> float:
 
 def log_map(p: SpecialUnitary, q: SpecialUnitary) -> SkewHermitianTraceless:
     """Canonical velocity X with P exp(X) = Q and ||X|| = d(P, Q)."""
-    return canonical_log(_oriented(relative_spectrum(p, q)))
+    return canonical_log(relative_spectrum(p, q))
 
 
 def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     """Classify and parametrize the minimizing geodesics joining P and Q.
 
-    The segment is unique iff the oriented relative spectrum has zeta = 0,
-    or zeta >= 1 with distinct eigenvalues on the two sides of the kept /
-    shifted boundary; otherwise the family is a complex Grassmannian
-    recorded in the descriptor.
+    The segment is unique iff the relative spectrum has distinct eigenvalues
+    on the two sides of the kept / shifted boundary, as when zeta = 0;
+    otherwise the family is a complex Grassmannian recorded in the
+    descriptor and labelled by ``GeodesicFamily.grassmannian``.
     """
     pq = p.adjoint_times(q)
     sd = spectral_summary(pq)
-    td = _descriptor_from_spectral(_oriented(sd), pq)
-    seg = GeodesicSegment(p, td.spectral.basis, td.angles, td)
+    td = _descriptor_from_spectral(sd, pq)
+    seg = GeodesicSegment(p, sd.basis, td.angles, td)
     return GeodesicFamily(p, q, td.is_singleton, seg, td, math.sqrt(m_value(sd)))
 
 

@@ -18,14 +18,13 @@ more than 1e8 tuples.
 of sampling unitaries, batch axis first as in geomstats, one unitary being the
 k = 1 stack; each member is bit for bit what its slice gives alone.
 
-Orientation: the minimizing shift (``_canonical_angles``), the closed form
-and the canonical logarithm read a spectrum as it is, for either sign of
-zeta. Orientation picks the reported member and label: ``theta_descriptor``
-flips Q when zeta < 0, and the pair policy of ``geometry`` when
-zeta < s - zeta, both through ``spectral.adjoint_spectrum`` (``sign = -1``).
-``_log_in_basis`` negates what it builds on a flipped spectrum, and the
-signed angles are negated with it, so every logarithm here is one of the
-matrix the spectrum stands for.
+Orientation: everything here reads Q's spectrum as it is, for either sign of
+zeta. The minimizing shift (``_canonical_angles``) moves the top zeta
+arguments down a turn when zeta > 0 and the bottom -zeta up a turn when
+zeta < 0, so the kept/shifted boundary (``_boundary``) lies below the top
+zeta arguments or above the bottom -zeta. A family is the cluster that
+boundary splits, at the top of the spectrum or, mirrored, at the bottom; nu1
+counts its kept members and nu2 its shifted ones.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .matrixcore import (
     _skew_traceless_stack,
     _special_unitary_stack,
 )
-from .spectral import _TWO_PI, SpectralData, _flip_order, adjoint_spectrum, spectral_summary
+from .spectral import _TWO_PI, SpectralData, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
 
 __all__ = [
@@ -99,15 +98,17 @@ def _canonical_angles(sd: SpectralData) -> np.ndarray:
     return angles
 
 
+def _boundary(sd: SpectralData) -> int:
+    """Position of the kept/shifted boundary in the sorted arguments: the
+    shifted ones start there when zeta > 0 and end there when zeta < 0; 0
+    when zeta = 0."""
+    return sd.n - sd.zeta if sd.zeta > 0 else -sd.zeta
+
+
 def m_value(sd: SpectralData) -> float:
     """Squared Frobenius norm of a minimal su(n)-logarithm: that of the
-    canonical angles, for either sign of zeta; sum(args^2) when zeta = 0.
-    A flipped spectrum sums its angles in its source's order
-    (``_flip_order``), so Q and Q^* give the same bits: negation, the map
-    a -> 2 pi - a and the 2 pi shifts round symmetrically."""
+    canonical angles, for either sign of zeta; sum(args^2) when zeta = 0."""
     angles = _canonical_angles(sd)
-    if sd.sign < 0:
-        angles = angles[_flip_order(sd.n, sd.s)]
     return float(angles.dot(angles))
 
 
@@ -189,15 +190,12 @@ def brute_force_m(args, zeta: int, K: int = 3,
 # canonical minimizing logarithm
 # ---------------------------------------------------------------------------
 
-def _log_in_basis(sd: SpectralData, u: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """U diag(i angles) U^*, symmetrized to its skew part and negated when ``sd``
-    is flipped, so that it is a logarithm of the matrix ``sd`` stands for; for
-    one basis U or a stack of them, not yet checked."""
+def _log_in_basis(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """U diag(i angles) U^*, symmetrized to its skew part; for one basis U or
+    a stack of them, not yet checked."""
     x = (u * (1j * angles)) @ u.conj().swapaxes(-1, -2)
     x -= x.conj().swapaxes(-1, -2)
     x /= 2.0
-    if sd.sign < 0:
-        np.negative(x, out=x)  # not a product by -1, which moves signed zeros
     return x
 
 
@@ -205,13 +203,11 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with any winding.
 
     Conjugates the canonical angles (``_canonical_angles``) back through the
-    eigenbasis. The result is a logarithm of the matrix the spectrum stands
-    for: of Q when ``sd`` is the spectrum of Q^* that ``adjoint_spectrum``
-    made from Q's (``sign = -1``). If the kept/shifted boundary splits a
-    cluster, rounding orders the basis columns inside it: this is one member
-    of the family of minimal logarithms, and rounding may pick another.
+    eigenbasis. If the kept/shifted boundary splits a cluster, rounding
+    orders the basis columns inside it: this is one member of the family of
+    minimal logarithms, and rounding may pick another.
     """
-    return _skew_traceless(_log_in_basis(sd, sd.basis, _canonical_angles(sd)), sd.tols)
+    return _skew_traceless(_log_in_basis(sd.basis, _canonical_angles(sd)), sd.tols)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +218,19 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
 class ThetaDescriptor:
     """Structure of the set of minimal logarithms of ``q``.
 
-    The set is a single point unless zeta >= 1 and the kept/shifted boundary
-    splits a cluster (mu_{n-zeta} = mu_{n-zeta+1} up to the cluster
-    tolerance); then it is diffeomorphic to the complex Grassmannian
-    Gr(nu2; C^(nu1+nu2)), nu1 and nu2 counting the cluster on each side, and
-    ``base_log`` is the member that rounding picks (see ``canonical_log``).
-    ``beta_arg`` is the argument of mu_{n-zeta}. ``spectral`` keeps the oriented
-    spectral data so sampling reuses the exact basis of ``base_log``; its
-    ``sign`` is -1 when that is q^*'s, and the logarithms built on it are
-    still those of ``q``. ``angles`` are the signed canonical angles:
-    ``base_log`` is U diag(i angles) U^* with U = ``spectral.basis``.
-    ``base_log`` is built, and checked in su(n), the first time it is read.
+    The set is a single point unless the kept/shifted boundary splits a
+    cluster: mu_{n-zeta} = mu_{n-zeta+1} up to the cluster tolerance when
+    zeta > 0, at the top of the spectrum, or mu_{-zeta} = mu_{-zeta+1} when
+    zeta < 0, at the bottom. Then it is diffeomorphic to the complex
+    Grassmannian Gr(nu2; C^(nu1+nu2)), nu1 counting the kept members of that
+    cluster and nu2 the shifted ones, and ``base_log`` is the member that
+    rounding picks (see ``canonical_log``). ``zeta`` is q's winding and
+    ``beta_arg`` q's argument on the kept side of the boundary, that of
+    mu_{n-zeta} or of mu_{-zeta+1}; None when zeta = 0. ``spectral`` is q's
+    spectrum, so sampling reuses the exact basis of ``base_log``. ``angles``
+    are the canonical angles: ``base_log`` is U diag(i angles) U^* with
+    U = ``spectral.basis``. ``base_log`` is built, and checked in su(n), the
+    first time it is read.
     """
 
     zeta: int
@@ -256,43 +254,32 @@ class ThetaDescriptor:
             return None
         return (self.nu2, self.nu1 + self.nu2)
 
-    @property
-    def oriented(self) -> bool:
-        """Whether the descriptor was computed for Q^* (outputs negated)."""
-        return self.spectral.sign < 0
-
 
 def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescriptor:
-    """Descriptor of ``q`` from an oriented spectrum of it (zeta >= 0)."""
-    cut = sd.n - sd.zeta
+    """Descriptor of ``q`` from its spectrum ``sd``."""
+    cut = _boundary(sd)
     # A family when the kept/shifted boundary splits a cluster: none ends there.
     edges = list(accumulate(sd.sizes, initial=0))
     i = bisect(edges, cut)
-    family = sd.zeta > 0 and edges[i - 1] != cut
+    below, above = cut - edges[i - 1], edges[i] - cut
+    kept, shifted = (below, above) if sd.zeta > 0 else (above, below)
+    family = below > 0
+    beta = None if sd.zeta == 0 else float(sd.args[cut - 1 if sd.zeta > 0 else cut])
     # Fields in order (zeta, is_singleton, beta_arg, nu1, nu2, spectral, q,
     # angles): a keyword call costs more than building them.
-    return ThetaDescriptor(sd.zeta, not family,
-                           float(sd.args[cut - 1]) if sd.zeta > 0 else None,
-                           cut - edges[i - 1] if family else None,
-                           edges[i] - cut if family else None, sd, q,
-                           _frozen(sd.sign * _canonical_angles(sd)))
+    return ThetaDescriptor(sd.zeta, not family, beta, kept if family else None,
+                           shifted if family else None, sd, q, _frozen(_canonical_angles(sd)))
 
 
 def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
-    """Describe the set of minimal logarithms of Q.
-
-    The winding is oriented to be nonnegative through the adjoint; the
-    family structure is unchanged by that because negation maps the
-    solution set of Q^* onto that of Q.
-    """
-    sd = spectral_summary(q)
-    return _descriptor_from_spectral(adjoint_spectrum(sd) if sd.zeta < 0 else sd, q)
+    """Describe the set of minimal logarithms of Q, read off Q's spectrum."""
+    return _descriptor_from_spectral(spectral_summary(q), q)
 
 
 class ThetaSamples(NamedTuple):
     """Checked logarithms X = U diag(i angles) U^*, their residuals
-    ||exp(X) - Q||_F, the (k, n, n) stack of bases U, the signed angles and
-    the Frobenius norms ||X||_F, bit for bit ``frobenius_norm`` of each."""
+    ||exp(X) - Q||_F, the (k, n, n) stack of bases U, the angles and the
+    Frobenius norms ||X||_F, bit for bit ``frobenius_norm`` of each."""
 
     logs: tuple[SkewHermitianTraceless, ...]
     residuals: tuple[float, ...]
@@ -305,9 +292,10 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     """Sample the Grassmannian family of minimal logarithms of ``td.q``.
 
     Rotates the basis columns of the boundary cluster by each unitary of the
-    (k, nu1 + nu2, nu1 + nu2) stack ``r``, one unitary being the k = 1 stack
-    (the other columns stay: only block unitaries commute with the diagonal,
-    which is scalar on the cluster, set to its mean argument). Every member
+    (k, nu1 + nu2, nu1 + nu2) stack ``r``, one unitary being the k = 1 stack.
+    The cluster's angles are set to their mean, its shifted members' a turn
+    from it, so the exponential of the diagonal is scalar on the cluster and
+    commutes with the block unitaries; the other columns stay. Every member
     exponentiates to Q and has squared norm m(Q), up to the cluster's
     spread; distinct cosets of r give distinct logarithms, though the orbit
     map is not injective.
@@ -336,13 +324,17 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
         NotUnitaryError.check(res, alg, "sampling matrix is not unitary")
 
     sd = td.spectral
-    start, cut = sd.n - td.zeta - td.nu1, sd.n - td.zeta
+    cut = _boundary(sd)
+    start = cut - (td.nu1 if td.zeta > 0 else td.nu2)  # the cluster's first member
     angles = _canonical_angles(sd)
-    mean = float(sd.args[start:start + block].mean())
-    angles[start:cut], angles[cut:start + block] = mean, mean - _TWO_PI
+    angles[start:start + block] = float(sd.args[start:start + block].mean())
+    if td.zeta > 0:
+        angles[cut:start + block] -= _TWO_PI
+    else:
+        angles[start:cut] += _TWO_PI
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _log_in_basis(sd, u, angles)
+    x = _log_in_basis(u, angles)
     logs = _skew_traceless_stack(x, sd.tols)
     w, v = _skew_eigh(x)
     exps = _exp_in_basis(v, w)
@@ -353,8 +345,7 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
         ResidualExceededError.check(
             gap, sd.tols.eig, "sampled logarithm does not exponentiate to the given matrix")
         for _, gap in zip(members, gaps))
-    return ThetaSamples(logs, resids, _frozen(u), _frozen(sd.sign * angles),
-                        tuple(_frobenius_stack(x)))
+    return ThetaSamples(logs, resids, _frozen(u), _frozen(angles), tuple(_frobenius_stack(x)))
 
 
 # ---------------------------------------------------------------------------

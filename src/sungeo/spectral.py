@@ -6,6 +6,11 @@ zeta = (1/2pi) sum arg(mu_j), the multiplicity s of the eigenvalue -1 and a
 partition of the spectrum into clusters. The cluster tolerance decides only
 these discrete answers: the arguments are the solver's, lifted by whole
 turns, so every continuous answer read off them is continuous in Q.
+
+A spectrum is Q's and is read as it is, for either sign of zeta: the
+minimizing shift moves the top zeta arguments down a turn when zeta > 0 and
+the bottom -zeta up a turn when zeta < 0 (``logmin``). Q^* has the winding
+s - zeta; nothing here builds its spectrum from Q's.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ __all__ = [
     "SpectralData",
     "AdmissibleTuple",
     "spectral_summary",
-    "adjoint_spectrum",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -39,9 +43,7 @@ class SpectralData:
     last (a member at -pi + e reads pi + e). ``sizes`` are the cluster sizes
     in that order, ``zeta`` the winding integer of ``args``, ``s`` the size
     of the -1 cluster and ``basis`` the eigenbasis ordered like ``args``;
-    ``tols`` are Q's. ``sign`` is -1 when this is the spectrum of Q^*
-    standing in for Q (``adjoint_spectrum``), so a logarithm read off it
-    maps back to one of Q by negation.
+    ``tols`` are Q's.
     """
 
     args: np.ndarray
@@ -50,7 +52,6 @@ class SpectralData:
     sizes: tuple[int, ...]
     basis: np.ndarray
     tols: Tolerances
-    sign: int = 1
 
     @property
     def n(self) -> int:
@@ -150,33 +151,6 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
     # arithmetic here at small n.
     return SpectralData(_frozen(args), zeta, s, tuple(sizes),
                         _frozen(eigenbasis.take(order, axis=1)), q.tols)
-
-
-def _flip_order(n: int, s: int) -> np.ndarray:
-    """Positions of a spectrum in its flip, an involution: the first n - s
-    reversed, then the -1 cluster reversed."""
-    return np.array([*range(n - s - 1, -1, -1), *range(n - 1, n - s - 1, -1)])
-
-
-def adjoint_spectrum(sd: SpectralData) -> SpectralData:
-    """Spectral data of Q^* from that of Q, without re-decomposing.
-
-    Arguments outside the -1 cluster are negated and those in it mapped to
-    2 pi - a, so each part reverses (``_flip_order``), and the -1 cluster
-    stays last. The winding integers satisfy zeta(Q^*) = s - zeta(Q).
-    Eigenvectors carry over unchanged since Q and Q^* share eigenspaces.
-    This is the one function that flips a spectrum, and it negates
-    ``sign``: flipping twice gives back Q's orientation.
-    """
-    k = sd.n - sd.s
-    perm = _flip_order(sd.n, sd.s)
-    args = sd.args[perm]
-    np.negative(args[:k], out=args[:k])
-    np.subtract(_TWO_PI, args[k:], out=args[k:])
-    rest = len(sd.sizes) - (sd.s > 0)
-    return SpectralData(_frozen(args), sd.s - sd.zeta, sd.s,
-                        sd.sizes[:rest][::-1] + sd.sizes[rest:],
-                        _frozen(sd.basis.take(perm, axis=1)), sd.tols, -sd.sign)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,19 @@ class TestGeo:
                        for row in report["outputs"]["points"][0]["matrix"]])
         assert np.allclose(pt, np.diag([1j, -1j]), atol=1e-9)
 
+    def test_both_orders_print_one_label(self, capsys, files):
+        # P^*Q winds 1 with s = 3 and Q^*P winds 2: Gr(1;C^3) and Gr(2;C^3)
+        # name one manifold, and both orders print the second.
+        args = [PI] * 3 + [-(PI / 2 + 0.3), -(PI / 2 - 0.3)]
+        i5 = write_matrix(files["tmp"], "I5.json", np.eye(5))
+        q5 = write_matrix(files["tmp"], "Q5.json", np.diag(np.exp(1j * np.array(args))))
+        labels = []
+        for pair in ((i5, q5), (q5, i5)):
+            code, report, _ = run_cli(capsys, "geo", *pair)
+            assert code == 0 and report["outputs"]["unique"] is False
+            labels.append(report["outputs"]["grassmannian"])
+        assert labels == ["Gr(2;C^3)"] * 2
+
     def test_overflowing_phases_exit_2_with_one_json_line(self, files):
         # A separate process, so that any numpy warning reaches stderr.
         done = cli_process(["geo", files["I3"], files["w3"], "--t", "1e308"],
@@ -344,8 +357,8 @@ class TestTheta:
         assert "samples_skipped" in report["outputs"]
 
     def test_m_is_the_oracle_closed_form(self, capsys, files):
-        # One formula for m: on an unoriented spectrum theta's m is oracle's
-        # m_value to the bit; ||base_log||_F^2 reads ...415 here.
+        # One formula for m: theta's m is oracle's m_value of the same
+        # spectrum, to the bit; ||base_log||_F^2 reads ...415 here.
         path = str(files["tmp"] / "q.json")
         assert run_cli(capsys, "random", "5", "--seed", "1", "--out", path)[0] == 0
         code, theta, _ = run_cli(capsys, "theta", path)
@@ -356,7 +369,8 @@ class TestTheta:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_m_is_the_oracle_closed_form_on_negative_winding(self, capsys, files, n):
-        # theta reads m off the spectrum of Q^* here, oracle off that of Q.
+        # Both read m off the spectrum of Q as it is; theta reports the
+        # negative winding as oriented.
         qs = [q for q in (random_special_unitary(n, seed=700 * n + i) for i in range(400))
               if spectral_summary(q).zeta < 0][:8]
         assert len(qs) == 8
@@ -367,6 +381,20 @@ class TestTheta:
             code, oracle, _ = run_cli(capsys, "oracle", path)
             assert code == 0
             assert theta["outputs"]["m"] == oracle["outputs"]["m_closed_form"]
+
+
+    def test_negative_winding_reports_the_winding_of_the_adjoint(self, capsys, files):
+        # e^{-2 pi i/3} I3 winds -1: one of three arguments shifts up a turn.
+        # The report gives Q^*'s winding, 1, flags it, and gives Q's own
+        # argument on the kept side of the boundary.
+        path = write_matrix(files["tmp"], "w3bar.json", np.exp(-2j * PI / 3) * np.eye(3))
+        code, report, _ = run_cli(capsys, "theta", path, "--samples", "2")
+        out = report["outputs"]
+        assert code == 0 and (out["zeta"], out["oriented"]) == (1, True)
+        assert (out["nu1"], out["nu2"], out["grassmannian"]) == (2, 1, "Gr(1;C^3)")
+        assert out["beta_arg"] == pytest.approx(-2 * PI / 3, abs=1e-12)
+        assert out["m"] == pytest.approx(8 * PI**2 / 3, abs=1e-12)
+        assert all(report["residuals"][f"sample{i}_exp_roundtrip"] <= 1e-12 for i in range(2))
 
 
 class TestOracle:

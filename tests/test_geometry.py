@@ -270,15 +270,6 @@ class TestGeodesicFamily:
                 p = random_special_unitary(n, seed=[seed, 1])
                 yield p, su(p.entries @ (u * np.exp(1j * np.array(args))) @ u.conj().T)
 
-    def test_oriented_iff_adjoint_has_larger_winding(self):
-        seen = set()
-        for p, q in self.orientation_pairs():
-            sd = relative_spectrum(p, q)
-            oriented = geodesic_family(p, q).theta.oriented
-            assert oriented == (sd.zeta < sd.s - sd.zeta)
-            seen.add(oriented)
-        assert seen == {False, True}
-
     def test_log_map_is_the_canonical_velocity(self):
         for p, q in self.orientation_pairs():
             x = geodesic_family(p, q).canonical.X
@@ -383,14 +374,14 @@ class TestGeodesicEval:
             self.assert_agrees_with_expm_skew(fam.sample(random_unitary(2, rng))[0], MI2)
 
     def test_agrees_with_expm_skew_through_the_adjoint(self):
-        # A boundary spectrum with winding 1 whose adjoint winds twice, so the
-        # pair policy reads the segments off Q^*P (sign -1).
+        # A boundary spectrum with winding 1 whose adjoint winds twice: the
+        # segments are read off P^*Q, whose top member of -1 is shifted.
         args = np.array([-PI / 2 - 0.3, -PI / 2 + 0.3, PI, PI, PI])
         u = random_unitary(5, seed=8)
         p = random_special_unitary(5, seed=9)
         q = su(p.entries @ (u * np.exp(1j * args)) @ u.conj().T)
         fam = geodesic_family(p, q)
-        assert fam.theta.spectral.sign == -1 and not fam.unique
+        assert (fam.theta.zeta, fam.theta.nu1, fam.theta.nu2) == (1, 2, 1) and not fam.unique
         rng = np.random.default_rng(10)
         self.assert_agrees_with_expm_skew(fam.canonical, q)
         for _ in range(5):
@@ -503,9 +494,10 @@ class TestLatticeHoles:
 
 def test_family_orientation_when_windings_differ():
     # Relative spectrum (-pi/2 - 0.3, -pi/2 + 0.3, pi, pi, pi) has winding 1
-    # while its adjoint has winding 2, so the family must be classified on
-    # the adjoint. The two orientations give complementary Grassmannians of
-    # the same manifold.
+    # while its adjoint has winding 2. The family is read off P^*Q as it is,
+    # one of the three -1 members shifted, and labelled as Q^*P reads it, two
+    # of three shifted, so that both orders report one label: Gr(1; C^3) and
+    # Gr(2; C^3) are the same manifold.
     from sungeo import spectral_summary, theta_descriptor
 
     args = np.array([-PI / 2 - 0.3, -PI / 2 + 0.3, PI, PI, PI])
@@ -516,11 +508,10 @@ def test_family_orientation_when_windings_differ():
 
     fam = geodesic_family(p, q)
     assert not fam.unique
-    assert fam.theta.oriented
-    assert fam.theta.zeta == 2
-    assert fam.theta.grassmannian == (2, 3)
-    # The unoriented descriptor sees the complementary pair of dimensions.
-    assert theta_descriptor(q).grassmannian == (1, 3)
+    assert (fam.theta.zeta, fam.theta.nu1, fam.theta.nu2) == (1, 2, 1)
+    assert fam.grassmannian == geodesic_family(q, p).grassmannian == (2, 3)
+    # The descriptor of Q alone names the complementary Grassmannian.
+    assert fam.theta.grassmannian == theta_descriptor(q).grassmannian == (1, 3)
 
     # Canonical and sampled segments still join the endpoints minimally.
     assert np.linalg.norm(geodesic_eval(fam.canonical, 1.0).entries - q.entries) <= 1e-9

@@ -20,7 +20,6 @@ from sungeo import (
     SingletonThetaError,
     SungeoError,
     TraceNotZeroError,
-    adjoint_spectrum,
     brute_force_m,
     canonical_log,
     expm_skew,
@@ -145,25 +144,6 @@ class TestMValue:
         sd = spectral_summary(q)
         assert sd.zeta == -1
         assert m_value(sd) == pytest.approx(8 * PI**2 / 3, abs=1e-12)
-
-    def test_flipped_spectrum_gives_the_same_bits(self):
-        # Negation, re-sorting and the 2 pi shifts all round symmetrically, so
-        # the spectra of Q and Q^* sum the same squares in the same order.
-        rng = np.random.default_rng(19)
-        qs = [random_special_unitary(n, seed=seed) for n in range(2, 9) for seed in range(40)]
-        for n in range(3, 9):
-            for s in range(1, n):
-                for zeta in range(-n // 2, n // 2 + 1):
-                    # s arguments at pi, the others spread about their mean.
-                    mean = (TWO_PI * zeta - s * PI) / (n - s)
-                    if abs(mean) < PI - 0.3:
-                        e = rng.uniform(-1, 1, n - s) * (PI - abs(mean)) / 3
-                        args = np.append(mean + e - e.mean(), [PI] * s)
-                        u = random_unitary(n, seed=int(rng.integers(2**31)))
-                        qs.append(validate_special_unitary((u * np.exp(1j * args)) @ u.conj().T))
-        sds = [spectral_summary(q) for q in qs]
-        assert {sd.zeta < 0 for sd in sds if sd.s} == {True, False}
-        assert [m_value(adjoint_spectrum(sd)) for sd in sds] == [m_value(sd) for sd in sds]
 
 
 class TestBruteForce:
@@ -407,9 +387,9 @@ class TestExactSkewness:
     def test_single_and_stacked_haar(self, n):
         q = random_special_unitary(n, seed=500 + n)
         sd = theta_descriptor(q).spectral
-        self.assert_exactly_skew(_log_in_basis(sd, sd.basis, _canonical_angles(sd)))
+        self.assert_exactly_skew(_log_in_basis(sd.basis, _canonical_angles(sd)))
         stack = sd.basis @ random_unitary(n, seed=600 + n, count=4)
-        xs = _log_in_basis(sd, stack, _canonical_angles(sd))
+        xs = _log_in_basis(stack, _canonical_angles(sd))
         assert xs.shape == (4, n, n)
         self.assert_exactly_skew(xs)
         x = canonical_log(sd).entries
@@ -426,11 +406,11 @@ class TestExactSkewness:
 
 
 class TestThetaDescriptor:
-    @pytest.mark.parametrize("scale", [-1.0, -1j])   # windings 2 and -1 (oriented)
+    @pytest.mark.parametrize("scale", [-1.0, -1j])   # windings 2 and -1
     def test_carries_its_matrix_and_signed_angles(self, scale):
         q = validate_special_unitary(scale * np.eye(4))
         td = theta_descriptor(q)
-        assert td.q is q and td.oriented == (scale == -1j)
+        assert td.q is q and td.zeta == (2 if scale == -1.0 else -1)
         u = td.spectral.basis
         x = (u * (1j * td.angles)) @ u.conj().T
         assert np.linalg.norm(x - td.base_log.entries) <= 1e-12
@@ -438,15 +418,17 @@ class TestThetaDescriptor:
     @pytest.mark.parametrize("arg", [PI / 2, -PI / 2], ids=["as_is", "oriented"])
     def test_fields_by_name(self, arg):
         # The descriptor is built positionally: read each field by name on a
-        # family whose nu1, nu2 and beta_arg differ.
+        # family whose nu1, nu2 and beta_arg differ. With arg < 0 the winding
+        # is -1 and the boundary splits the cluster at the bottom, shifting
+        # one member up and keeping three.
         q = diag_su([arg] * 4)
         td = theta_descriptor(q)
         sd = td.spectral
-        assert (td.spectral.n, td.zeta, td.is_singleton) == (4, 1, False)
-        assert (td.nu1, td.nu2) == (3, 1) and td.beta_arg == pytest.approx(PI / 2, abs=1e-14)
-        assert sd.sign == (1 if arg > 0 else -1) and sd.zeta == 1 and td.q is q
+        assert (sd.n, td.zeta, td.is_singleton) == (4, 1 if arg > 0 else -1, False)
+        assert (td.nu1, td.nu2) == (3, 1) and td.beta_arg == pytest.approx(arg, abs=1e-14)
+        assert sd.zeta == td.zeta and td.q is q
         assert np.array_equal(td.base_log.entries, canonical_log(sd).entries)
-        assert np.array_equal(td.angles, sd.sign * _canonical_angles(sd))
+        assert np.array_equal(td.angles, _canonical_angles(sd))
 
     def test_base_log_is_built_once_when_first_read(self):
         td = theta_descriptor(diag_su([PI / 2] * 4))
@@ -482,18 +464,6 @@ class TestThetaDescriptor:
         td2 = theta_descriptor(diag_su([PI / 2, PI / 2, PI]))
         assert td2.zeta == 1 and td2.is_singleton
         assert td2.beta_arg == pytest.approx(PI / 2, abs=1e-14)
-
-    def test_oriented_iff_negative_winding(self):
-        qs = [random_special_unitary(n, seed=[n, seed]) for n in (2, 3, 4, 5)
-              for seed in range(10)]
-        qs += [validate_special_unitary(-1j * np.eye(4)), diag_su([PI] * 4)]
-        seen = set()
-        for q in qs:
-            td = theta_descriptor(q)
-            assert td.oriented == (spectral_summary(q).zeta < 0)
-            assert td.spectral.sign == (-1 if td.oriented else 1)
-            seen.add(td.oriented)
-        assert seen == {False, True}
 
     def test_base_log_norm_matches_m(self):
         for seed in range(5):
@@ -566,7 +536,7 @@ class TestThetaSample:
     def test_oriented_sampling_negative_winding(self):
         q = validate_special_unitary(-1j * np.eye(4))  # winding -1
         td = theta_descriptor(q)
-        assert td.oriented and not td.is_singleton
+        assert td.zeta == -1 and not td.is_singleton
         [x] = theta_sample(td, random_unitary(td.nu1 + td.nu2, seed=3)).logs
         assert np.linalg.norm(expm_skew(x).entries - q.entries) <= 1e-10
         m = m_value(spectral_summary(q))
@@ -601,8 +571,8 @@ def family_args(kind: str, n: int) -> list[float]:
     """Arguments of a family spectrum of order n (the kept/shifted boundary
     splits a cluster): a scalar matrix at maximal distance from I, a
     repeated eigenvalue at the boundary, or -1 repeated with 0 < zeta < s.
-    ``*_adjoint`` negates them, so the winding is negative and the
-    descriptor is oriented through Q^*."""
+    ``*_adjoint`` negates them, so the winding is negative and the boundary
+    splits a cluster at the bottom of the spectrum."""
     base = kind.removesuffix("_adjoint")
     if base == "diametral" or n == 2:   # -I is the only family in SU(2)
         args = [PI] * n if n % 2 == 0 else [(n - 1) * PI / n] * n
@@ -626,28 +596,29 @@ def conjugated_family(kind: str, n: int):
     u = random_unitary(n, seed=300 + n)
     q = validate_special_unitary(u @ diag_su(family_args(kind, n)).entries @ u.conj().T)
     td = theta_descriptor(q)
-    assert not td.is_singleton and td.oriented == kind.endswith("_adjoint")
+    assert not td.is_singleton and (td.zeta < 0) == kind.endswith("_adjoint")
     return q, td
 
 
 def sample_reference(td, q, r):
     """One member of the family computed on its own, step by step: set the
-    block's arguments to their mean, rotate the block, build
-    U diag(i angles) U^*, take its skew part, map it back to Q and check
-    exp(X) against Q. Returns X, the residual, the rotated basis and the
-    angles, signed as X is."""
-    sd = td.spectral
-    start, block = sd.n - td.zeta - td.nu1, td.nu1 + td.nu2
+    block's arguments to their mean, shift the top zeta arguments down a turn
+    (zeta > 0) or the bottom -zeta up a turn (zeta < 0), rotate the block,
+    build U diag(i angles) U^*, take its skew part and check exp(X) against
+    Q. Returns X, the residual, the rotated basis and the angles."""
+    sd, zeta, block = td.spectral, td.zeta, td.nu1 + td.nu2
+    start = sd.n - zeta - td.nu1 if zeta > 0 else -zeta - td.nu2
     angles = np.array(sd.args, dtype=float)
     angles[start:start + block] = float(angles[start:start + block].mean())
-    angles[sd.n - sd.zeta:] -= TWO_PI
+    if zeta > 0:
+        angles[sd.n - zeta:] -= TWO_PI
+    else:
+        angles[:-zeta] += TWO_PI
     u = sd.basis.copy()
     u[:, start:start + block] = u[:, start:start + block] @ r
     x = (u * (1j * angles)) @ u.conj().T
-    x = (x - x.conj().T) / 2.0
-    x = validate_skew_traceless(-x if sd.sign < 0 else x, sd.tols)
-    return (x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u,
-            sd.sign * angles)
+    x = validate_skew_traceless((x - x.conj().T) / 2.0, sd.tols)
+    return x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u, angles
 
 
 class TestStackedSampler:
@@ -733,8 +704,8 @@ def sample_with_failures(td, rs, bad, monkeypatch):
     n = td.spectral.n
     log_in_basis, skew_eigh = sungeo.logmin._log_in_basis, sungeo.logmin._skew_eigh
 
-    def logs(sd, u, angles):
-        x = log_in_basis(sd, u, angles)
+    def logs(u, angles):
+        x = log_in_basis(u, angles)
         for i, gate in bad.items():
             if gate == "skew":
                 x[i] += 1e-3 * np.eye(n)

@@ -52,6 +52,29 @@ def test_stage_times_prints_one_json_table():
     assert all(t > 0 for t in table["2"].values())
 
 
+def test_fingerprint_runs_agree(tmp_path):
+    # Two small runs hash every record alike, and --compare finds no key
+    # that differs; a changed hash is listed by its key. No hash is pinned.
+    paths = []
+    for name in ("a.json", "b.json"):
+        done = run_python(str(ROOT / "scripts" / "fingerprint.py"), "--small")
+        assert done.returncode == 0, done.stderr
+        paths.append(tmp_path / name)
+        paths[-1].write_text(done.stdout)
+    records = json.loads(paths[0].read_text())
+    assert len(records) > 1000 and records == json.loads(paths[1].read_text())
+    assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in records.values())
+    kinds = {key.split("/")[0] for key in records}
+    assert kinds == {"lib", "cli"}
+    done = run_python(str(ROOT / "scripts" / "fingerprint.py"), "--compare", *map(str, paths))
+    assert done.returncode == 0 and "agree" in done.stdout
+    key = next(k for k in records if k.endswith("/outputs.beta_arg"))
+    records[key] = "0" * 64
+    paths[1].write_text(json.dumps(records))
+    done = run_python(str(ROOT / "scripts" / "fingerprint.py"), "--compare", *map(str, paths))
+    assert done.returncode == 1 and done.stdout.splitlines() == [f"differs {key}"]
+
+
 @pytest.mark.parametrize("script, args", [
     ("stage_times.py", ["1"]),
     ("stage_times.py", ["0"]),

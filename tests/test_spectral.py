@@ -10,7 +10,7 @@ from sungeo import (
     AdmissibleTuple,
     ShapeError,
     Tolerances,
-    adjoint_spectrum,
+    canonical_log,
     distance,
     expm_skew,
     geodesic_eval,
@@ -76,63 +76,75 @@ class TestSpectralSummary:
         assert sd.zeta == sdc.zeta and sd.s == sdc.s
 
 
+def adjoint(q):
+    """Q^* as a matrix in its own right, at Q's tolerances."""
+    return validate_special_unitary(q.entries.conj().T, q.tols)
+
+
 class TestAdjointSpectrum:
+    """The spectrum of Q^*, decomposed from Q^* itself, mirrors that of Q:
+    the arguments off -1 are negated, those at -1 stay next to pi, and the
+    winding is s - zeta."""
+
     def test_identity_fixed(self):
-        sd = spectral_summary(validate_special_unitary(np.eye(4)))
-        adj = adjoint_spectrum(sd)
+        q = validate_special_unitary(np.eye(4))
+        sd, adj = spectral_summary(q), spectral_summary(adjoint(q))
         assert np.array_equal(adj.args, sd.args)
         assert adj.zeta == 0 and adj.s == 0
 
     def test_pi_cluster_stays(self):
-        sd = spectral_summary(validate_special_unitary(-np.eye(2)))
-        adj = adjoint_spectrum(sd)
+        q = validate_special_unitary(-np.eye(2))
+        sd, adj = spectral_summary(q), spectral_summary(adjoint(q))
         assert np.array_equal(adj.args, np.array([PI, PI]))
         assert adj.zeta == sd.s - sd.zeta == 1
 
     def test_negate_and_sort(self):
         q = AdmissibleTuple.from_args([-2 * PI / 3, PI / 3, PI / 3]).to_special_unitary()
-        sd = spectral_summary(q)
-        adj = adjoint_spectrum(sd)
+        adj = spectral_summary(adjoint(q))
         assert np.allclose(adj.args, [-PI / 3, -PI / 3, 2 * PI / 3], atol=1e-12)
         assert adj.zeta == 0
 
     @given(n=st.integers(2, 7), seed=st.integers(0, 10**6))
     @settings(max_examples=50)
     def test_involution_and_winding_relation(self, n, seed):
-        sd = spectral_summary(random_special_unitary(n, seed=seed))
-        adj = adjoint_spectrum(sd)
-        assert adj.zeta == sd.s - sd.zeta
-        back = adjoint_spectrum(adj)
-        assert np.allclose(back.args, sd.args, atol=1e-12)
-        assert back.zeta == sd.zeta
+        q = random_special_unitary(n, seed=seed)
+        sd, adj = spectral_summary(q), spectral_summary(adjoint(q))
+        assert (adj.zeta, adj.s) == (sd.s - sd.zeta, sd.s)
+        k = n - sd.s
+        assert np.allclose(np.sort(-adj.args[:k]), sd.args[:k], atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_flip_negates_sign(self, n):
-        sd = spectral_summary(random_special_unitary(n, seed=n))
-        adj = adjoint_spectrum(sd)
-        assert (sd.sign, adj.sign, adjoint_spectrum(adj).sign) == (1, -1, 1)
+        # The unique minimal logarithm of Q^* is that of Q negated.
+        q = random_special_unitary(n, seed=n)
+        x = canonical_log(spectral_summary(q)).entries
+        x_adj = canonical_log(spectral_summary(adjoint(q))).entries
+        assert np.linalg.norm(x + x_adj) <= 1e-12
 
     def test_fields_by_name(self):
-        # Both constructors build SpectralData positionally: read each field by
-        # name on a spectrum whose zeta, s and size order tell them apart.
+        # SpectralData is built positionally: read each field by name on the
+        # spectra of Q and Q^*, whose zeta and size order tell them apart.
         y = (1.5 - PI) / 2
         q = validate_special_unitary(np.diag(np.exp(1j * np.array([-1.5, y, y, PI, PI, PI]))))
         sd = spectral_summary(q)
         assert np.allclose(sd.args, [-1.5, y, y, PI, PI, PI], atol=1e-12)
-        assert (sd.zeta, sd.s, sd.sizes, sd.sign) == (1, 3, (1, 2, 3), 1)
+        assert (sd.zeta, sd.s, sd.sizes) == (1, 3, (1, 2, 3))
         assert sd.basis.shape == (6, 6) and sd.tols is q.tols
-        adj = adjoint_spectrum(sd)
+        adj = spectral_summary(adjoint(q))
         assert np.allclose(adj.args, [-y, -y, 1.5, PI, PI, PI], atol=1e-12)
-        assert (adj.zeta, adj.s, adj.sizes, adj.sign) == (2, 3, (2, 1, 3), -1)
-        assert np.array_equal(adj.basis, sd.basis[:, [2, 1, 0, 5, 4, 3]])
+        assert (adj.zeta, adj.s, adj.sizes) == (2, 3, (2, 1, 3))
+        # The eigenvector of the simple eigenvalue moves from first to third.
+        assert abs(abs(np.vdot(adj.basis[:, 2], sd.basis[:, 0])) - 1) <= 1e-12
         assert adj.tols is sd.tols
 
     def test_matches_full_pipeline_on_adjoint_matrix(self):
-        q = random_special_unitary(5, seed=91)
-        adj = adjoint_spectrum(spectral_summary(q))
-        direct = spectral_summary(validate_special_unitary(q.entries.conj().T))
-        assert np.allclose(adj.args, direct.args, atol=1e-10)
-        assert adj.zeta == direct.zeta and adj.s == direct.s
+        # Q^*P is (P^*Q)^*: the pair read in the other order has the
+        # adjoint's spectrum.
+        p, q = random_special_unitary(5, seed=90), random_special_unitary(5, seed=91)
+        back = relative_spectrum(q, p)
+        direct = spectral_summary(adjoint(p.adjoint_times(q)))
+        assert np.allclose(back.args, direct.args, atol=1e-10)
+        assert back.zeta == direct.zeta and back.s == direct.s
 
 
 @pytest.mark.parametrize("args", [[0.3, -0.3, 1.1, -1.1], [PI, PI, 0.4, -0.4]],
@@ -141,12 +153,12 @@ def test_spectral_values_are_read_only(args):
     p = random_special_unitary(4, seed=8)
     q = validate_special_unitary(p.entries @ with_spectrum(args, seed=9).entries)
     sd = spectral_summary(p.adjoint_times(q))
-    adj = adjoint_spectrum(sd)
+    fam = geodesic_family(p, q)
     arrays = {
         "args": sd.args, "basis": sd.basis,
-        "adjoint args": adj.args, "adjoint basis": adj.basis,
+        "canonical angles": fam.theta.angles,
         "log_map": log_map(p, q).entries,
-        "canonical velocity": geodesic_family(p, q).canonical.X.entries,
+        "canonical velocity": fam.canonical.X.entries,
     }
     assert [k for k, arr in arrays.items() if arr.flags.writeable] == []
 

@@ -13,7 +13,6 @@ from sungeo import (
     AdmissibleTuple,
     NotUnitaryError,
     Tolerances,
-    adjoint_spectrum,
     diametral_points,
     distance,
     expm_skew,
@@ -112,7 +111,7 @@ def test_derived_values_carry_their_source_tolerances():
     assert p.adjoint_times(q).tols is a and q.adjoint_times(p).tols is b
     assert unitary_product(p, q).tols is a and unitary_product(q, p).tols is b
     sd = spectral_summary(q)
-    assert sd.tols is b and adjoint_spectrum(sd).tols is b
+    assert sd.tols is b and theta_descriptor(q).base_log.tols is b
     x = validate_skew_traceless(np.diag([1j, -1j]), b)
     assert expm_skew(x).tols is b
     odd = validate_special_unitary(random_special_unitary(3, seed=2).entries, a)
