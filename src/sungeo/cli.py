@@ -398,7 +398,7 @@ def cmd_random(n: int, seed: int, out: str | None) -> dict:
 def cmd_theta(path_q: str, samples: int, seed: int, tol: float | None) -> dict:
     [q] = _load(tol, path_q)
     td = theta_descriptor(q)
-    m = m_value(td.spectral)
+    m = float(td.angles.dot(td.angles))  # bit for bit m_value(td.spectral)
     outputs = {
         # The winding of Q, or of Q^* (s - zeta) when Q's is negative.
         "zeta": td.zeta if td.zeta >= 0 else td.spectral.s - td.zeta,

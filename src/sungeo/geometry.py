@@ -125,7 +125,10 @@ class GeodesicFamily:
     def sample(self, r) -> tuple[GeodesicSegment, ...]:
         """Minimizing segments with velocities drawn from the family, one for
         each unitary of the (k, nu1 + nu2, nu1 + nu2) stack ``r``, built
-        together by ``theta_sample``; one unitary is the k = 1 stack."""
+        together by ``theta_sample``; one unitary is the k = 1 stack. A
+        segment holds its sample's rotated basis and angles, from which
+        ``geodesic_eval`` forms its points, and its logarithm
+        X = A + 2 pi i sigma W W^* and norm."""
         drawn = theta_sample(self.theta, r)
         segs = tuple(GeodesicSegment(self.P, basis, drawn.angles, self.theta)
                      for basis in drawn.bases)
@@ -156,7 +159,9 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     sd = spectral_summary(pq)
     td = _descriptor_from_spectral(sd, pq)
     seg = GeodesicSegment(p, sd.basis, td.angles, td)
-    return GeodesicFamily(p, q, td.is_singleton, seg, td, math.sqrt(m_value(sd)))
+    # m(P^*Q) off the descriptor's canonical angles, bit for bit ``m_value``.
+    return GeodesicFamily(p, q, td.is_singleton, seg, td,
+                          math.sqrt(float(td.angles.dot(td.angles))))
 
 
 def geodesic_eval(seg: GeodesicSegment, t: float) -> SpecialUnitary:

@@ -51,12 +51,12 @@ from .matrixcore import (
     SkewHermitianTraceless,
     SpecialUnitary,
     _exp_in_basis,
+    _frobenius,
     _frobenius_stack,
     _frozen,
-    _skew_eigh,
     _skew_traceless,
     _skew_traceless_stack,
-    _special_unitary_stack,
+    _special_unitary,
 )
 from .spectral import _TWO_PI, SpectralData, spectral_summary
 from .tolerances import ZETA_TOL, Tolerances
@@ -190,24 +190,34 @@ def brute_force_m(args, zeta: int, K: int = 3,
 # canonical minimizing logarithm
 # ---------------------------------------------------------------------------
 
-def _log_in_basis(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """U diag(i angles) U^*, symmetrized to its skew part; for one basis U or
-    a stack of them, not yet checked."""
-    x = (u * (1j * angles)) @ u.conj().swapaxes(-1, -2)
+def _skew_part(x: np.ndarray) -> np.ndarray:
+    """(X - X^*) / 2 in place, for one matrix or a stack: skew-Hermitian entry
+    for entry."""
     x -= x.conj().swapaxes(-1, -2)
     x /= 2.0
     return x
 
 
+def _log_in_basis(u: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """U diag(i angles) U^*, symmetrized to its skew part; for one basis U or
+    a stack of them, not yet checked."""
+    return _skew_part((u * (1j * angles)) @ u.conj().swapaxes(-1, -2))
+
+
 def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
     """Canonical minimal logarithm from spectral data with any winding.
 
-    Conjugates the canonical angles (``_canonical_angles``) back through the
-    eigenbasis. If the kept/shifted boundary splits a cluster, rounding
-    orders the basis columns inside it: this is one member of the family of
+    Conjugates the canonical angles (``_canonical_angles``), less their mean,
+    back through the eigenbasis. They sum to arg det Q, which for a product
+    P^*Q of validated factors can pass the su(n) gate on the trace;
+    re-centered, X is traceless and moves by at most |arg det Q| / n per
+    angle. If the kept/shifted boundary splits a cluster, rounding orders
+    the basis columns inside it: this is one member of the family of
     minimal logarithms, and rounding may pick another.
     """
-    return _skew_traceless(_log_in_basis(sd.basis, _canonical_angles(sd)), sd.tols)
+    angles = _canonical_angles(sd)
+    angles -= float(np.add.reduce(angles)) / sd.n
+    return _skew_traceless(_log_in_basis(sd.basis, angles), sd.tols)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +238,10 @@ class ThetaDescriptor:
     ``beta_arg`` q's argument on the kept side of the boundary, that of
     mu_{n-zeta} or of mu_{-zeta+1}; None when zeta = 0. ``spectral`` is q's
     spectrum, so sampling reuses the exact basis of ``base_log``. ``angles``
-    are the canonical angles: ``base_log`` is U diag(i angles) U^* with
-    U = ``spectral.basis``. ``base_log`` is built, and checked in su(n), the
-    first time it is read.
+    are the canonical angles, and m(Q) is their squared norm; ``base_log``
+    is U diag(i angles) U^* with U = ``spectral.basis`` and the angles less
+    their mean (``canonical_log``). ``base_log`` is built, and checked in
+    su(n), the first time it is read.
     """
 
     zeta: int
@@ -277,9 +288,11 @@ def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
 
 
 class ThetaSamples(NamedTuple):
-    """Checked logarithms X = U diag(i angles) U^*, their residuals
-    ||exp(X) - Q||_F, the (k, n, n) stack of bases U, the angles and the
-    Frobenius norms ||X||_F, bit for bit ``frobenius_norm`` of each."""
+    """Checked logarithms X = A + 2 pi i sigma W W^* (``theta_sample``); for
+    each a bound on ||exp(X) - Q||_F, ||exp(A) - Q||_F + 2 pi ||W^*W - I||_F;
+    the (k, n, n) stack of bases U in which X = U diag(i angles) U^* up to
+    rounding, the angles, and the Frobenius norms ||X||_F, bit for bit
+    ``frobenius_norm`` of each."""
 
     logs: tuple[SkewHermitianTraceless, ...]
     residuals: tuple[float, ...]
@@ -291,24 +304,30 @@ class ThetaSamples(NamedTuple):
 def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     """Sample the Grassmannian family of minimal logarithms of ``td.q``.
 
-    Rotates the basis columns of the boundary cluster by each unitary of the
-    (k, nu1 + nu2, nu1 + nu2) stack ``r``, one unitary being the k = 1 stack.
-    The cluster's angles are set to their mean, its shifted members' a turn
-    from it, so the exponential of the diagonal is scalar on the cluster and
-    commutes with the block unitaries; the other columns stay. Every member
-    exponentiates to Q and has squared norm m(Q), up to the cluster's
-    spread; distinct cosets of r give distinct logarithms, though the orbit
-    map is not injective.
+    Member i is X_i = A + 2 pi i sigma W_i W_i^*: Gr(nu2; C^(nu1 + nu2))
+    embedded by the projectors onto nu2-planes in span U_b, U_b being the
+    basis columns of the boundary cluster. A = U diag(i a) U^* holds the
+    cluster at its mean angle, unshifted; sigma = -1 at the top boundary
+    (zeta > 0) and +1 at the bottom (zeta < 0); W_i is U_b r_i[:, nu1:] at
+    the top and U_b r_i[:, :nu2] at the bottom, for r_i the slices of the
+    (k, nu1 + nu2, nu1 + nu2) stack ``r`` (one unitary is the k = 1 stack).
+    So X_i = U_i diag(i angles) U_i^* up to rounding, with the rotated basis
+    U_i and the shifted angles a turn from a; the angles are less their
+    mean, as in ``canonical_log``, so X_i is traceless. Every member has
+    squared norm m(Q) up to the cluster's spread.
 
-    The arithmetic runs once on the stack (the rotation, ``_log_in_basis``,
-    ``_skew_eigh`` and ``_exp_in_basis``), and each gate forms its products
-    once per stack (a Gram product for r; X + X^* and the diagonal sums for X;
-    a Gram product and a determinant call for exp(X); the difference to Q)
-    and reads its k Frobenius residuals off one batched call
-    (``matrixcore._frobenius_stack``, bit for bit the single ones), then
-    checks the members in order: every r unitary, every X in su(n), then
-    member by member exp(X) special unitary and its round trip to Q. The
-    first failing check raises the error its member raises alone.
+    A is scalar on span U_b, so it commutes with W_i W_i^*, and
+    exp(2 pi i sigma P) = I for a projector P: one exponential, exp(A),
+    serves the stack. A member's residual, ||exp(A) - Q||_F +
+    2 pi ||W_i^*W_i - I||_F, bounds ||exp(X_i) - Q||_F up to rounding.
+
+    The gates, in order: every r_i unitary; every X_i in su(n); every frame's
+    share of the bound, 2 pi ||W_i^*W_i - I||_F, at ``tols.eig``; exp(A)
+    special unitary at ``tols.group``; every residual at ``tols.eig``. A
+    stacked gate reads its k Frobenius residuals off one batched call
+    (``matrixcore._frobenius_stack``, bit for bit the single ones) and
+    checks the members in order, so the first failing check raises the
+    error its member raises alone. A stack of no members checks nothing.
     """
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
@@ -323,28 +342,38 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     for res in _frobenius_stack(gram):
         NotUnitaryError.check(res, alg, "sampling matrix is not unitary")
 
-    sd = td.spectral
+    sd, tols = td.spectral, td.spectral.tols
     cut = _boundary(sd)
-    start = cut - (td.nu1 if td.zeta > 0 else td.nu2)  # the cluster's first member
-    angles = _canonical_angles(sd)
-    angles[start:start + block] = float(sd.args[start:start + block].mean())
     if td.zeta > 0:
-        angles[cut:start + block] -= _TWO_PI
+        start, shifted, turn = cut - td.nu1, slice(cut, cut + td.nu2), -_TWO_PI
     else:
-        angles[start:cut] += _TWO_PI
+        start, shifted, turn = cut - td.nu2, slice(cut - td.nu2, cut), _TWO_PI
+    base = _canonical_angles(sd)
+    base[start:start + block] = float(sd.args[start:start + block].mean())
+    # Less the mean of the member angles, which sum to that of A's plus nu2 turns.
+    base -= (float(np.add.reduce(base)) + td.nu2 * turn) / sd.n
+    angles = base.copy()
+    angles[shifted] += turn
     u = np.repeat(sd.basis[None], len(rm), axis=0)
     u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
-    x = _log_in_basis(u, angles)
-    logs = _skew_traceless_stack(x, sd.tols)
-    w, v = _skew_eigh(x)
-    exps = _exp_in_basis(v, w)
-    gaps = _frobenius_stack(exps - td.q.entries)
-    # A member's exponential is gated as it is drawn, before its round trip.
-    members = _special_unitary_stack(exps, sd.tols, sd.tols.group)
-    resids = tuple(
-        ResidualExceededError.check(
-            gap, sd.tols.eig, "sampled logarithm does not exponentiate to the given matrix")
-        for _, gap in zip(members, gaps))
+    w = u[:, :, shifted]
+    x = w @ w.conj().swapaxes(1, 2)
+    x *= 1j * turn
+    x += _log_in_basis(sd.basis, base)
+    logs = _skew_traceless_stack(_skew_part(x), tols)
+    frame = w.conj().swapaxes(1, 2) @ w
+    frame -= np.eye(td.nu2)
+    frames = [_TWO_PI * res for res in _frobenius_stack(frame)]
+    for res in frames:
+        ResidualExceededError.check(res, tols.eig, "sampled frame is not orthonormal")
+    resids = ()
+    if frames:
+        exp_a = _special_unitary(_exp_in_basis(sd.basis, base), tols, tols.group)
+        gap = _frobenius(exp_a.entries - td.q.entries)
+        resids = tuple(
+            ResidualExceededError.check(
+                gap + res, tols.eig, "sampled logarithm does not exponentiate to the given matrix")
+            for res in frames)
     return ThetaSamples(logs, resids, _frozen(u), _frozen(angles), tuple(_frobenius_stack(x)))
 
 

@@ -14,13 +14,15 @@ All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The validators copy the
 caller's array once, at the boundary; a gate kernel (``_special_unitary``,
 ``_skew_traceless``) checks it, or a matrix the library has just built, and
-freezes it in place (marked read-only, not copied). Each kernel has a stack
-form for a (k, n, n) stack the library has built (``_special_unitary_stack``,
-``_skew_traceless_stack``): it forms the gate's products once per stack, reads
-their k Frobenius norms off one batched call (``_frobenius_stack``), then
-checks the members in order, each bit for bit as the kernel checks it alone.
-Both forms pass their residuals to the same ``*_gate`` function per check,
-which holds its error and message, so each check is defined once. A caller's matrix with
+freezes it in place (marked read-only, not copied). The su(n) kernel has a
+stack form for a (k, n, n) stack the library has built
+(``_skew_traceless_stack``): it forms the gate's products once per stack,
+reads their k Frobenius norms off one batched call (``_frobenius_stack``),
+then checks the members in order, each bit for bit as the kernel checks it
+alone. Both forms pass their residuals to the same ``*_gate`` function per
+check, which holds its error and message, so each check is defined once. A
+sampled family needs no special-unitary stack: its members share one
+exponential, which ``_special_unitary`` checks once. A caller's matrix with
 Frobenius norm within ``_BOUND`` is gated as it is, with no errstate. Past the
 bound, or behind a gate so loose that the determinant could overflow, a NaN or
 infinite entry raises ``NotFiniteError`` and the gates run under an errstate,
@@ -254,23 +256,6 @@ def _special_unitary(arr: np.ndarray, tols: Tolerances, gate: float) -> SpecialU
     return SpecialUnitary(_frozen(arr), u_res, _det_gate(_det(arr), gate), tols)
 
 
-def _special_unitary_stack(arr: np.ndarray, tols: Tolerances, gate: float):
-    """``_special_unitary`` of each slice of a (k, n, n) stack its caller has
-    just built, which is frozen in place: one Gram product, one call for the
-    Gram norms (``_frobenius_stack``) and one determinant call for the stack,
-    then the members checked in order. A generator: each member's checks run
-    when it is drawn, so a caller can check something of its own between
-    members. Every residual is bit for bit its slice's alone. The stack must
-    be finite: every determinant is taken before any check."""
-    k, n = arr.shape[:2]
-    gram = arr @ arr.conj().swapaxes(1, 2)
-    gram.reshape(k, n * n)[:, ::n + 1] -= 1.0
-    dets = _det(arr).tolist()
-    _frozen(arr)
-    for a, u_res, d in zip(arr, _frobenius_stack(gram), dets):
-        yield SpecialUnitary(a, _unitary_gate(u_res, gate), _det_gate(d, gate), tols)
-
-
 def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
     """Check unitarity and unit determinant at ``tols.group`` (by default
     scaled from the order), returning the wrapped matrix carrying ``tols``.
@@ -402,25 +387,18 @@ def unitary_eig(q: SpecialUnitary) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _exp_in_basis(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(e^{i w}) V^* = exp(V diag(i w) V^*) for a unitary V and real w, or
-    a (k, n, n) stack of bases and its (k, n) angles; not yet checked."""
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and eigenvectors V of the Hermitian matrix -iX, for one
-    skew-Hermitian X or a stack of them (one solve per slice), so that
-    exp(X) = ``_exp_in_basis(V, w)``."""
-    herm = -1j * x
-    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2.0
-    return _eigh(herm)
+    """V diag(e^{i w}) V^* = exp(V diag(i w) V^*) for a unitary V and real w;
+    not yet checked."""
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def expm_skew(x: SkewHermitianTraceless) -> SpecialUnitary:
-    """Matrix exponential su(n) -> SU(n): the real eigenvalues of -iX
-    (``_skew_eigh``) exponentiated on the unit circle in its eigenbasis
+    """Matrix exponential su(n) -> SU(n): the real eigenvalues w of the
+    Hermitian -iX exponentiated on the unit circle in its eigenbasis V
     (``_exp_in_basis``), revalidated as special unitary at ``x.tols``."""
-    w, v = _skew_eigh(x.entries)
+    herm = -1j * x.entries
+    herm = (herm + herm.conj().T) / 2.0
+    w, v = _eigh(herm)
     return _special_unitary(_exp_in_basis(v, w), x.tols, x.tols.group)
 
 

@@ -6,8 +6,8 @@ points a geodesic returns. A geodesic point is formed in the eigenbasis its
 segment was built from, so it costs two checks and no ``expm_skew`` or
 eigensolve; ``expm_skew`` runs only for the independent round-trip checks
 of ``log`` and of ``theta``'s base logarithm. Family samples are built as
-one stack and their round trips solved as one stack, so they call no
-``expm_skew``, while each exponential is still checked. A logarithm is
+one stack and share one exponential, exp(A), so they call no ``expm_skew``
+and no eigensolver, and one special-unitary check covers the stack. A logarithm is
 built, and checked in su(n), only where it is read: a geodesic point needs
 none. The counts are taken by wrapping the names in every ``sungeo`` module
 namespace: the special-unitary gate kernel, which every group check runs,
@@ -39,6 +39,8 @@ from sungeo import (
     random_special_unitary,
     random_unitary,
     relative_spectrum,
+    theta_descriptor,
+    theta_sample,
     validate_special_unitary,
 )
 from sungeo.cli import MatrixFile, main
@@ -46,8 +48,7 @@ from sungeo.cli import MatrixFile, main
 COUNTED = ("spectral_summary", "_special_unitary", "expm_skew", "_skew_traceless")
 
 # The stack form of a gate kernel, counted under the kernel's name.
-STACK_FORMS = {"_special_unitary": "_special_unitary_stack",
-               "_skew_traceless": "_skew_traceless_stack"}
+STACK_FORMS = {"_skew_traceless": "_skew_traceless_stack"}
 
 
 def _count(monkeypatch, names):
@@ -97,7 +98,7 @@ CLI_TARGETS = {
     "dist P Q": (["dist", "P", "Q"], (1, 2, 0, 0)),
     "log P Q": (["log", "P", "Q"], (1, 3, 1, 1)),
     "geo P Q": (["geo", "P", "Q", "--t", "0,0.5,1"], (1, 8, 0, 0)),
-    "theta R": (["theta", "R", "--samples", "8"], (1, 10, 1, 9)),
+    "theta R": (["theta", "R", "--samples", "8"], (1, 3, 1, 9)),
     "diam 4 P": (["diam", "4", "--point", "P"], (1, 1, 0, 0)),
 }
 
@@ -124,8 +125,8 @@ def test_library_call_counts(call, target, pair, counts):
 
 
 def test_sampled_segment_counts(counts):
-    # I -> -I in SU(2) is a family; the sample's round trip is one check,
-    # its logarithm one more and the point itself costs two.
+    # I -> -I in SU(2) is a family; the sample's shared exponential is one
+    # check, its logarithm one more and the point itself costs two.
     fam = geodesic_family(validate_special_unitary(np.eye(2)),
                           validate_special_unitary(-np.eye(2)))
     r = random_unitary(2, seed=5)
@@ -197,13 +198,14 @@ def test_adjoint_spectrum_counts(call, case, monkeypatch):
 
 
 # The minimizing shift of a spectrum is read once by the closed form and
-# once by the canonical logarithm; a family reads it for its descriptor and
-# for its distance, whichever of P^*Q and Q^*P winds more.
+# once by the canonical logarithm; a family reads it once, for its
+# descriptor, whose angles give its distance too, whichever of P^*Q and Q^*P
+# winds more.
 @pytest.mark.parametrize("case", ["haar", *sorted(ADJOINT_WINDS_MORE)])
 @pytest.mark.parametrize("call, target", [
     (lambda p, q: distance(p, q), 1),
     (lambda p, q: log_map(p, q), 1),
-    (lambda p, q: geodesic_family(p, q), 2),
+    (lambda p, q: geodesic_family(p, q), 1),
 ], ids=["distance", "log_map", "geodesic_family"])
 def test_canonical_angles_counts(call, target, case, pair, monkeypatch):
     p, q = pair if case == "haar" else _pair_with_relative_spectrum(*ADJOINT_WINDS_MORE[case])
@@ -250,6 +252,18 @@ def test_haar_distance_is_one_solve(n, lapack):
     lapack.clear()
     distance(p, q)
     assert lapack["_eigh"] == 1
+
+
+@pytest.mark.parametrize("count", [1, 8])
+def test_family_samples_take_no_solve_and_one_determinant(count, lapack):
+    # A Gr(2;C^4) family: its members share exp(A), whose check takes the
+    # one determinant; nothing is solved per member.
+    td = theta_descriptor(validate_special_unitary(-np.eye(4)))
+    r = random_unitary(4, seed=12, count=count)
+    lapack.clear()
+    theta_sample(td, r)
+    assert tuple(lapack[name] for name in LAPACK) == (0, 1)
+    assert lapack["np.linalg.eigh"] == lapack["np.linalg.det"] == 0
 
 
 def test_cli_geo_eigh_count(files, lapack, capsys):

@@ -145,6 +145,18 @@ class TestLog:
         assert code == 0
         assert report["residuals"]["exp_roundtrip"] < 1e-8
 
+    def test_answers_when_the_pair_drifts_in_determinant(self, capsys, files):
+        # P and Q turned by e^{+-0.9e-8 i} pass validation with det
+        # e^{+-2.7e-8 i}, inside the n = 3 gate of 3e-8; arg det(P^*Q) reaches
+        # 5.4e-8, past the su(n) gate on a trace, and the logarithm is still
+        # traceless and reaches Q.
+        paths = [write_matrix(files["tmp"], f"{name}.json",
+                              random_special_unitary(3, seed=seed).entries * np.exp(s * 0.9e-8j))
+                 for name, seed, s in (("p", 5, 1), ("q", 6, -1))]
+        code, report, _ = run_cli(capsys, "log", *paths)
+        assert code == 0
+        assert 0 <= report["residuals"]["exp_roundtrip"] <= 3e-7
+
     def test_out_file(self, capsys, files):
         out = str(files["tmp"] / "x.json")
         code, report, _ = run_cli(capsys, "log", files["I2"], files["mI2"], "--out", out)

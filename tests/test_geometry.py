@@ -525,8 +525,10 @@ def test_family_orientation_when_windings_differ():
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_geodesics_answer_when_the_pair_drifts_in_determinant(n):
     # P and Q each pass validation with det e^{+-i eps}, so det(P^*Q) =
-    # e^{-2i eps} and the trace of X, i arg det(P^*Q), reaches 2 eps, past the
-    # su(n) gate. A point is formed from the basis and angles, which need no X.
+    # e^{-2i eps} and the canonical angles sum to arg det(P^*Q) = -2 eps, past
+    # the su(n) gate on a trace. A point is formed from the basis and angles,
+    # which need no X; the logarithm takes the angles less their mean, so it
+    # is traceless and still reaches Q within the eig gate.
     tols = validate_special_unitary(np.eye(n)).tols
     for frac in (0.1, 0.5, 0.9):
         turn = np.exp(1j * frac * tols.group / n)
@@ -537,6 +539,30 @@ def test_geodesics_answer_when_the_pair_drifts_in_determinant(n):
             start, _, end = (geodesic_eval(fam.canonical, t) for t in (0.0, 0.5, 1.0))
             assert np.linalg.norm(start.entries - p.entries) <= tols.eig
             assert np.linalg.norm(end.entries - q.entries) <= tols.eig
+            x = log_map(p, q)
+            assert np.linalg.norm(p.entries @ expm_skew(x).entries - q.entries) <= tols.eig
+            assert abs(frobenius_norm(x.entries) - fam.distance) <= tols.eig
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_family_samples_answer_when_the_pair_drifts_in_determinant(n):
+    # The same drift on pairs whose P^*Q is the deep hole e^{2 pi i a / n} I,
+    # a = n // 2, turned by e^{-2i eps / n}: a family, whose samples and
+    # canonical logarithm are traceless and reach Q within the eig gate.
+    tols = validate_special_unitary(np.eye(n)).tols
+    hole = np.exp(2j * PI * (n // 2) / n)
+    for frac in (0.1, 0.5, 0.9):
+        turn = np.exp(1j * frac * tols.group / n)
+        for i in range(20):
+            base = random_special_unitary(n, seed=[n, i, 1]).entries
+            p, q = su(base * turn), su(base * (hole / turn))
+            fam = geodesic_family(p, q)
+            assert not fam.unique
+            segs = fam.sample(random_unitary(n, seed=[n, i, 3], count=3))
+            for x in (fam.canonical.X, *(seg.X for seg in segs)):
+                assert np.linalg.norm(p.entries @ expm_skew(x).entries - q.entries) <= tols.eig
+            for seg in segs:
+                assert np.linalg.norm(geodesic_eval(seg, 1.0).entries - q.entries) <= tols.eig
 
 
 def test_distance_bounded_by_diameter_smoke():

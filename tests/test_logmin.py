@@ -19,6 +19,7 @@ from sungeo import (
     ShapeError,
     SingletonThetaError,
     SungeoError,
+    Tolerances,
     TraceNotZeroError,
     brute_force_m,
     canonical_log,
@@ -601,24 +602,49 @@ def conjugated_family(kind: str, n: int):
 
 
 def sample_reference(td, q, r):
-    """One member of the family computed on its own, step by step: set the
-    block's arguments to their mean, shift the top zeta arguments down a turn
-    (zeta > 0) or the bottom -zeta up a turn (zeta < 0), rotate the block,
-    build U diag(i angles) U^*, take its skew part and check exp(X) against
-    Q. Returns X, the residual, the rotated basis and the angles."""
+    """One member of the family computed on its own, step by step: the block's
+    arguments at their mean, the top zeta arguments a turn down (zeta > 0) or
+    the bottom -zeta a turn up (zeta < 0) except the block's, less the mean
+    of the member's angles; A = U diag(i a) U^* on those; the frame W of the
+    rotated block's shifted columns; the skew part of
+    X = A + 2 pi i sigma W W^*, checked in su(n); and the bound
+    ||exp(A) - Q||_F + 2 pi ||W^*W - I||_F. Returns X, the bound, the
+    rotated basis and the member's angles, those of A with the shifted
+    columns a turn away."""
     sd, zeta, block = td.spectral, td.zeta, td.nu1 + td.nu2
-    start = sd.n - zeta - td.nu1 if zeta > 0 else -zeta - td.nu2
-    angles = np.array(sd.args, dtype=float)
-    angles[start:start + block] = float(angles[start:start + block].mean())
     if zeta > 0:
-        angles[sd.n - zeta:] -= TWO_PI
+        start, cut, turn = sd.n - zeta - td.nu1, sd.n - zeta, -TWO_PI
+        shifted = slice(cut, cut + td.nu2)
     else:
-        angles[:-zeta] += TWO_PI
+        start, cut, turn = -zeta - td.nu2, -zeta, TWO_PI
+        shifted = slice(start, cut)
+    base = np.array(sd.args, dtype=float)
+    if zeta > 0:
+        base[cut:] -= TWO_PI
+    else:
+        base[:cut] += TWO_PI
+    base[start:start + block] = float(sd.args[start:start + block].mean())
+    base -= (float(np.add.reduce(base)) + td.nu2 * turn) / sd.n
+    angles = base.copy()
+    angles[shifted] += turn
     u = sd.basis.copy()
     u[:, start:start + block] = u[:, start:start + block] @ r
-    x = (u * (1j * angles)) @ u.conj().T
+    w = u[:, shifted]
+    a = (sd.basis * (1j * base)) @ sd.basis.conj().T
+    a = (a - a.conj().T) / 2.0
+    x = (1j * turn) * (w @ w.conj().T) + a
     x = validate_skew_traceless((x - x.conj().T) / 2.0, sd.tols)
-    return x, float(np.linalg.norm(expm_skew(x).entries - q.entries)), u, angles
+    exp_a = (sd.basis * np.exp(1j * base)) @ sd.basis.conj().T
+    frame = np.linalg.norm(w.conj().T @ w - np.eye(td.nu2))
+    bound = float(np.linalg.norm(exp_a - q.entries)) + TWO_PI * float(frame)
+    return x, bound, u, angles
+
+
+def eigh_roundtrip(x, q) -> float:
+    """||exp(X) - Q||_F, exp(X) from numpy's eigh of the Hermitian -iX."""
+    h = -1j * x
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return float(np.linalg.norm((v * np.exp(1j * w)) @ v.conj().T - q))
 
 
 class TestStackedSampler:
@@ -680,16 +706,18 @@ class TestStackedSampler:
         assert str(exc.value) == f"expected a unitary of order 3, got shape {shape}"
 
 
-# Each gate of the sampler, the error it raises and the order in which the
-# gates run: the sampling matrices first, then X in su(n) member by member,
-# then member by member exp(X) unitary, its determinant and its round trip.
+# Each gate of the sampler, the error it raises and the pass over the stack
+# in which it runs: the sampling matrices, then X in su(n), then the frames,
+# member by member; then the exponential the members share, exp(A), unitary
+# and then of determinant one; then member by member the round trip.
 SAMPLER_GATES = {
     "sampling_matrix": (0, NotUnitaryError, "sampling matrix is not unitary"),
     "skew": (1, NotSkewHermitianError, "matrix is not skew-Hermitian"),
     "trace": (1, TraceNotZeroError, "trace is not zero"),
-    "exp_unitarity": (2, NotUnitaryError, "matrix is not unitary"),
-    "exp_determinant": (2, DeterminantError, "determinant is not one"),
-    "round_trip": (2, ResidualExceededError,
+    "frame": (2, ResidualExceededError, "sampled frame is not orthonormal"),
+    "exp_unitarity": (3, NotUnitaryError, "matrix is not unitary"),
+    "exp_determinant": (4, DeterminantError, "determinant is not one"),
+    "round_trip": (5, ResidualExceededError,
                    "sampled logarithm does not exponentiate to the given matrix"),
 }
 
@@ -697,39 +725,50 @@ SAMPLER_GATES = {
 def sample_with_failures(td, rs, bad, monkeypatch):
     """The error of ``theta_sample(td, rs)`` when member i fails gate
     ``bad[i]``: its sampling matrix is scaled; X gets a Hermitian part or a
-    trace; exp(X) is built on a stretched basis, on angles whose sum moves,
-    or on two angles moved by opposite amounts (unitary with determinant
-    one, but another matrix)."""
+    trace; its frame is sheared, its second shifted column moved along its
+    first by 1e-9; exp(A) is built on a stretched basis, or on angles whose
+    sum moves. For the round trip, Q moves by 0.6 of the eig gate and the
+    member's frame is sheared so that 2 pi ||W^*W - I||_F is 0.6 of it too:
+    the other members pass. ``td`` is at ``Tolerances(1e-12)``, where the
+    frame and round-trip gates are tighter than the sampling matrix's."""
     rs = rs.copy()
-    n = td.spectral.n
-    log_in_basis, skew_eigh = sungeo.logmin._log_in_basis, sungeo.logmin._skew_eigh
+    nu1 = td.nu1
+    eig = td.spectral.tols.eig
+    skew_traceless_stack = sungeo.logmin._skew_traceless_stack
+    exp_in_basis = sungeo.logmin._exp_in_basis
 
-    def logs(u, angles):
-        x = log_in_basis(u, angles)
+    def logs(x, tols):
         for i, gate in bad.items():
             if gate == "skew":
-                x[i] += 1e-3 * np.eye(n)
+                x[i] += 1e-3 * np.eye(x.shape[1])
             elif gate == "trace":
-                x[i] += 1e-3j * np.eye(n)
-        return x
+                x[i] += 1e-3j * np.eye(x.shape[1])
+        return skew_traceless_stack(x, tols)
 
-    def exps(x):
-        w, v = skew_eigh(x)
-        for i, gate in bad.items():
-            if gate == "exp_unitarity":
-                v[i] *= 1.01
-            elif gate == "exp_determinant":
-                w[i, 0] += 0.5
-            elif gate == "round_trip":
-                w[i, :2] += (0.5, -0.5)
-        return w, v
+    def exps(v, w):
+        gates = set(bad.values())
+        if "exp_unitarity" in gates:
+            v = 1.01 * v
+        if "exp_determinant" in gates:
+            w = w.copy()
+            w[0] += 0.5
+        return exp_in_basis(v, w)
 
     for i, gate in bad.items():
         if gate == "sampling_matrix":
             rs[i] *= 1.5
+        elif gate in ("frame", "round_trip"):
+            shear = 1e-9 if gate == "frame" else 0.6 * eig / (TWO_PI * math.sqrt(2.0))
+            rs[i][:, nu1 + 1] += shear * rs[i][:, nu1]
+    if "round_trip" in bad.values():
+        # A phase pair e^{+-i phi} on two columns keeps det Q: ||dQ||_F = 0.6 eig.
+        phi = 0.6 * eig / math.sqrt(2.0)
+        turn = np.ones(td.spectral.n, dtype=complex)
+        turn[:2] = np.exp(1j * phi), np.exp(-1j * phi)
+        td = dataclasses.replace(td, q=dataclasses.replace(td.q, entries=td.q.entries * turn))
     with monkeypatch.context() as patch:
-        patch.setattr(sungeo.logmin, "_log_in_basis", logs)
-        patch.setattr(sungeo.logmin, "_skew_eigh", exps)
+        patch.setattr(sungeo.logmin, "_skew_traceless_stack", logs)
+        patch.setattr(sungeo.logmin, "_exp_in_basis", exps)
         with pytest.raises(SungeoError) as exc:
             theta_sample(td, rs)
     return exc.value
@@ -737,11 +776,20 @@ def sample_with_failures(td, rs, bad, monkeypatch):
 
 class TestStackedGates:
     """The sampler gates a stack once per gate, then checks its members in
-    the order in which one member at a time would be checked."""
+    the order in which one member at a time would be checked; the one
+    exponential the members share is checked between the frames and the
+    round trips."""
 
     @pytest.fixture
     def stack(self):
-        _, td = conjugated_family("boundary", 6)
+        # -1 four times with zeta = 2: a Gr(2;C^4) family, so a frame has two
+        # columns to shear; at this tolerance a frame or a round trip can fail
+        # while the sampling matrix passes Tolerances.default(4).
+        u = random_unitary(6, seed=306)
+        q = validate_special_unitary(
+            u @ diag_su(family_args("minus_one", 6)).entries @ u.conj().T, Tolerances(1e-12))
+        td = theta_descriptor(q)
+        assert (td.zeta, td.nu1, td.nu2) == (2, 2, 2)
         return td, random_unitary(td.nu1 + td.nu2, seed=21, count=8)
 
     @pytest.mark.parametrize("gate", sorted(SAMPLER_GATES))
@@ -768,6 +816,11 @@ class TestStackedGates:
         alone = sample_with_failures(td, rs[member:member + 1], {0: gate}, monkeypatch)
         assert type(raised) is type(alone)
         assert str(raised) == str(alone)
+
+    def test_the_failures_are_the_gates_alone(self, stack):
+        # Without the injected failures, the same stack passes every gate.
+        td, rs = stack
+        assert len(theta_sample(td, rs).logs) == 8
 
 
 def u_generators(b: int) -> np.ndarray:
@@ -804,10 +857,7 @@ def assert_orbit_map_is_grassmannian(args, seed, label):
     jac = np.concatenate([jac.real, jac.imag])
     sv = np.linalg.svd(jac, compute_uv=False)
     assert np.count_nonzero(sv > 1e-6 * sv[0]) == 2 * td.nu1 * td.nu2
-    # X(r) = iU r D r^* U^*, so dX = iU[G, D]U^*. The sampler's kept and
-    # shifted angles differ by exactly 2 pi, so each off-block generator,
-    # of Frobenius norm sqrt 2, maps to norm 2 pi sqrt 2, orthogonally to
-    # the others: every nonzero singular value is 2 sqrt 2 pi.
+    # Every nonzero singular value is 2 sqrt 2 pi, as the class docstring derives.
     nonzero = sv[:2 * td.nu1 * td.nu2]
     assert np.abs(nonzero / (2 * math.sqrt(2) * PI) - 1.0).max() <= 1e-8
     # The nu1^2 + nu2^2 block-diagonal generators map to zero; with the
@@ -863,7 +913,17 @@ class TestFamilyDimension:
     """The paper's third result on the sampled family: at r = I the orbit map
     r -> X(r) of U(nu1 + nu2) has rank 2 nu1 nu2, the real dimension of
     Gr(nu2; C^(nu1 + nu2)), and its kernel is the block-diagonal
-    u(nu1) + u(nu2), so it factors through U(nu1 + nu2) / (U(nu1) x U(nu2))."""
+    u(nu1) + u(nu2), so it factors through U(nu1 + nu2) / (U(nu1) x U(nu2)).
+
+    The singular values follow from the embedding X(r) = A + 2 pi i sigma
+    U_b r E r^* U_b^*, with E the diagonal projector onto the shifted
+    columns and sigma = +-1. A is fixed, so dX(G) = 2 pi i sigma U_b [G, E]
+    U_b^* for G in u(nu1 + nu2), and ||dX(G)||_F = 2 pi ||[G, E]||_F. A
+    block-diagonal G commutes with E. For j kept and k shifted,
+    G = E_jk - E_kj gives [G, E] = E_jk + E_kj and G = i(E_jk + E_kj) gives
+    i(E_jk - E_kj): each maps its norm sqrt 2 to 2 pi sqrt 2, and distinct
+    off-block generators map to orthogonal images. So every nonzero singular
+    value is 2 sqrt 2 pi."""
 
     # Keyed by label, and the deep holes e^{2 pi i a / n} I, a = n // 2, by
     # order (n = 2 and 4 are the -I above): each of those is Gr(a; C^n).
@@ -901,6 +961,104 @@ class TestFamilyDimension:
             np.stack([r1, r1 @ block, r1 @ mix])))
         assert np.linalg.norm(same - x1) <= 1e-12
         assert np.linalg.norm(mixed - x1) > 1e-3
+
+
+def deep_hole_family(n: int, sign: int):
+    """The deep hole e^{sign 2 pi i a / n} I, a = n // 2, conjugated by a Haar
+    unitary, its descriptor, sigma and the slice of the shifted columns."""
+    u = random_unitary(n, seed=800 + n)
+    w = np.exp(sign * 2j * PI * (n // 2) / n)
+    q = validate_special_unitary(w * (u @ u.conj().T))
+    td = theta_descriptor(q)
+    assert not td.is_singleton and td.nu1 + td.nu2 == n
+    cut = n - td.zeta if td.zeta > 0 else -td.zeta
+    sigma = -1 if td.zeta > 0 else 1
+    return q, td, sigma, slice(cut, n) if td.zeta > 0 else slice(0, cut)
+
+
+# (n, sign): every deep hole up to n = 8 and at 16, 32 and 256; the two
+# holes of an even order are both -I.
+DEEP_HOLES = [(n, sign) for n in range(2, 9) for sign in (1, -1) if sign == 1 or n % 2]
+DEEP_HOLES += [(16, 1), (32, 1), (256, 1)]
+
+
+class TestGrassmannianEmbedding:
+    """Each member is X = A + 2 pi i sigma P with P the orthogonal projector
+    onto a nu2-dimensional subspace of span U_b: Gr(nu2; C^(nu1 + nu2))
+    embedded by its projectors. At a deep hole every basis column is in the
+    cluster, and A is the scalar-free log whose angles are the members'
+    with the shifted ones a turn back."""
+
+    @pytest.mark.parametrize("n, sign", DEEP_HOLES)
+    def test_members_are_a_plus_projectors(self, n, sign):
+        q, td, sigma, shifted = deep_hole_family(n, sign)
+        drawn = theta_sample(td, random_unitary(n, seed=n, count=2 if n == 256 else 4))
+        base = drawn.angles.copy()
+        base[shifted] -= sigma * TWO_PI
+        u = td.spectral.basis
+        a = (u * (1j * base)) @ u.conj().T
+        tol = 1e-12 * n
+        for x in drawn.logs:
+            p = (x.entries - a) / (2j * PI * sigma)
+            assert np.linalg.norm(p - p.conj().T) <= tol
+            assert np.linalg.norm(p @ p - p) <= tol
+            assert abs(np.trace(p) - td.nu2) <= tol
+            # The cluster is all of C^n here, so span U_b is checked through
+            # the basis itself: P = U_b (U_b^* P U_b) U_b^*.
+            assert np.linalg.norm(u @ (u.conj().T @ p @ u) @ u.conj().T - p) <= tol
+
+    @pytest.mark.parametrize("kind, n", [("boundary", 6), ("boundary_adjoint", 7),
+                                         ("minus_one", 8)])
+    def test_range_lies_in_the_cluster_span(self, kind, n):
+        # Off the deep holes the cluster is a proper subspace; P vanishes on
+        # its complement and maps into it.
+        q, td = conjugated_family(kind, n)
+        sd = td.spectral
+        cut = n - td.zeta if td.zeta > 0 else -td.zeta
+        start = cut - (td.nu1 if td.zeta > 0 else td.nu2)
+        sigma = -1 if td.zeta > 0 else 1
+        shifted = slice(cut, cut + td.nu2) if td.zeta > 0 else slice(start, cut)
+        drawn = theta_sample(td, random_unitary(td.nu1 + td.nu2, seed=n, count=4))
+        base = drawn.angles.copy()
+        base[shifted] -= sigma * TWO_PI
+        a = (sd.basis * (1j * base)) @ sd.basis.conj().T
+        ub = sd.basis[:, start:start + td.nu1 + td.nu2]
+        outside = np.eye(n) - ub @ ub.conj().T
+        tol = 1e-12 * n
+        for x in drawn.logs:
+            p = (x.entries - a) / (2j * PI * sigma)
+            assert np.linalg.norm(p @ p - p) <= tol
+            assert abs(np.trace(p) - td.nu2) <= tol
+            assert np.linalg.norm(outside @ p) <= tol
+            assert np.linalg.norm(p @ outside) <= tol
+
+
+class TestSampledRoundTrips:
+    """A member's residual, ||exp(A) - Q||_F + 2 pi ||W^*W - I||_F, bounds
+    ||exp(X) - Q||_F and on exact families equals it to rounding."""
+
+    @pytest.mark.parametrize("kind, n", FAMILY_CASES + [("diametral", 16),
+                                                      ("diametral_adjoint", 15)])
+    def test_residual_is_the_round_trip(self, kind, n):
+        q, td = conjugated_family(kind, n)
+        drawn = theta_sample(td, random_unitary(td.nu1 + td.nu2, seed=[n, 7], count=6))
+        for x, resid in zip(drawn.logs, drawn.residuals):
+            assert abs(resid - eigh_roundtrip(x.entries, q.entries)) <= 1e-12 * n
+            assert resid <= td.spectral.tols.eig
+
+    def test_a_frame_off_its_gate_raises_residual_exceeded(self):
+        # A member whose bound exceeds the eig gate raises residual_exceeded
+        # though its sampling matrix passes its own gate: here the frame's
+        # share of the bound, 2 pi ||W^*W - I||_F, exceeds it alone.
+        u = random_unitary(6, seed=306)
+        q = validate_special_unitary(
+            u @ diag_su(family_args("minus_one", 6)).entries @ u.conj().T, Tolerances(1e-12))
+        td = theta_descriptor(q)
+        r = random_unitary(4, seed=5)
+        r[:, 3] += 1.5e-12 * r[:, 2]
+        with pytest.raises(ResidualExceededError) as exc:
+            theta_sample(td, r)
+        assert str(exc.value).startswith("sampled frame is not orthonormal")
 
 
 class TestConjugatedMultiplicities:
