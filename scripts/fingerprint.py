@@ -26,7 +26,14 @@ The corpus:
   sampled by stacks of 0, 1 and 8 unitaries, as a descriptor and as geodesic
   segments;
 - every subcommand, with ``--out`` where it has one, its error exits and
-  ``--tol 0.03``.
+  ``--tol 0.03``;
+- sampler failures: the deep holes and the -1 clusters at n >= 3,
+  re-validated at the tight bases 3e-15 and 1e-14, where the per-member su(n)
+  gate rejects some members, each sampled by 8 Haar unitaries and by the
+  same stack with member 3 scaled by 1.5. A record holds the stack's error
+  code and message (or its outputs) and the index of the first member that
+  fails alone; the count of records whose first failure is past member 0
+  goes to stderr.
 
 The CLI runs in process, in a scratch directory, on relative file names, so
 reports do not depend on where the script runs. A CLI report is recorded
@@ -72,6 +79,7 @@ from sungeo.cli import MatrixFile, main as cli_main
 TWO_PI = 2.0 * math.pi
 TS = (0.0, 0.5, 1.0, -0.25)     # library geodesic parameters
 STACKS = (0, 1, 8)              # sampling stack sizes
+SAMPLER_TOLS = (3e-15, 1e-14)   # bases at which the sampler's gates reject members
 LOOSE_TOL = "0.03"
 
 
@@ -253,6 +261,54 @@ def library_single(rec: Records, name: str, q_raw) -> None:
             rec.call(f"{key}/theta.sample{k}", sample_record, td, stack(block, k, [k, 4]))
 
 
+def sampler_failure_corpus(singles):
+    """The deep holes and the -1 clusters at n >= 3 among ``singles``."""
+    for name, q in singles:
+        kind, order, *rest = name.split("/")
+        n = int(order[1:])
+        deep = kind == "hole" and int(rest[0][1:]) in (n // 2, n - n // 2)
+        if n >= 3 and (deep or kind == "minus1"):
+            yield name, q
+
+
+def first_failing_alone(td, rs):
+    """Index of the first unitary of ``rs`` that ``theta_sample`` rejects alone."""
+    for i, r in enumerate(rs):
+        try:
+            theta_sample(td, r)
+        except SungeoError:
+            return i
+    return None
+
+
+def sampler_failures(rec: Records, name: str, q_raw) -> int:
+    """Record the tight-tolerance samplings of ``q_raw``; the number of
+    records whose first member to fail alone is past member 0."""
+    past = 0
+    for tol in SAMPLER_TOLS:
+        key = f"lib/sampler_failure/{name}/tol{tol!r}"
+        try:
+            td = theta_descriptor(validate_special_unitary(q_raw, Tolerances(tol)))
+        except SungeoError as exc:
+            rec.add(f"{key}/error", failure(exc))
+            continue
+        if td.is_singleton:
+            rec.add(f"{key}/singleton", True)
+            continue
+        haar = random_unitary(td.nu1 + td.nu2, [8, 5], 8)
+        scaled = haar.copy()
+        scaled[3] *= 1.5
+        for label, rs in (("haar8", haar), ("scaled3", scaled)):
+            try:
+                value = sample_record(td, rs)
+            except SungeoError as exc:
+                value = ["error", exc.code, str(exc)]
+            first = first_failing_alone(td, rs)
+            rec.add(f"{key}/{label}", [value, first])
+            past += bool(first)
+    return past
+
+
 # ---------------------------------------------------------------------------
 # CLI records
 # ---------------------------------------------------------------------------
@@ -358,6 +414,9 @@ def fingerprint(small: bool) -> dict:
         library_pair(rec, f"pair/{name}", p, q)
     for name, q in singles:
         library_single(rec, f"single/{name}", q)
+    past = sum(sampler_failures(rec, name, q) for name, q in sampler_failure_corpus(singles))
+    failing = sum(key.startswith("lib/sampler_failure/") for key in rec)
+    print(f"{failing} sampler-failure records, {past} fail past member 0", file=sys.stderr)
     loose = [(name, p, q) for name, p, q in pairs
              if name.startswith(("haar/n8", "haar/n3", "hole/n4/", "minus1/n4/s2"))]
     for name, p, q in loose:

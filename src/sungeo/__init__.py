@@ -58,7 +58,6 @@ from .matrixcore import (
     validate_special_unitary,
 )
 from .spectral import (
-    AdmissibleTuple,
     SpectralData,
     spectral_summary,
 )

@@ -55,7 +55,6 @@ from .matrixcore import (
     _frobenius_stack,
     _frozen,
     _skew_traceless,
-    _skew_traceless_stack,
     _special_unitary,
 )
 from .spectral import _TWO_PI, SpectralData, spectral_summary
@@ -323,11 +322,14 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
 
     The gates, in order: every r_i unitary; every X_i in su(n); every frame's
     share of the bound, 2 pi ||W_i^*W_i - I||_F, at ``tols.eig``; exp(A)
-    special unitary at ``tols.group``; every residual at ``tols.eig``. A
-    stacked gate reads its k Frobenius residuals off one batched call
-    (``matrixcore._frobenius_stack``, bit for bit the single ones) and
-    checks the members in order, so the first failing check raises the
-    error its member raises alone. A stack of no members checks nothing.
+    special unitary at ``tols.group``; every residual at ``tols.eig``. The
+    sampling-matrix and frame gates are batched: each reads its k Frobenius
+    residuals off one call (``matrixcore._frobenius_stack``, bit for bit the
+    single ones) and checks the members in order. The su(n) gate runs per
+    member, through the kernel ``_skew_traceless`` itself. Either way the
+    first failing check raises the error its member raises alone; a huge or
+    non-finite sampling matrix fails its gate, with no warning. A stack of
+    no members checks nothing.
     """
     if td.is_singleton:
         raise SingletonThetaError("the set of minimal logarithms is a single point")
@@ -336,10 +338,14 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     if rm.ndim not in (2, 3) or rm.shape[-2:] != (block, block):
         raise ShapeError(f"expected a unitary of order {block}, got shape {rm.shape}")
     rm = rm.reshape(-1, block, block)
-    gram = rm @ np.swapaxes(rm.conj(), 1, 2)
-    gram -= np.eye(block)
+    # A huge or infinite entry overflows the Gram product or its squares: the
+    # residual reads inf or NaN, which the gate rejects, and nothing warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rm @ np.swapaxes(rm.conj(), 1, 2)
+        gram -= np.eye(block)
+        residuals = _frobenius_stack(gram)
     alg = Tolerances.default(block).alg
-    for res in _frobenius_stack(gram):
+    for res in residuals:
         NotUnitaryError.check(res, alg, "sampling matrix is not unitary")
 
     sd, tols = td.spectral, td.spectral.tols
@@ -360,7 +366,7 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
     x = w @ w.conj().swapaxes(1, 2)
     x *= 1j * turn
     x += _log_in_basis(sd.basis, base)
-    logs = _skew_traceless_stack(_skew_part(x), tols)
+    logs = tuple(_skew_traceless(m, tols) for m in _frozen(_skew_part(x)))
     frame = w.conj().swapaxes(1, 2) @ w
     frame -= np.eye(td.nu2)
     frames = [_TWO_PI * res for res in _frobenius_stack(frame)]

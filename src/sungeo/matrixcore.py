@@ -14,30 +14,24 @@ All functions are pure and all types are immutable after construction, so
 everything here is safe to call concurrently. The validators copy the
 caller's array once, at the boundary; a gate kernel (``_special_unitary``,
 ``_skew_traceless``) checks it, or a matrix the library has just built, and
-freezes it in place (marked read-only, not copied). The su(n) kernel has a
-stack form for a (k, n, n) stack the library has built
-(``_skew_traceless_stack``): it forms the gate's products once per stack,
-reads their k Frobenius norms off one batched call (``_frobenius_stack``),
-then checks the members in order, each bit for bit as the kernel checks it
-alone. Both forms pass their residuals to the same ``*_gate`` function per
-check, which holds its error and message, so each check is defined once. A
-sampled family needs no special-unitary stack: its members share one
-exponential, which ``_special_unitary`` checks once. A caller's matrix with
-Frobenius norm within ``_BOUND`` is gated as it is, with no errstate. Past the
-bound, or behind a gate so loose that the determinant could overflow, a NaN or
-infinite entry raises ``NotFiniteError`` and the gates run under an errstate,
-so huge entries are rejected with an inf or NaN residual and nothing warns.
-LAPACK ``eigh`` and ``det`` are reached only through ``_eigh`` and ``_det``,
-the gufuncs that ``numpy.linalg`` wraps. The only randomness is the
-caller-owned generator.
+freezes it in place (marked read-only, not copied). Each check is written
+once, in its kernel, as ``Error.check(residual, gate, message)``; a stack the
+library has built passes the kernel member by member, so it fails as its
+first failing member fails alone. A caller's matrix with Frobenius norm
+within ``_BOUND`` is gated as it is, with no errstate. Past the bound, or
+behind a gate so loose that the determinant could overflow, a NaN or infinite
+entry raises ``NotFiniteError`` and the gates run under an errstate, so huge
+entries are rejected with an inf or NaN residual and nothing warns. LAPACK
+``eigh`` and ``det`` are reached only through ``_eigh`` and ``_det``, the
+gufuncs that ``numpy.linalg`` wraps. The only randomness is the caller-owned
+generator.
 
 At small n a numpy call costs more than its arithmetic, so three rules keep
 the fixed cost down: a decision over O(n) values is made on Python floats
 (``tolist``); a 2-D product is ``@``, except the Gram product of a gate, whose
 entries reach only squares, which is ``ndarray.dot`` (the same BLAS call with
 less dispatch, but a scalar product for 1 x 1 operands, which can flip the sign
-of a zero; a stack's Gram product is ``@``, the same BLAS call per slice); and
-no numpy API newer than 1.23, the oldest supported, is used.
+of a zero); and no numpy API newer than 1.23, the oldest supported, is used.
 """
 
 from __future__ import annotations
@@ -236,24 +230,15 @@ class SkewHermitianTraceless:
         return self.entries.shape[0]
 
 
-def _unitary_gate(residual: float, gate: float) -> float:
-    """||A A^* - I||_F, the norm of the Gram product A A^* with the identity
-    subtracted, checked at ``gate``."""
-    return NotUnitaryError.check(residual, gate, "matrix is not unitary")
-
-
-def _det_gate(det: complex, gate: float) -> float:
-    """|det A - 1| from det A, checked at ``gate``."""
-    return DeterminantError.check(float(abs(det - 1.0)), gate, "determinant is not one")
-
-
 def _special_unitary(arr: np.ndarray, tols: Tolerances, gate: float) -> SpecialUnitary:
-    """Gate kernel: Gram and determinant residuals of a matrix its caller has just
-    built, checked at ``gate``; the array is frozen in place and carries ``tols``."""
+    """Gate kernel: the residuals ||A A^* - I||_F and |det A - 1| of a matrix its
+    caller has just built, checked at ``gate``; the array is frozen in place and
+    carries ``tols``."""
     gram = arr.dot(arr.conj().T).ravel()
     gram[::arr.shape[0] + 1] -= 1.0
-    u_res = _unitary_gate(_frobenius(gram), gate)
-    return SpecialUnitary(_frozen(arr), u_res, _det_gate(_det(arr), gate), tols)
+    u_res = NotUnitaryError.check(_frobenius(gram), gate, "matrix is not unitary")
+    d_res = DeterminantError.check(float(abs(_det(arr) - 1.0)), gate, "determinant is not one")
+    return SpecialUnitary(_frozen(arr), u_res, d_res, tols)
 
 
 def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitary:
@@ -270,45 +255,18 @@ def validate_special_unitary(a, tols: Tolerances | None = None) -> SpecialUnitar
     return _past_bound(_special_unitary, arr, tols, tols.group)
 
 
-def _skew_gate(residual: float, gate: float) -> float:
-    """||X + X^*||_F, the norm of X + X^* or of its conjugate, checked at ``gate``."""
-    return NotSkewHermitianError.check(residual, gate, "matrix is not skew-Hermitian")
-
-
-def _trace_gate(trace: complex, gate: float) -> float:
-    """|tr X| from tr X, checked at ``gate``."""
-    return TraceNotZeroError.check(float(abs(trace)), gate, "trace is not zero")
-
-
 def _skew_traceless(arr: np.ndarray, tols: Tolerances) -> SkewHermitianTraceless:
-    """Gate kernel: X + X^* = 0 and tr(X) = 0 at ``tols.alg`` for a square
-    complex array its caller has just built, which is frozen in place."""
+    """Gate kernel: the residuals ||X + X^*||_F and |tr X|, checked at
+    ``tols.alg``, of a square complex array its caller has just built, which is
+    frozen in place."""
     # conj(X) + X^T, one buffer, is (X + X^*)^T; X + X^* is Hermitian entry for
     # entry, so this is its conjugate and the residual is the same, bit for bit.
     herm = arr.conj()
     herm += arr.T
-    _skew_gate(_frobenius(herm), tols.alg)
-    _trace_gate(np.add.reduce(arr.diagonal()), tols.alg)
+    NotSkewHermitianError.check(_frobenius(herm), tols.alg, "matrix is not skew-Hermitian")
+    TraceNotZeroError.check(float(abs(np.add.reduce(arr.diagonal()))), tols.alg,
+                            "trace is not zero")
     return SkewHermitianTraceless(_frozen(arr), tols)
-
-
-def _skew_traceless_stack(arr: np.ndarray, tols: Tolerances) -> tuple[SkewHermitianTraceless, ...]:
-    """``_skew_traceless`` of each slice of a (k, n, n) stack its caller has
-    just built, which is frozen in place: one X + X^* buffer, one call for its
-    norms (``_frobenius_stack``) and one diagonal sum for the stack, then the
-    members checked in order. Every residual is bit for bit its slice's alone:
-    a slice's diagonal is summed in the same order, and its magnitude is the
-    same ``hypot``."""
-    herm = arr.conj()
-    herm += arr.swapaxes(1, 2)
-    traces = np.add.reduce(arr.diagonal(0, 1, 2), axis=1).tolist()
-    _frozen(arr)
-    members = []
-    for a, h, t in zip(arr, _frobenius_stack(herm), traces):
-        _skew_gate(h, tols.alg)
-        _trace_gate(t, tols.alg)
-        members.append(SkewHermitianTraceless(a, tols))
-    return tuple(members)
 
 
 def validate_skew_traceless(x, tols: Tolerances | None = None) -> SkewHermitianTraceless:

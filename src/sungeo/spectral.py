@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ZetaNotIntegerError
-from .matrixcore import SpecialUnitary, _frozen, unitary_eig, validate_special_unitary
+from .matrixcore import SpecialUnitary, _frozen, unitary_eig
 from .tolerances import Tolerances
 
 __all__ = [
     "SpectralData",
-    "AdmissibleTuple",
     "spectral_summary",
 ]
 
@@ -151,45 +150,3 @@ def spectral_summary(q: SpecialUnitary) -> SpectralData:
     # arithmetic here at small n.
     return SpectralData(_frozen(args), zeta, s, tuple(sizes),
                         _frozen(eigenbasis.take(order, axis=1)), q.tols)
-
-
-@dataclass(frozen=True)
-class AdmissibleTuple:
-    """Sorted argument tuple in (-pi, pi] summing to 2*pi*zeta.
-
-    These tuples are exactly the spectra that special unitary matrices can
-    have, which makes them convenient for constructing test inputs with a
-    prescribed winding integer.
-    """
-
-    alphas: tuple[float, ...]
-    zeta: int
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-    def __post_init__(self):
-        n = len(self.alphas)
-        if n < 1:
-            raise ShapeError("tuple must be nonempty")
-        if any(b < a for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError("arguments must be sorted ascending")
-        if not (-math.pi < self.alphas[0] and self.alphas[-1] <= math.pi):
-            raise ValueError("arguments must lie in (-pi, pi]")
-        if abs(self.zeta) > n // 2:
-            raise ValueError("winding integer outside its admissible range")
-        resid = abs(math.fsum(self.alphas) - _TWO_PI * self.zeta)
-        if resid > 1e-9 * n:
-            raise ValueError(f"arguments sum to 2*pi*{self.zeta} + {resid:.3e}")
-
-    @classmethod
-    def from_args(cls, alphas) -> "AdmissibleTuple":
-        alphas = tuple(sorted(float(a) for a in alphas))
-        zeta = int(round(math.fsum(alphas) / _TWO_PI))
-        return cls(alphas=alphas, zeta=zeta)
-
-    def to_special_unitary(self, tols: Tolerances | None = None) -> SpecialUnitary:
-        """Diagonal SU(n) matrix with these arguments, validated at ``tols``."""
-        diag = np.exp(1j * np.array(self.alphas))
-        return validate_special_unitary(np.diag(diag), tols)

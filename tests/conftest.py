@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sungeo import validate_special_unitary
+
 settings.register_profile(
     "sungeo",
     deadline=None,
@@ -21,6 +23,11 @@ def random_skew_traceless(n: int, seed, scale: float = 1.0) -> np.ndarray:
     if norm > 0:
         x *= scale / norm
     return x
+
+
+def diag_su(args):
+    """diag(e^{i args}) for the sorted arguments, validated at the default tolerances."""
+    return validate_special_unitary(np.diag(np.exp(1j * np.sort(np.asarray(args, dtype=float)))))
 
 
 @pytest.fixture

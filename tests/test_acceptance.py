@@ -26,8 +26,9 @@ from sungeo import (
     theta_descriptor,
     theta_sample,
     validate_special_unitary,
-    AdmissibleTuple,
 )
+
+from conftest import diag_su
 
 PI = math.pi
 
@@ -166,7 +167,7 @@ def test_criterion_5_plog_classifier():
     checks = []
     regimes = set()
     for args in tuples:
-        q = AdmissibleTuple.from_args(args).to_special_unitary()
+        q = diag_su(args)
         sd = spectral_summary(q)
         if sd.zeta < 0:
             regimes.add("negative")

@@ -12,11 +12,10 @@ built, and checked in su(n), only where it is read: a geodesic point needs
 none. The counts are taken by wrapping the names in every ``sungeo`` module
 namespace: the special-unitary gate kernel, which every group check runs,
 whether of a caller's matrix or of one the library built, the su(n) gate
-kernel, which every logarithm the library builds passes, the two entry points
-through which the library reaches LAPACK's ``eigh`` and ``det``, and the
-clustering path of the spectrum, which a generic spectrum never takes.
-A gate counts the members it checks, not its calls: its stack form, which
-gates a (k, n, n) stack in one pass, counts k.
+kernel, which every logarithm the library builds passes, one call each, the
+two entry points through which the library reaches LAPACK's ``eigh`` and
+``det``, and the clustering path of the spectrum, which a generic spectrum
+never takes.
 """
 
 import sys
@@ -47,23 +46,18 @@ from sungeo.cli import MatrixFile, main
 
 COUNTED = ("spectral_summary", "_special_unitary", "expm_skew", "_skew_traceless")
 
-# The stack form of a gate kernel, counted under the kernel's name.
-STACK_FORMS = {"_skew_traceless": "_skew_traceless_stack"}
-
 
 def _count(monkeypatch, names):
     tally = Counter()
     modules = [m for k, m in list(sys.modules.items())
                if k == "sungeo" or k.startswith("sungeo.")]
-    forms = [(name, name, None) for name in names]
-    forms += [(STACK_FORMS[name], name, len) for name in names if name in STACK_FORMS]
-    for form, name, members in forms:
-        original = next(vars(m)[form] for m in (sungeo.matrixcore, sungeo.spectral,
+    for name in names:
+        original = next(vars(m)[name] for m in (sungeo.matrixcore, sungeo.spectral,
                                                 sungeo.logmin, sungeo)
-                        if form in vars(m))
+                        if name in vars(m))
 
-        def counted(*args, _name=name, _fn=original, _members=members, **kwargs):
-            tally[_name] += 1 if _members is None else _members(args[0])
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            tally[_name] += 1
             return _fn(*args, **kwargs)
 
         for mod in modules:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import sungeo.logmin
 from sungeo import (
-    AdmissibleTuple,
     DeterminantError,
     InfeasibleError,
     NotFiniteError,
@@ -39,12 +38,16 @@ from sungeo import (
 )
 from sungeo.logmin import _canonical_angles, _log_in_basis
 
+from conftest import diag_su
+
 PI = math.pi
 TWO_PI = 2 * math.pi
 
 
-def diag_su(args) -> "SpecialUnitary":
-    return AdmissibleTuple.from_args(args).to_special_unitary()
+def with_winding(args) -> tuple[tuple[float, ...], int]:
+    """The sorted arguments and their winding, round(sum / 2 pi)."""
+    args = tuple(sorted(map(float, args)))
+    return args, round(math.fsum(args) / TWO_PI)
 
 
 def random_args_with_winding(n: int, zeta: int, rng) -> list[float]:
@@ -87,7 +90,7 @@ def tie_heavy_spectra():
                [-4 * PI / 5] * 5, [0.0, PI, PI], [0.0] + [2 * PI / 3] * 3,
                [-PI / 2, -PI / 2, PI, PI, PI], [0.0, PI, PI, PI, PI],
                [0.0, 0.0] + [2 * PI / 3] * 3, [0.0] * 5]
-    return [(t.alphas, t.zeta) for t in map(AdmissibleTuple.from_args, spectra)]
+    return list(map(with_winding, spectra))
 
 
 def boundary_args(n: int, zeta: int, nu1: int, nu2: int, beta: float = 2.25):
@@ -269,9 +272,7 @@ def negative_winding_spectra():
     rng = np.random.default_rng(271)
     spectra = [(random_args_with_winding(n, zeta, rng), zeta)
                for n in range(2, 8) for zeta in range(-((n - 1) // 2), 0) for _ in range(4)]
-    for args, _ in tied_spectra():
-        t = AdmissibleTuple.from_args(args)
-        spectra.append((t.alphas, t.zeta))
+    spectra += [with_winding(args) for args, _ in tied_spectra()]
     spectra += tie_heavy_spectra()
     spectra += [(tuple(sd.args), sd.zeta) for sd in
                 (spectral_summary(q) for n in range(3, 9) for q in haar_with_negative_winding(n, 2))]
@@ -664,6 +665,8 @@ class TestStackedSampler:
             single = theta_sample(td, r)
             assert single.logs[0].entries.tobytes() == x.entries.tobytes()
             assert single.residuals == (resid,)
+            with pytest.raises(ValueError):   # a view of a frozen stack
+                x.entries.setflags(write=True)
 
     def test_empty_stack_gives_no_members(self):
         _, td = conjugated_family("boundary", 4)
@@ -672,11 +675,13 @@ class TestStackedSampler:
         assert drawn.bases.shape == (0, 4, 4)
 
     @pytest.mark.parametrize("position", [0, 2, 4])
-    @pytest.mark.parametrize("bad", ["scaled", "nan"])
+    @pytest.mark.parametrize("bad", ["scaled", "nan", "inf", "1e200"])
     def test_bad_slice_raises_what_its_single_call_raises(self, position, bad):
+        # A NaN, an inf or a 1e200 fails the gate quietly: the suite runs
+        # with warnings as errors.
         _, td = conjugated_family("minus_one", 6)
         rs = random_unitary(td.nu1 + td.nu2, seed=1, count=5)
-        rs[position] = 1.5 * rs[position] if bad == "scaled" else np.nan
+        rs[position] = 1.5 * rs[position] if bad == "scaled" else float(bad)
         with pytest.raises(NotUnitaryError) as single:
             theta_sample(td, rs[position])
         with pytest.raises(NotUnitaryError) as stacked:
@@ -734,16 +739,19 @@ def sample_with_failures(td, rs, bad, monkeypatch):
     rs = rs.copy()
     nu1 = td.nu1
     eig = td.spectral.tols.eig
-    skew_traceless_stack = sungeo.logmin._skew_traceless_stack
+    skew_part = sungeo.logmin._skew_part
     exp_in_basis = sungeo.logmin._exp_in_basis
 
-    def logs(x, tols):
+    def skew(x):
+        # The member stack is the one 3-D array made skew: its slice i is
+        # member i, whatever order the su(n) gate then checks them in.
+        x = skew_part(x)
         for i, gate in bad.items():
-            if gate == "skew":
+            if x.ndim == 3 and gate == "skew":
                 x[i] += 1e-3 * np.eye(x.shape[1])
-            elif gate == "trace":
+            elif x.ndim == 3 and gate == "trace":
                 x[i] += 1e-3j * np.eye(x.shape[1])
-        return skew_traceless_stack(x, tols)
+        return x
 
     def exps(v, w):
         gates = set(bad.values())
@@ -767,7 +775,7 @@ def sample_with_failures(td, rs, bad, monkeypatch):
         turn[:2] = np.exp(1j * phi), np.exp(-1j * phi)
         td = dataclasses.replace(td, q=dataclasses.replace(td.q, entries=td.q.entries * turn))
     with monkeypatch.context() as patch:
-        patch.setattr(sungeo.logmin, "_skew_traceless_stack", logs)
+        patch.setattr(sungeo.logmin, "_skew_part", skew)
         patch.setattr(sungeo.logmin, "_exp_in_basis", exps)
         with pytest.raises(SungeoError) as exc:
             theta_sample(td, rs)
@@ -775,10 +783,9 @@ def sample_with_failures(td, rs, bad, monkeypatch):
 
 
 class TestStackedGates:
-    """The sampler gates a stack once per gate, then checks its members in
-    the order in which one member at a time would be checked; the one
-    exponential the members share is checked between the frames and the
-    round trips."""
+    """The sampler runs each gate over the whole stack, member by member in
+    order, before the next gate; the one exponential the members share is
+    checked between the frames and the round trips."""
 
     @pytest.fixture
     def stack(self):

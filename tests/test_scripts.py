@@ -66,6 +66,8 @@ def test_fingerprint_runs_agree(tmp_path):
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in records.values())
     kinds = {key.split("/")[0] for key in records}
     assert kinds == {"lib", "cli"}
+    failing = sum(key.startswith("lib/sampler_failure/") for key in records)
+    assert failing > 0 and done.stderr.startswith(f"{failing} sampler-failure records, ")
     done = run_python(str(ROOT / "scripts" / "fingerprint.py"), "--compare", *map(str, paths))
     assert done.returncode == 0 and "agree" in done.stdout
     key = next(k for k in records if k.endswith("/outputs.beta_arg"))

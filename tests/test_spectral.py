@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sungeo import (
-    AdmissibleTuple,
     ShapeError,
     Tolerances,
     canonical_log,
@@ -24,10 +23,18 @@ from sungeo import (
     validate_special_unitary,
 )
 
+from conftest import diag_su
+
 PI = math.pi
 
 
 class TestSpectralSummary:
+    def test_roundtrip_through_diagonal_matrix(self):
+        args = [-0.9, -0.3, 0.4, 0.8]
+        sd = spectral_summary(diag_su(args))
+        assert np.allclose(sd.args, args, atol=1e-12)
+        assert sd.zeta == 0
+
     def test_identity(self):
         sd = spectral_summary(validate_special_unitary(np.eye(3)))
         assert np.array_equal(sd.args, np.zeros(3))
@@ -99,7 +106,7 @@ class TestAdjointSpectrum:
         assert adj.zeta == sd.s - sd.zeta == 1
 
     def test_negate_and_sort(self):
-        q = AdmissibleTuple.from_args([-2 * PI / 3, PI / 3, PI / 3]).to_special_unitary()
+        q = diag_su([-2 * PI / 3, PI / 3, PI / 3])
         adj = spectral_summary(adjoint(q))
         assert np.allclose(adj.args, [-PI / 3, -PI / 3, 2 * PI / 3], atol=1e-12)
         assert adj.zeta == 0
@@ -182,35 +189,6 @@ class TestSpectralDataChecks:
         dataclasses.replace(sd)  # unchanged, it passes
         with pytest.raises(error, match=message):
             dataclasses.replace(sd, **change(sd))
-
-
-class TestAdmissibleTuple:
-    def test_from_args_infers_winding(self):
-        t = AdmissibleTuple.from_args([PI, PI])
-        assert t.zeta == 1 and t.n == 2
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            AdmissibleTuple(alphas=(0.0, 0.5), zeta=0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            AdmissibleTuple(alphas=(-PI, PI), zeta=0)
-
-    @pytest.mark.parametrize("alphas, zeta, error, message", [
-        ((), 0, ShapeError, "tuple must be nonempty"),
-        ((0.5, -0.5), 0, ValueError, "arguments must be sorted ascending"),
-        ((0.0, 0.0), 2, ValueError, "winding integer outside its admissible range"),
-    ], ids=["empty", "unsorted", "winding-out-of-range"])
-    def test_rejects_malformed(self, alphas, zeta, error, message):
-        with pytest.raises(error, match=message):
-            AdmissibleTuple(alphas=alphas, zeta=zeta)
-
-    def test_roundtrip_through_matrix(self):
-        t = AdmissibleTuple.from_args([-0.9, -0.3, 0.4, 0.8])
-        sd = spectral_summary(t.to_special_unitary())
-        assert np.allclose(sd.args, t.alphas, atol=1e-12)
-        assert sd.zeta == t.zeta
 
 
 def with_spectrum(args, seed):

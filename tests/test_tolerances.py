@@ -10,7 +10,6 @@ import pytest
 
 import sungeo
 from sungeo import (
-    AdmissibleTuple,
     NotUnitaryError,
     Tolerances,
     diametral_points,
@@ -122,7 +121,6 @@ def test_derived_values_carry_their_source_tolerances():
     [seg] = fam.sample(np.array([[0, 1], [1, 0]]))
     assert seg.X.tols is a and geodesic_eval(seg, 0.5).tols is a
     assert geodesic_eval(fam.canonical, 0.25).tols is a
-    assert AdmissibleTuple.from_args([0.5, -0.5]).to_special_unitary(b).tols is b
     assert validate_special_unitary(np.eye(3)).tols == Tolerances.default(3)
     assert validate_skew_traceless(np.zeros((3, 3))).tols == Tolerances.default(3)
 
@@ -148,8 +146,7 @@ def test_unitary_product_checks_at_ten_times_the_left_factor():
 KNOBS = {"tol", "tols", "alg_tolerance", "zeta_tol"}
 # brute_force_m is the oracle: it takes the winding tolerance of the spectrum
 # it checks, as README names it.
-BOUNDARY = {"validate_special_unitary", "validate_skew_traceless",
-            "AdmissibleTuple.to_special_unitary", "brute_force_m"}
+BOUNDARY = {"validate_special_unitary", "validate_skew_traceless", "brute_force_m"}
 
 
 def _exported_callables():
