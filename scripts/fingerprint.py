@@ -22,9 +22,11 @@ The corpus:
   zeta >= s - zeta;
 - a repeated eigenvalue at the bottom of the spectrum with winding -1, so
   the boundary of the minimizing shift splits it there;
-- each of these as one matrix Q and as a pair (P, P Q); every family is
-  sampled by stacks of 0, 1 and 8 unitaries, as a descriptor and as geodesic
-  segments;
+- each of these as one matrix Q and as a pair (P, P Q); the descriptor of
+  Q, and of P^*Q for a pair, is recorded as its orientation (zeta,
+  ``beta_arg``, nu1, nu2) and, apart, its Grassmannian's label; every family
+  is sampled by stacks of 0, 1 and 8 unitaries, as a descriptor and as
+  geodesic segments;
 - every subcommand, with ``--out`` where it has one, its error exits and
   ``--tol 0.03``;
 - sampler failures: the deep holes and the -1 clusters at n >= 3,
@@ -219,6 +221,13 @@ def sample_record(td, r):
             drawn.norms]
 
 
+def theta_record(rec: Records, key: str, td) -> None:
+    """The descriptor's orientation, (zeta, beta_arg, nu1, nu2), and apart
+    from it the label of its Grassmannian, which has two names."""
+    rec.add(f"{key}/theta.orientation", [td.zeta, td.beta_arg, td.nu1, td.nu2])
+    rec.add(f"{key}/theta.grassmannian", td.grassmannian)
+
+
 def library_pair(rec: Records, name: str, p_raw, q_raw, tols=None) -> None:
     key = f"lib/{name}"
     try:
@@ -234,6 +243,7 @@ def library_pair(rec: Records, name: str, p_raw, q_raw, tols=None) -> None:
     rec.add(f"{key}/geo.distance", fam.distance)
     rec.call(f"{key}/geo.points", lambda: [geodesic_eval(fam.canonical, t).entries for t in TS])
     rec.call(f"{key}/geo.log", lambda: [fam.canonical.X.entries, fam.canonical.length])
+    theta_record(rec, key, fam.theta)
     if not fam.unique:
         block = fam.theta.nu1 + fam.theta.nu2
         for k in STACKS:
@@ -253,6 +263,7 @@ def library_single(rec: Records, name: str, q_raw) -> None:
     rec.add(f"{key}/plog", [status.nonempty, status.zeta, status.s, status.is_singleton,
                             status.label])
     rec.add(f"{key}/theta.shape", [td.is_singleton, td.nu1, td.nu2])
+    theta_record(rec, key, td)
     rec.add(f"{key}/theta.m", m_value(td.spectral))
     rec.call(f"{key}/theta.base_log", lambda: td.base_log.entries)
     if not td.is_singleton:

@@ -3,8 +3,9 @@
 Sweeps Haar-random matrices, compares m(Q) from the two-block formula with
 the integer-lattice minimum that ``brute_force_m`` finds by dynamic
 programming over the box [-K, K]^n (never from the closed form), and tallies
-the structure of the minimizers it lists (exactly |zeta| entries equal to -1
-for zeta >= 0, to +1 for zeta < 0, the rest 0). Boxes of more than 1e8
+the structure of the minimizers it lists: exactly |zeta| entries equal to
+the turns of the closed form's minimizing shift (``logmin._shift``: -1 for
+zeta > 0, +1 for zeta < 0), the rest 0. Boxes of more than 1e8
 tuples are rejected, so with K = 3 the orders stop at 9.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import time
 
 from sungeo import brute_force_m, m_value, random_special_unitary, spectral_summary
+from sungeo.logmin import _shift
 
 
 def main():
@@ -35,7 +37,7 @@ def main():
             brute, minimizers = brute_force_m(sd.args, sd.zeta, K=args.box)
             worst = max(worst, abs(closed - brute) / max(1.0, closed))
             zetas[sd.zeta] = zetas.get(sd.zeta, 0) + 1
-            step = -1 if sd.zeta >= 0 else 1
+            _, step = _shift(sd)
             structure_violations += sum(
                 not (set(k) <= {0, step} and k.count(step) == abs(sd.zeta))
                 for k in minimizers)

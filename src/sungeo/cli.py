@@ -49,8 +49,8 @@ from .geometry import (
     geodesic_family,
     relative_spectrum,
 )
-from .logmin import (brute_force_m, grassmann_label, m_value, plog_status, theta_descriptor,
-                     theta_sample)
+from .logmin import (_shift, brute_force_m, grassmann_label, m_value, plog_status,
+                     theta_descriptor, theta_sample)
 from .matrixcore import (
     SpecialUnitary,
     expm_skew,
@@ -328,7 +328,7 @@ def cmd_geo(path_p: str, path_q: str, t_list: list[float],
         "points": points,
     }
     if not fam.unique:
-        outputs["grassmannian"] = grassmann_label(*fam.grassmannian)
+        outputs["grassmannian"] = grassmann_label(*fam.theta.grassmannian)
     return {
         "command": "geo",
         "inputs": {"P": path_p, "Q": path_q, "t": t_list, "tol": p.tols.group},
@@ -444,8 +444,8 @@ def cmd_oracle(path_q: str, tol: float | None) -> dict:
     closed = m_value(sd)
     brute, minimizers = brute_force_m(sd.args, sd.zeta, K=3, zeta_tol=sd.tols.zeta)
     gap = abs(closed - brute)
-    # A minimizer moves |zeta| arguments one turn: down when zeta >= 0, up when zeta < 0.
-    step = -1 if sd.zeta >= 0 else 1
+    # A minimizer moves |zeta| arguments one turn, the way the closed form's shift does.
+    _, step = _shift(sd)
     structure_ok = all(set(k) <= {0, step} and k.count(step) == abs(sd.zeta)
                        for k in minimizers)
     return {

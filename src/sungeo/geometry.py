@@ -14,7 +14,7 @@ Orientation: the distance, the logarithm and the family are read off the
 spectrum of P^*Q as it is. Q^*P is its adjoint, with winding s - zeta, and
 its minimal logarithms are the negations of those of P^*Q, so (P, Q) and
 (Q, P) are joined by one family of minimizing segments. Its Grassmannian has
-two names, Gr(k; C^m) and Gr(m - k; C^m); ``GeodesicFamily.grassmannian``
+two names, Gr(k; C^m) and Gr(m - k; C^m); ``ThetaDescriptor.grassmannian``
 gives the one both orders report.
 
 No function here takes a tolerance: P^*Q, its spectrum, its logarithms and the
@@ -39,8 +39,7 @@ from .matrixcore import (
     _special_unitary,
     unitary_product,
 )
-from .logmin import (ThetaDescriptor, _descriptor_from_spectral, canonical_log, m_value,
-                     theta_sample)
+from .logmin import ThetaDescriptor, canonical_log, m_value, theta_descriptor, theta_sample
 from .spectral import _TWO_PI, SpectralData, spectral_summary
 
 __all__ = [
@@ -110,18 +109,6 @@ class GeodesicFamily:
     theta: ThetaDescriptor
     distance: float
 
-    @property
-    def grassmannian(self) -> tuple[int, int] | None:
-        """(k, m) for Gr(k; C^m) when the segments form a family, else None.
-        k counts the shifted members of the boundary cluster as seen from
-        whichever of P^*Q and Q^*P winds more (Q^*P winds s - zeta): nu2,
-        or nu1 when 0 < zeta < s - zeta. So (P, Q) and (Q, P) read one label."""
-        td = self.theta
-        if self.unique:
-            return None
-        k = td.nu1 if 0 < td.zeta < td.spectral.s - td.zeta else td.nu2
-        return (k, td.nu1 + td.nu2)
-
     def sample(self, r) -> tuple[GeodesicSegment, ...]:
         """Minimizing segments with velocities drawn from the family, one for
         each unitary of the (k, nu1 + nu2, nu1 + nu2) stack ``r``, built
@@ -153,12 +140,10 @@ def geodesic_family(p: SpecialUnitary, q: SpecialUnitary) -> GeodesicFamily:
     The segment is unique iff the relative spectrum has distinct eigenvalues
     on the two sides of the kept / shifted boundary, as when zeta = 0;
     otherwise the family is a complex Grassmannian recorded in the
-    descriptor and labelled by ``GeodesicFamily.grassmannian``.
+    descriptor and labelled by ``ThetaDescriptor.grassmannian``.
     """
-    pq = p.adjoint_times(q)
-    sd = spectral_summary(pq)
-    td = _descriptor_from_spectral(sd, pq)
-    seg = GeodesicSegment(p, sd.basis, td.angles, td)
+    td = theta_descriptor(p.adjoint_times(q))
+    seg = GeodesicSegment(p, td.spectral.basis, td.angles, td)
     # m(P^*Q) off the descriptor's canonical angles, bit for bit ``m_value``.
     return GeodesicFamily(p, q, td.is_singleton, seg, td,
                           math.sqrt(float(td.angles.dot(td.angles))))

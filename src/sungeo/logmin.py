@@ -19,12 +19,13 @@ of sampling unitaries, batch axis first as in geomstats, one unitary being the
 k = 1 stack; each member is bit for bit what its slice gives alone.
 
 Orientation: everything here reads Q's spectrum as it is, for either sign of
-zeta. The minimizing shift (``_canonical_angles``) moves the top zeta
-arguments down a turn when zeta > 0 and the bottom -zeta up a turn when
-zeta < 0, so the kept/shifted boundary (``_boundary``) lies below the top
-zeta arguments or above the bottom -zeta. A family is the cluster that
-boundary splits, at the top of the spectrum or, mirrored, at the bottom; nu1
-counts its kept members and nu2 its shifted ones.
+zeta, and one rule, ``_shift``, orients it: the minimizing shift moves the
+top zeta arguments down a turn when zeta > 0 and the bottom -zeta up a turn
+when zeta < 0. Every consumer reads that rule: the canonical angles, the
+boundary cluster (``_boundary_cluster``, the cluster of the kept argument
+next to the moved ones), the sampler, the Grassmannian's name and the CLI's
+lattice oracle. A family is the boundary cluster when the shift splits it;
+nu1 counts its kept members and nu2 its shifted ones.
 """
 
 from __future__ import annotations
@@ -85,23 +86,37 @@ def grassmann_label(k: int, m: int) -> str:
 # closed form
 # ---------------------------------------------------------------------------
 
-def _canonical_angles(sd: SpectralData) -> np.ndarray:
-    """The sorted arguments plus 2 pi times the minimizing integers: -1 on the
-    top zeta for zeta > 0, +1 on the bottom -zeta for zeta < 0, 0 elsewhere.
-    Only the moved slice is touched: adding 0.0 would turn -0.0 into +0.0."""
-    angles = np.array(sd.args, dtype=float)
+def _shift(sd: SpectralData) -> tuple[slice, int]:
+    """The orientation rule: the slice of the sorted arguments that the
+    minimizing shift moves, and the turns it moves them by. The top zeta move
+    down a turn when zeta > 0, the bottom -zeta up a turn otherwise, so the
+    slice is empty when zeta = 0. Nothing else here reads zeta's sign."""
     if sd.zeta > 0:
-        angles[sd.n - sd.zeta:] -= _TWO_PI
-    elif sd.zeta < 0:
-        angles[:-sd.zeta] += _TWO_PI
+        return slice(sd.n - sd.zeta, sd.n), -1
+    return slice(0, -sd.zeta), 1
+
+
+def _boundary_cluster(sd: SpectralData) -> tuple[int, slice, slice]:
+    """The kept argument next to the moved slice (``_shift``), just below it
+    at the top of the spectrum or just above it at the bottom; the cluster
+    holding that argument; and the cluster's overlap with the moved slice,
+    empty unless the shift splits the cluster."""
+    moved, _ = _shift(sd)
+    edge = moved.start - 1 if moved.start else moved.stop
+    edges = list(accumulate(sd.sizes, initial=0))
+    i = bisect(edges, edge)
+    start, stop = edges[i - 1], edges[i]
+    return edge, slice(start, stop), slice(max(start, moved.start), min(stop, moved.stop))
+
+
+def _canonical_angles(sd: SpectralData) -> np.ndarray:
+    """The sorted arguments with the moved slice a turn off (``_shift``).
+    Nothing is touched when zeta = 0: adding 0.0 would turn -0.0 into +0.0."""
+    angles = np.array(sd.args, dtype=float)
+    if sd.zeta:
+        moved, turns = _shift(sd)
+        angles[moved] += turns * _TWO_PI
     return angles
-
-
-def _boundary(sd: SpectralData) -> int:
-    """Position of the kept/shifted boundary in the sorted arguments: the
-    shifted ones start there when zeta > 0 and end there when zeta < 0; 0
-    when zeta = 0."""
-    return sd.n - sd.zeta if sd.zeta > 0 else -sd.zeta
 
 
 def m_value(sd: SpectralData) -> float:
@@ -227,18 +242,19 @@ def canonical_log(sd: SpectralData) -> SkewHermitianTraceless:
 class ThetaDescriptor:
     """Structure of the set of minimal logarithms of ``q``.
 
-    The set is a single point unless the kept/shifted boundary splits a
-    cluster: mu_{n-zeta} = mu_{n-zeta+1} up to the cluster tolerance when
-    zeta > 0, at the top of the spectrum, or mu_{-zeta} = mu_{-zeta+1} when
-    zeta < 0, at the bottom. Then it is diffeomorphic to the complex
-    Grassmannian Gr(nu2; C^(nu1+nu2)), nu1 counting the kept members of that
-    cluster and nu2 the shifted ones, and ``base_log`` is the member that
-    rounding picks (see ``canonical_log``). ``zeta`` is q's winding and
-    ``beta_arg`` q's argument on the kept side of the boundary, that of
-    mu_{n-zeta} or of mu_{-zeta+1}; None when zeta = 0. ``spectral`` is q's
-    spectrum, so sampling reuses the exact basis of ``base_log``. ``angles``
-    are the canonical angles, and m(Q) is their squared norm; ``base_log``
-    is U diag(i angles) U^* with U = ``spectral.basis`` and the angles less
+    The set is a single point unless the minimizing shift (``_shift``) splits
+    the boundary cluster (``_boundary_cluster``): mu_{n-zeta} =
+    mu_{n-zeta+1} up to the cluster tolerance when zeta > 0, at the top of
+    the spectrum, or mu_{-zeta} = mu_{-zeta+1} when zeta < 0, at the bottom.
+    Then it is diffeomorphic to the complex Grassmannian
+    Gr(nu2; C^(nu1+nu2)), nu1 counting the kept members of that cluster and
+    nu2 the shifted ones, and ``base_log`` is the member that rounding picks
+    (see ``canonical_log``). ``zeta`` is q's winding and ``beta_arg`` the
+    argument of the kept eigenvalue next to the shifted ones, mu_{n-zeta} or
+    mu_{-zeta+1}; None when zeta = 0. ``spectral`` is q's spectrum, so
+    sampling reuses the exact basis of ``base_log``. ``angles`` are the
+    canonical angles, and m(Q) is their squared norm; ``base_log`` is
+    U diag(i angles) U^* with U = ``spectral.basis`` and the angles less
     their mean (``canonical_log``). ``base_log`` is built, and checked in
     su(n), the first time it is read.
     """
@@ -259,31 +275,30 @@ class ThetaDescriptor:
 
     @property
     def grassmannian(self) -> tuple[int, int] | None:
-        """(k, m) for Gr(k; C^m) when the set is a family, else None."""
+        """(k, m) for Gr(k; C^m) when the set is a family, else None. Q^* winds
+        s - zeta, and its minimal logarithms are the negations of Q's, so the
+        family has two names, Gr(nu2; C^m) and Gr(nu1; C^m). k is nu1 when the
+        shift moves arguments down and Q^* winds more (0 < zeta < s - zeta),
+        nu2 otherwise, so Q and Q^*, and (P, Q) and (Q, P), read one label."""
         if self.is_singleton:
             return None
-        return (self.nu2, self.nu1 + self.nu2)
-
-
-def _descriptor_from_spectral(sd: SpectralData, q: SpecialUnitary) -> ThetaDescriptor:
-    """Descriptor of ``q`` from its spectrum ``sd``."""
-    cut = _boundary(sd)
-    # A family when the kept/shifted boundary splits a cluster: none ends there.
-    edges = list(accumulate(sd.sizes, initial=0))
-    i = bisect(edges, cut)
-    below, above = cut - edges[i - 1], edges[i] - cut
-    kept, shifted = (below, above) if sd.zeta > 0 else (above, below)
-    family = below > 0
-    beta = None if sd.zeta == 0 else float(sd.args[cut - 1 if sd.zeta > 0 else cut])
-    # Fields in order (zeta, is_singleton, beta_arg, nu1, nu2, spectral, q,
-    # angles): a keyword call costs more than building them.
-    return ThetaDescriptor(sd.zeta, not family, beta, kept if family else None,
-                           shifted if family else None, sd, q, _frozen(_canonical_angles(sd)))
+        _, turns = _shift(self.spectral)
+        k = self.nu1 if turns < 0 and self.zeta < self.spectral.s - self.zeta else self.nu2
+        return (k, self.nu1 + self.nu2)
 
 
 def theta_descriptor(q: SpecialUnitary) -> ThetaDescriptor:
     """Describe the set of minimal logarithms of Q, read off Q's spectrum."""
-    return _descriptor_from_spectral(spectral_summary(q), q)
+    sd = spectral_summary(q)
+    edge, cluster, shifted = _boundary_cluster(sd)
+    nu2 = shifted.stop - shifted.start
+    nu1 = cluster.stop - cluster.start - nu2
+    family = nu2 > 0
+    beta = float(sd.args[edge]) if sd.zeta else None
+    # Fields in order (zeta, is_singleton, beta_arg, nu1, nu2, spectral, q,
+    # angles): a keyword call costs more than building them.
+    return ThetaDescriptor(sd.zeta, not family, beta, nu1 if family else None,
+                           nu2 if family else None, sd, q, _frozen(_canonical_angles(sd)))
 
 
 class ThetaSamples(NamedTuple):
@@ -305,11 +320,12 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
 
     Member i is X_i = A + 2 pi i sigma W_i W_i^*: Gr(nu2; C^(nu1 + nu2))
     embedded by the projectors onto nu2-planes in span U_b, U_b being the
-    basis columns of the boundary cluster. A = U diag(i a) U^* holds the
-    cluster at its mean angle, unshifted; sigma = -1 at the top boundary
-    (zeta > 0) and +1 at the bottom (zeta < 0); W_i is U_b r_i[:, nu1:] at
-    the top and U_b r_i[:, :nu2] at the bottom, for r_i the slices of the
-    (k, nu1 + nu2, nu1 + nu2) stack ``r`` (one unitary is the k = 1 stack).
+    basis columns of the boundary cluster (``_boundary_cluster``). A =
+    U diag(i a) U^* holds the cluster at its mean angle, unshifted; sigma is
+    the shift's turns (``_shift``), -1 at the top and +1 at the bottom; W_i
+    is the columns of U_b r_i at the cluster's shifted positions, for r_i the
+    slices of the (k, nu1 + nu2, nu1 + nu2) stack ``r`` (one unitary is the
+    k = 1 stack).
     So X_i = U_i diag(i angles) U_i^* up to rounding, with the rotated basis
     U_i and the shifted angles a turn from a; the angles are less their
     mean, as in ``canonical_log``, so X_i is traceless. Every member has
@@ -349,19 +365,16 @@ def theta_sample(td: ThetaDescriptor, r) -> ThetaSamples:
         NotUnitaryError.check(res, alg, "sampling matrix is not unitary")
 
     sd, tols = td.spectral, td.spectral.tols
-    cut = _boundary(sd)
-    if td.zeta > 0:
-        start, shifted, turn = cut - td.nu1, slice(cut, cut + td.nu2), -_TWO_PI
-    else:
-        start, shifted, turn = cut - td.nu2, slice(cut - td.nu2, cut), _TWO_PI
+    _, cluster, shifted = _boundary_cluster(sd)
+    turn = _shift(sd)[1] * _TWO_PI
     base = _canonical_angles(sd)
-    base[start:start + block] = float(sd.args[start:start + block].mean())
+    base[cluster] = float(sd.args[cluster].mean())
     # Less the mean of the member angles, which sum to that of A's plus nu2 turns.
     base -= (float(np.add.reduce(base)) + td.nu2 * turn) / sd.n
     angles = base.copy()
     angles[shifted] += turn
     u = np.repeat(sd.basis[None], len(rm), axis=0)
-    u[:, :, start:start + block] = u[:, :, start:start + block] @ rm
+    u[:, :, cluster] = u[:, :, cluster] @ rm
     w = u[:, :, shifted]
     x = w @ w.conj().swapaxes(1, 2)
     x *= 1j * turn

@@ -7,9 +7,8 @@ partition of the spectrum into clusters. The cluster tolerance decides only
 these discrete answers: the arguments are the solver's, lifted by whole
 turns, so every continuous answer read off them is continuous in Q.
 
-A spectrum is Q's and is read as it is, for either sign of zeta: the
-minimizing shift moves the top zeta arguments down a turn when zeta > 0 and
-the bottom -zeta up a turn when zeta < 0 (``logmin``). Q^* has the winding
+A spectrum is Q's and is read as it is, for either sign of zeta; one rule
+orients it, the minimizing shift of ``logmin._shift``. Q^* has the winding
 s - zeta; nothing here builds its spectrum from Q's.
 """
 

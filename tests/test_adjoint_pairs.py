@@ -17,7 +17,6 @@ import pytest
 
 from sungeo import (
     geodesic_family,
-    grassmann_label,
     m_value,
     random_special_unitary,
     random_unitary,
@@ -95,11 +94,12 @@ def test_descriptors_of_q_and_its_adjoint_agree(n):
             # One family, shifted up at the bottom of Q's spectrum and down
             # at the top of Q^*'s: the same members shift.
             assert (td.nu1, td.nu2) == (ta.nu1, ta.nu2)
-            assert grassmann_label(*td.grassmannian) == grassmann_label(*ta.grassmannian)
         else:
-            # Split inside -1 the other way: each descriptor names the
-            # complementary Grassmannian of one manifold.
+            # Split inside -1 the other way: the kept members of one are the
+            # shifted members of the other.
             assert (td.nu1, td.nu2) == (ta.nu2, ta.nu1)
+        # Either way Q and Q^* name the manifold alike.
+        assert td.grassmannian == ta.grassmannian
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -111,10 +111,10 @@ def test_pair_families_agree_in_both_orders(n):
         assert ab.unique == ba.unique
         assert close(ab.distance ** 2, ba.distance ** 2)
         if ab.unique:
-            assert ab.grassmannian is ba.grassmannian is None
+            assert ab.theta.grassmannian is ba.theta.grassmannian is None
             continue
         assert {ab.theta.nu1, ab.theta.nu2} == {ba.theta.nu1, ba.theta.nu2}
-        assert grassmann_label(*ab.grassmannian) == grassmann_label(*ba.grassmannian)
+        assert ab.theta.grassmannian == ba.theta.grassmannian
 
 
 def exp_skew(x: np.ndarray) -> np.ndarray:

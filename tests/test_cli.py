@@ -408,6 +408,22 @@ class TestTheta:
         assert out["m"] == pytest.approx(8 * PI**2 / 3, abs=1e-12)
         assert all(report["residuals"][f"sample{i}_exp_roundtrip"] <= 1e-12 for i in range(2))
 
+    def test_label_is_the_one_geo_prints(self, capsys, files):
+        # Q = diag(-1, -1, -1, e^{-i(pi/2 + 0.3)}, e^{-i(pi/2 - 0.3)}) winds 1
+        # with s = 3: one -1 member shifts, Gr(1; C^3), while Q^* winds 2, two
+        # shifted, Gr(2; C^3). theta Q and geo I Q print one name, Q^*'s.
+        args = [PI] * 3 + [-(PI / 2 + 0.3), -(PI / 2 - 0.3)]
+        q = write_matrix(files["tmp"], "q5.json", np.diag(np.exp(1j * np.array(args))))
+        i5 = write_matrix(files["tmp"], "i5.json", np.eye(5))
+        code, theta, _ = run_cli(capsys, "theta", q)
+        assert code == 0 and (theta["outputs"]["nu1"], theta["outputs"]["nu2"]) == (2, 1)
+        labels = [theta["outputs"]["grassmannian"]]
+        for pair in ((i5, q), (q, i5)):
+            code, geo, _ = run_cli(capsys, "geo", *pair)
+            assert code == 0
+            labels.append(geo["outputs"]["grassmannian"])
+        assert labels == ["Gr(2;C^3)"] * 3
+
 
 class TestOracle:
     def test_agreement(self, capsys, files):

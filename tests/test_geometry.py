@@ -496,8 +496,8 @@ def test_family_orientation_when_windings_differ():
     # Relative spectrum (-pi/2 - 0.3, -pi/2 + 0.3, pi, pi, pi) has winding 1
     # while its adjoint has winding 2. The family is read off P^*Q as it is,
     # one of the three -1 members shifted, and labelled as Q^*P reads it, two
-    # of three shifted, so that both orders report one label: Gr(1; C^3) and
-    # Gr(2; C^3) are the same manifold.
+    # of three shifted, so that both orders and Q alone report one label:
+    # Gr(1; C^3) and Gr(2; C^3) are the same manifold.
     from sungeo import spectral_summary, theta_descriptor
 
     args = np.array([-PI / 2 - 0.3, -PI / 2 + 0.3, PI, PI, PI])
@@ -509,9 +509,8 @@ def test_family_orientation_when_windings_differ():
     fam = geodesic_family(p, q)
     assert not fam.unique
     assert (fam.theta.zeta, fam.theta.nu1, fam.theta.nu2) == (1, 2, 1)
-    assert fam.grassmannian == geodesic_family(q, p).grassmannian == (2, 3)
-    # The descriptor of Q alone names the complementary Grassmannian.
-    assert fam.theta.grassmannian == theta_descriptor(q).grassmannian == (1, 3)
+    assert fam.theta.grassmannian == geodesic_family(q, p).theta.grassmannian == (2, 3)
+    assert theta_descriptor(q).grassmannian == (2, 3)
 
     # Canonical and sampled segments still join the endpoints minimally.
     assert np.linalg.norm(geodesic_eval(fam.canonical, 1.0).entries - q.entries) <= 1e-9

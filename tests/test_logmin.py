@@ -868,11 +868,13 @@ def assert_orbit_map_is_grassmannian(args, seed, label):
     nonzero = sv[:2 * td.nu1 * td.nu2]
     assert np.abs(nonzero / (2 * math.sqrt(2) * PI) - 1.0).max() <= 1e-8
     # The nu1^2 + nu2^2 block-diagonal generators map to zero; with the
-    # rank above they span the whole kernel.
-    side = np.arange(b) < td.nu1
+    # rank above they span the whole kernel. The kept columns come first at
+    # the top of the spectrum, the shifted ones at the bottom.
+    side = np.arange(b) < (td.nu1 if td.zeta > 0 else td.nu2)
     block_diagonal = (side[:, None] == side[None, :]).ravel()
     assert np.count_nonzero(block_diagonal) == b * b - 2 * td.nu1 * td.nu2
     assert np.abs(jac[:, block_diagonal]).max() <= 1e-6 * sv[0]
+    return td
 
 
 def _beta_range(n, zeta, nu1, nu2, margin=0.05):
@@ -904,16 +906,38 @@ FAMILY_SHAPES += [(n, zeta, n - zeta, zeta, None)
                   for n in range(2, 9) for zeta in range(1, n // 2 + 1)]
 
 
+# The shapes whose mirror stays off the cut: the scalar -I families, all of
+# whose arguments are pi, would mirror to -pi, which reads as pi.
+MIRRORED_SHAPES = [shape for shape in FAMILY_SHAPES if shape[4] or 2 * shape[1] < shape[0]]
+
+
 @st.composite
-def family_spectra(draw):
-    """(args, nu1, nu2): a spectrum of order n <= 8 and winding zeta >= 1
-    whose kept/shifted boundary splits a cluster of nu1 + nu2 arguments."""
-    n, zeta, nu1, nu2, rng = draw(st.sampled_from(FAMILY_SHAPES))
+def family_spectra(draw, mirror=False):
+    """(args, zeta, nu1, nu2, beta): a spectrum of order n <= 8 and winding
+    zeta >= 1 whose kept/shifted boundary, at the top, splits a cluster of
+    nu1 kept and nu2 shifted arguments, all beta. With ``mirror`` it is
+    -args reversed, which winds -zeta: the boundary, at the bottom, splits
+    the same cluster at -beta, so nu1 and nu2 stay."""
+    n, zeta, nu1, nu2, rng = draw(st.sampled_from(MIRRORED_SHAPES if mirror else FAMILY_SHAPES))
     if rng is None:
-        return [TWO_PI * zeta / n] * n, nu1, nu2
-    lo, hi = rng
-    beta = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
-    return boundary_args(n, zeta, nu1, nu2, beta), nu1, nu2
+        beta = TWO_PI * zeta / n
+        args = [beta] * n
+    else:
+        lo, hi = rng
+        beta = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        args = boundary_args(n, zeta, nu1, nu2, beta)
+    if mirror:
+        return [-a for a in reversed(args)], -zeta, nu1, nu2, -beta
+    return args, zeta, nu1, nu2, beta
+
+
+def assert_drawn_family(spectrum, seed):
+    """The orbit-map test on a ``family_spectra`` draw, and the descriptor's
+    winding, (nu1, nu2), beta_arg and label against the draw's."""
+    args, zeta, nu1, nu2, beta = spectrum
+    td = assert_orbit_map_is_grassmannian(args, seed, grassmann_label(nu2, nu1 + nu2))
+    assert (td.zeta, td.nu1, td.nu2) == (zeta, nu1, nu2)
+    assert td.beta_arg == pytest.approx(beta, abs=1e-9)
 
 
 class TestFamilyDimension:
@@ -949,8 +973,12 @@ class TestFamilyDimension:
     @given(spectrum=family_spectra(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25)
     def test_orbit_map_on_random_family_spectra(self, spectrum, seed):
-        args, nu1, nu2 = spectrum
-        assert_orbit_map_is_grassmannian(args, seed, grassmann_label(nu2, nu1 + nu2))
+        assert_drawn_family(spectrum, seed)
+
+    @given(spectrum=family_spectra(mirror=True), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25)
+    def test_orbit_map_on_mirrored_family_spectra(self, spectrum, seed):
+        assert_drawn_family(spectrum, seed)
 
     def test_samples_agree_iff_the_rotation_is_block_diagonal(self):
         # Gr(2;C^4) from I to -I: X(r1) = X(r2) when r1^* r2 lies in
